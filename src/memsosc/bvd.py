@@ -27,8 +27,9 @@ class Resonator:
 
     def __post_init__(self):
         for name in ("r_m", "l_m", "c_m", "c_0"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
         if not self.c_m / self.c_0 < 1:
             raise ValueError("coupling coefficient c_m/c_0 must be below unity")
 
@@ -67,7 +68,7 @@ class ComplexResponse:
 
 def _check_frequency(f) -> np.ndarray:
     f = np.asarray(f, dtype=float)
-    if np.any(f <= 0):
+    if (f <= 0).any():
         raise ValueError("frequency must be positive")
     return f
 

@@ -272,8 +272,8 @@ def _add_op_args(p):
     p.add_argument("--vosc", type=_eng, default=0.3, help="oscillation amplitude, V")
     p.add_argument("--offset", dest="offsets", type=_eng, action="append",
                    help="phase-noise offset(s), Hz (repeatable)")
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--temp", type=float, default=300.0)
+    p.add_argument("--gamma", type=_eng, default=1.0)
+    p.add_argument("--temp", type=_eng, default=300.0)
     p.add_argument("--gmbias", type=_eng, default=None,
                    help="tail-source transconductance, S (default: 2/r_res)")
     p.add_argument("--supply", type=_eng, default=0.8)

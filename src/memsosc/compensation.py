@@ -13,6 +13,21 @@ the broad LC-branch structure carries its own low-Q crossing.  The
 motional crossing exists only while the capacitive misalignment stays
 below 1/(2*r_m*w_s) - beyond that the tank susceptance exceeds what the
 motional branch can cancel and only the low-Q point remains.
+
+The crossings are found in closed form.  The tank admittance is always
+conductive, so the phase is zero exactly where Im Y = 0.  With
+x = (w/w_s)^2 - 1, A = 1/Q_m^2 = (w_s*r_m*c_m)^2 and B = (w_s*l_0)^2,
+
+    Im Y / w = C - c_m*x / (x^2 + A*(1 + x)) - l_0 / (r_l0^2 + B*(1 + x)),
+
+and both denominators are positive for w > 0, so clearing them leaves a
+cubic in x whose real roots with 1 + x > 0 are the candidate crossings.
+Centring on x = 0 (the series resonance) keeps the close motional pair
+well conditioned.  The roots come from ``np.roots``.  Each one is then
+bracketed, first tightly around its estimate and otherwise between its
+neighbours, skipped when Im Y keeps its sign across the bracket (a
+tangential root), and polished on Im Y itself with Brent's method
+(Brent 1973) until the bracket is 1e-15 of the frequency wide.
 """
 
 from __future__ import annotations
@@ -22,7 +37,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bvd import (
     TWO_PI,
@@ -66,14 +80,12 @@ class CompensationNetwork:
     topology: str = "shunt"
 
     def __post_init__(self):
-        if not self.l_0 > 0:
-            raise ValueError("l_0 must be positive")
-        if not self.q_l0 > 0:
-            raise ValueError("q_l0 must be positive")
-        if not self.f_ref > 0:
-            raise ValueError("f_ref must be positive")
-        if self.c_fix < 0 or self.bank_unit < 0:
-            raise ValueError("capacitances must be non-negative")
+        for name in ("l_0", "q_l0", "f_ref"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
+        if not (0 <= self.c_fix < math.inf and 0 <= self.bank_unit < math.inf):
+            raise ValueError("capacitances must be non-negative and finite")
         if self.bank_size < 0:
             raise ValueError("bank_size must be non-negative")
         if not 0 <= self.bank_code <= self.bank_size:
@@ -129,17 +141,20 @@ def shunt_inductor_for(c_total: float, f_0: float) -> float:
     return 1.0 / (w * w * c_total)
 
 
-def tank_impedance(res: Resonator, comp: CompensationNetwork, f):
-    """Complex impedance of motional branch || C branch || lossy inductor."""
+def _tank_admittance(res: Resonator, comp: CompensationNetwork, f):
+    """Admittance of motional branch || C branch || lossy inductor."""
     if comp.topology != "shunt":
         raise ValueError("tank_impedance is defined for the shunt topology only")
-    f = _check_frequency(f)
     w = TWO_PI * f
-    c_branch = comp.branch_capacitance(res)
-    y = (1.0 / motional_impedance(res, f)
-         + 1j * w * c_branch
-         + 1.0 / (comp.r_l0 + 1j * w * comp.l_0))
-    z = 1.0 / y
+    return (1.0 / motional_impedance(res, f)
+            + 1j * w * comp.branch_capacitance(res)
+            + 1.0 / (comp.r_l0 + 1j * w * comp.l_0))
+
+
+def tank_impedance(res: Resonator, comp: CompensationNetwork, f):
+    """Complex impedance of motional branch || C branch || lossy inductor."""
+    f = _check_frequency(f)
+    z = 1.0 / _tank_admittance(res, comp, f)
     return complex(z) if np.ndim(f) == 0 else z
 
 
@@ -177,20 +192,110 @@ def motional_mode_capacitance_margin(res: Resonator) -> float:
 
 # --- operating points ----------------------------------------------------
 
-def _phase_of(res: Resonator, comp: CompensationNetwork, f):
-    return np.angle(tank_impedance(res, comp, f))
+# Relative width at which a bracketed root counts as polished.
+_XTOL_REL = 1e-15
 
 
-def _phase_crossings(res: Resonator, comp: CompensationNetwork,
-                     lo: float, hi: float, points: int) -> list[float]:
-    """Zero crossings of the impedance phase over [lo, hi], refined by brentq."""
-    grid = np.linspace(lo, hi, points)
-    ph = _phase_of(res, comp, grid)
+def _brent(fn, a: float, b: float) -> float:
+    """Root of fn in [a, b], where fn(a) and fn(b) differ in sign.
+
+    Brent's method (Brent 1973, ch. 4): inverse quadratic or secant steps,
+    with a bisection step whenever those would not shrink the bracket fast
+    enough.  Returns once the bracket is _XTOL_REL * |root| wide.
+    """
+    fa, fb = fn(a), fn(b)
+    if fa * fb > 0:
+        raise ValueError("root is not bracketed")
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 0.5 * _XTOL_REL * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = fn(b)
+
+
+def _zero_phase_frequencies(res: Resonator, comp: CompensationNetwork,
+                            lo: float = 0.0, hi: float = math.inf) -> list[float]:
+    """Zero-phase crossings of the tank impedance within [lo, hi], ascending.
+
+    Roots of the susceptance cubic (see the module docstring), each
+    polished on Im Y within the bracket its neighbours leave it.
+    """
+    fs = series_resonance(res)
+    ws = TWO_PI * fs
+    c, l_0 = comp.branch_capacitance(res), comp.l_0
+    a = (ws * res.r_m * res.c_m) ** 2
+    b = (ws * l_0) ** 2
+    e = comp.r_l0 ** 2 + b
+    # Im Y / w times both denominators, expanded in x
+    coeffs = [c * b,
+              c * (e + a * b) - res.c_m * b - l_0,
+              c * a * (e + b) - res.c_m * e - l_0 * a,
+              a * (c * e - l_0)]
+    if not all(math.isfinite(k) for k in coeffs):
+        raise ValueError("tank values overflow the zero-phase polynomial")
+    roots = np.roots(coeffs)
+    x = np.sort(roots[roots.imag == 0].real)
+    x = x[x > -1.0]
+    f_est = fs * np.sqrt(1.0 + x)
+    sel = np.nonzero((f_est >= lo) & (f_est <= hi))[0]
+    if sel.size == 0:
+        return []
+    # Wide brackets run between neighbouring roots.  No other real root lies
+    # beyond the outermost ones, so any margin over the eigenvalue error
+    # closes them (the lower one keeps w > 0).  np.roots is good to ~1e-13
+    # relative here, so a 1e-9 bracket around each estimate is tried first:
+    # Brent then needs about 5 evaluations instead of up to 20.
+    margin = 1e-3 * float(np.abs(roots).max())
+    edges = np.concatenate(([max(x[0] - margin, 0.5 * (x[0] - 1.0))],
+                            0.5 * (x[1:] + x[:-1]), [x[-1] + margin]))
+    f_wide = fs * np.sqrt(1.0 + edges)
+    f_near = np.concatenate((np.maximum(f_wide[sel], f_est[sel] * (1.0 - 1e-9)),
+                             np.minimum(f_wide[sel + 1], f_est[sel] * (1.0 + 1e-9))))
+    n = sel.size
+    im = _tank_admittance(res, comp, np.concatenate((f_near, f_wide))).imag
+    near, wide = np.sign(im[:2 * n]), np.sign(im[2 * n:])
+
+    def susceptance(f):
+        return float(_tank_admittance(res, comp, f).imag)
+
     out = []
-    sign = np.sign(ph)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        out.append(brentq(lambda f: float(_phase_of(res, comp, f)),
-                          grid[i], grid[i + 1], xtol=lo * 1e-12))
+    for j, i in enumerate(sel):
+        if near[j] * near[n + j] < 0:
+            f = _brent(susceptance, float(f_near[j]), float(f_near[n + j]))
+        elif wide[i] * wide[i + 1] < 0:
+            f = _brent(susceptance, float(f_wide[i]), float(f_wide[i + 1]))
+        else:
+            continue  # tangential root: the phase touches zero without crossing
+        if lo <= f <= hi:
+            out.append(f)
     return out
 
 
@@ -205,7 +310,7 @@ def find_motional_operating_point(res: Resonator, comp: CompensationNetwork):
     # cap: for very low motional Q the bandwidth exceeds the octave around f_s
     lo = max(fs - 2.0 * bw, 0.5 * fs)
     hi = min(fs + 2.0 * bw, 1.5 * fs)
-    crossings = _phase_crossings(res, comp, lo, hi, 2001)
+    crossings = _zero_phase_frequencies(res, comp, lo, hi)
     if not crossings:
         return None
     f = min(crossings, key=lambda x: abs(x - fs))
@@ -223,11 +328,12 @@ def find_lc_operating_point(res: Resonator, comp: CompensationNetwork):
     half = ft / max(2.0 * comp.q_l0, 4.0)
     lo = max(ft - 4.0 * half, ft * 0.2)
     hi = ft + 4.0 * half
-    crossings = _phase_crossings(res, comp, lo, hi, 4001)
+    crossings = _zero_phase_frequencies(res, comp, lo, hi)
     if not crossings:
         raise NoResonanceError("no resonance found in the LC sweep window")
-    f = max(crossings, key=lambda x: abs(tank_impedance(res, comp, x)))
-    return f, complex(tank_impedance(res, comp, f))
+    z = tank_impedance(res, comp, crossings)
+    i = int(np.argmax(np.abs(z)))
+    return crossings[i], complex(z[i])
 
 
 def find_operating_point(res: Resonator, comp: CompensationNetwork):
@@ -331,8 +437,7 @@ def loaded_q_3db(res: Resonator, comp: CompensationNetwork) -> float:
             if f_next <= 0:
                 break
             if excess(f_next) >= 0:
-                return brentq(excess, min(f, f_next), max(f, f_next),
-                              xtol=f_op * 1e-12)
+                return _brent(excess, min(f, f_next), max(f, f_next))
             f = f_next
             step *= 2.0
         raise NoResonanceError("half-power point not found")

@@ -6,6 +6,7 @@ Plain and exponent forms (``1.6e-18``) parse as well.
 
 from __future__ import annotations
 
+import math
 import re
 
 SUFFIX_SCALE = {
@@ -42,6 +43,8 @@ def parse_eng(text: str) -> float:
     suffix = m.group("suffix")
     if suffix:
         value *= SUFFIX_SCALE[suffix.lower()]
+    if not math.isfinite(value):
+        raise EngNotationError(f"numeric value out of range: {text!r}")
     return value
 
 

@@ -34,6 +34,14 @@ class TestResonatorType:
         with pytest.raises(ValueError):
             Resonator(r_m=1, l_m=-1e-6, c_m=1e-15, c_0=1e-12)
 
+    @pytest.mark.parametrize("field", ["r_m", "l_m", "c_m", "c_0"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, field, value):
+        values = dict(r_m=1.0, l_m=1e-6, c_m=1e-15, c_0=1e-12)
+        values[field] = value
+        with pytest.raises(ValueError):
+            Resonator(**values)
+
     def test_rejects_overcoupled(self):
         with pytest.raises(ValueError):
             Resonator(r_m=1, l_m=1e-6, c_m=2e-12, c_0=1e-12)

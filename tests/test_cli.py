@@ -52,6 +52,20 @@ class TestExitCodes:
         assert code == 2
         assert "design failed" in err
 
+    @pytest.mark.parametrize("option", ["--q-l0", "--temp", "--gamma"])
+    def test_out_of_range_option_is_usage_error(self, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["noise", "rft30g", option, "1e999"])
+        assert exc.value.code == 2
+        assert "out of range" in capsys.readouterr().err
+
+    def test_out_of_range_network_document_is_1(self, tmp_path, capsys):
+        p = tmp_path / "net.txt"
+        p.write_text("l0 = 1e999\nq_l0 = 8\nf_ref = 30g\n")
+        code, _, err = run(capsys, "noise", "rft30g", "--network", str(p))
+        assert code == 1
+        assert "out of range" in err
+
     def test_bad_spec_document_is_1(self, tmp_path, capsys):
         p = tmp_path / "spec.txt"
         p.write_text("resonator = rft30g\n")  # missing required keys

@@ -55,6 +55,14 @@ class TestNetworkType:
             CompensationNetwork(l_0=1e-9, q_l0=10, f_ref=1e9,
                                 bank_size=4, bank_code=5)
 
+    @pytest.mark.parametrize("field", ["l_0", "q_l0", "f_ref", "c_fix", "bank_unit"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, field, value):
+        values = dict(l_0=1e-9, q_l0=10.0, f_ref=1e9, c_fix=1e-15, bank_unit=1e-15)
+        values[field] = value
+        with pytest.raises(ValueError):
+            CompensationNetwork(**values)
+
     def test_rejects_unknown_topology(self):
         with pytest.raises(ValueError):
             CompensationNetwork(l_0=1e-9, q_l0=10, f_ref=1e9, topology="pi")

@@ -37,6 +37,7 @@ def test_meg_beats_milli():
 
 @pytest.mark.parametrize("text", [
     "", "f", "1.2.3", "1x", "16 f", "meg", "1e", "0x10", "1,5", "--3",
+    "1e999", "-1e999", "1e308k",
 ])
 def test_parse_rejects(text):
     with pytest.raises(EngNotationError):

@@ -58,6 +58,11 @@ class TestDocuments:
         with pytest.raises(DocumentError):
             resonator_from_document({"rm": "332"})
 
+    def test_out_of_range_value(self):
+        doc = parse_document(RFT_DOC.replace("rm = 332", "rm = 1e999"))
+        with pytest.raises(DocumentError, match="'rm'"):
+            resonator_from_document(doc)
+
     def test_network_from_document(self):
         doc = parse_document("l0 = 250p\nq_l0 = 8\nf_ref = 30g\n"
                              "c_fix = 92.58f\nbank_unit = 1f\nbank_size = 8\n"

@@ -103,6 +103,10 @@ class TestParsing:
         assert by_name["C0"].value == pytest.approx(16e-15)
         assert nl.ac == (5, 29.9e9, 30.1e9, "lin")
 
+    def test_out_of_range_value_is_diagnosed(self):
+        diags = lint_netlist("R1 1 0 1e999\n.ac lin 5 1 1e999\n.probe 1 0\n")
+        assert {d.code for d in diags} == {E_VALUE, E_DIRECTIVE}
+
     def test_parse_raises_with_diagnostics(self):
         with pytest.raises(NetlistError) as err:
             parse_netlist("X1 1 0 5\n.probe 1 0\n")
