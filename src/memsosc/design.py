@@ -73,12 +73,13 @@ class DesignSpec:
         for name in ("target_f0", "v_osc_target", "q_l0_available", "mu_cox",
                      "gamma", "temperature", "supply", "pn_offset",
                      "l0_grid_step"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.parasitic_c < 0 or self.bank_unit < 0 or self.c_fix < 0:
-            raise ValueError("capacitances must be non-negative")
-        if self.bank_size < 0:
-            raise ValueError("bank_size must be non-negative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
+        for name in ("parasitic_c", "bank_unit", "c_fix", "bank_size"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, "
+                                 f"got {getattr(self, name)}")
         fs = series_resonance(self.resonator)
         if not 0.5 * fs <= self.target_f0 <= 1.5 * fs:
             raise ValueError("target_f0 must lie within [0.5, 1.5] of the "

@@ -3,20 +3,35 @@
 The netlist grammar is one statement per line:
 
     <Kind><name> <nodeA> <nodeB> <value>     R/L/C element (ohm, henry, farad)
-    .ac lin|log <points> <fstart> <fstop>    sweep directive
+    .ac lin|log <points> <fstart> <fstop>    sweep directive (at most 10**6 points)
     .probe <nodeA> <nodeB>                   driving-point impedance probe
     * comment
 
 Values accept engineering suffixes (``16f``, ``250p``, ``30g``, ``1meg``).
-Node "0" is ground.  Inductors are stamped as admittances 1/(jwL); only
-AC analysis at f > 0 is supported, which keeps the system at one row per
-non-ground node.
+Node "0" is ground.  Only AC analysis at f > 0 is supported, which keeps
+the system at one row per non-ground node (MNA after Ho, Ruehli and
+Brennan, IEEE TCAS 1975).
+
+Solving.  `stamp` turns a netlist, once, into three real symmetric
+matrices: conductance G, capacitance C and inverse inductance Gamma, so
+that Y(w) = G + jwC + Gamma/(jw) at every frequency.  They are bordered by
+the probe vector p, and eliminating the n node columns of
+[[Y, p], [p^T, 0]] leaves -p^T Y^-1 p, minus the probe impedance, in the
+corner.  A whole block of frequencies is eliminated together: each of the
+n steps of the partial-pivot LU (largest |entry| of the column, explicit
+row swaps) acts on every frequency of the block at once, and blocks hold
+at most a fixed number of entries, so memory stays bounded on any grid.
+`ac_sweep` passes the .ac grid and `driving_point_impedance` one
+frequency.  A frequency is singular when any of its pivots falls below
+1e-12 of its largest |Y| row sum (floored at 1e-300): the sweep returns a
+NaN there and the single-point call raises `SingularCircuitError`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +39,7 @@ from .bvd import TWO_PI, ComplexResponse
 from .engnotation import EngNotationError, parse_eng
 
 _KINDS = ("R", "L", "C")
+MAX_AC_POINTS = 10**6
 
 # Diagnostic codes
 E_KIND = "E_KIND"              # unknown element kind letter
@@ -122,6 +138,11 @@ def _parse(text: str):
                     diags.append(Diagnostic(E_DIRECTIVE, lineno, col,
                                             "need points >= 1 and 0 < fstart <= fstop"))
                     continue
+                if points > MAX_AC_POINTS:
+                    diags.append(Diagnostic(E_DIRECTIVE, lineno, col,
+                                            f".ac allows at most {MAX_AC_POINTS} points, "
+                                            f"got {points}"))
+                    continue
                 ac = (points, fstart, fstop, tokens[1].lower())
             elif card == ".probe":
                 if len(tokens) != 3:
@@ -215,83 +236,132 @@ def format_netlist(netlist: Netlist) -> str:
 
 # --- solving -------------------------------------------------------------
 
-def _solve_lu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense complex solve with partial pivoting and explicit singularity
-    reporting (pivot below 1e-12 of the largest initial row norm)."""
-    a = a.copy()
-    b = b.copy()
-    n = a.shape[0]
-    threshold = 1e-12 * max(np.max(np.sum(np.abs(a), axis=1)), 1e-300)
-    for k in range(n):
-        pivot_row = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[pivot_row, k]) < threshold:
-            raise SingularCircuitError("singular MNA system (lossless resonance?)")
-        if pivot_row != k:
-            a[[k, pivot_row]] = a[[pivot_row, k]]
-            b[[k, pivot_row]] = b[[pivot_row, k]]
-        factors = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k:] -= np.outer(factors, a[k, k:])
-        b[k + 1:] -= factors * b[k]
-    x = np.zeros(n, dtype=complex)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-    return x
+# The LU works on blocks of frequencies holding at most this many complex
+# entries (1 MiB), so memory stays bounded whatever the grid length and a
+# block's updates stay in cache.
+_BLOCK_ELEMENTS = 1 << 16
 
 
-def _admittance(el: Element, w: float) -> complex:
-    if el.kind == "R":
-        return 1.0 / el.value
-    if el.kind == "L":
-        return 1.0 / (1j * w * el.value)
-    return 1j * w * el.value
+class Stamp(NamedTuple):
+    """A netlist stamped once for every frequency.
+
+    ``planes`` holds three real, symmetric (n + 1, n + 1) matrices: G, C
+    and Gamma (conductance, capacitance and inverse inductance over the n
+    non-ground nodes), each bordered by a last row and column.  G's border
+    is the probe vector p (+1 at the + probe node, -1 at the - node), the
+    others' are zero.  The bordered system at angular frequency w is
+    planes[0] + jw planes[1] + planes[2] / (jw) = [[Y(w), p], [p^T, 0]].
+    """
+
+    planes: np.ndarray
+    index: dict[str, int]
 
 
-def build_system(netlist: Netlist, f: float):
-    """Admittance matrix, source vector and node index map at frequency f."""
-    if f <= 0:
-        raise ValueError("frequency must be positive")
+def stamp(netlist: Netlist) -> Stamp:
+    """The bordered G, C and Gamma planes and the node index map (non-ground
+    nodes sorted by name)."""
     if netlist.probe is None:
         raise ValueError("netlist has no .probe directive")
     nodes = sorted({n for el in netlist.elements for n in (el.node_a, el.node_b)}
                    - {"0"})
     index = {n: i for i, n in enumerate(nodes)}
     n = len(nodes)
-    w = TWO_PI * f
-    y = np.zeros((n, n), dtype=complex)
+    size = n + 1
+    area = size * size
+    buffer = bytearray(24 * area)
+    m = memoryview(buffer).cast("d")   # the three planes, flattened
     for el in netlist.elements:
-        adm = _admittance(el, w)
+        kind = el.kind
+        base = _PLANE[kind] * area
+        value = el.value if kind == "C" else 1.0 / el.value
         ia = index.get(el.node_a)
         ib = index.get(el.node_b)
         if ia is not None:
-            y[ia, ia] += adm
+            m[base + ia * (size + 1)] += value
         if ib is not None:
-            y[ib, ib] += adm
+            m[base + ib * (size + 1)] += value
         if ia is not None and ib is not None:
-            y[ia, ib] -= adm
-            y[ib, ia] -= adm
-    rhs = np.zeros(n, dtype=complex)
+            m[base + ia * size + ib] -= value
+            m[base + ib * size + ia] -= value
     pa, pb = netlist.probe
-    if pa not in index and pa != "0":
-        raise ValueError(f"probe node {pa!r} not in circuit")
-    if pb not in index and pb != "0":
-        raise ValueError(f"probe node {pb!r} not in circuit")
-    if pa in index:
-        rhs[index[pa]] += 1.0
-    if pb in index:
-        rhs[index[pb]] -= 1.0
-    return y, rhs, index
+    for node, sign in ((pa, 1.0), (pb, -1.0)):
+        if node in index:
+            m[index[node] * size + n] += sign
+            m[n * size + index[node]] += sign
+        elif node != "0":
+            raise ValueError(f"probe node {node!r} not in circuit")
+    return Stamp(np.ndarray((3, size, size), buffer=buffer), index)
+
+
+_PLANE = {"R": 0, "C": 1, "L": 2}
+
+
+def _solve(st: Stamp, omega: np.ndarray):
+    """Minus the probe impedance at each angular frequency, and the singular mask.
+
+    The bordered system [[Y, p], [p^T, 0]] is formed for a block of
+    frequencies at once and its first n columns are eliminated by a
+    partial-pivot LU whose steps each act on the whole block.  That leaves
+    -p^T Y^-1 p, minus the probe impedance, in the corner, so no back
+    substitution is needed.  A point is singular when any pivot falls below
+    1e-12 of its largest |Y| row sum (floored at 1e-300).  Its elimination
+    runs on into zero pivots, infinities and NaNs, so floating-point
+    errors are silenced and its value is meaningless.
+    """
+    planes = st.planes
+    size = planes.shape[1]
+    n = size - 1
+    corner = np.empty(omega.size, dtype=complex)
+    singular = np.empty(omega.size, dtype=bool)
+    step = max(1, _BLOCK_ELEMENTS // (size * size))
+    with np.errstate(all="ignore"):
+        for lo in range(0, omega.size, step):
+            w = omega[lo:lo + step]
+            # Y = G + j(wC - Gamma/w), formed without BLAS: its threads
+            # would contend with this one for the cores
+            a = np.empty((w.size, size, size), dtype=complex)
+            a.real = planes[0]
+            susceptance = a.imag
+            np.multiply.outer(w, planes[1], out=susceptance)
+            susceptance -= np.multiply.outer(1.0 / w, planes[2])
+            row_sum = np.add.reduce(np.abs(a[:, :n, :n]), 2)
+            threshold = 1e-12 * np.maximum.reduce(row_sum, 1, initial=1e-300)
+            _eliminate(a)
+            pivots = np.abs(a.diagonal(0, 1, 2)[:, :n])
+            singular[lo:lo + step] = np.fmin.reduce(pivots, 1, initial=math.inf) < threshold
+            corner[lo:lo + step] = a[:, n, n]
+    return corner, singular
+
+
+def _eliminate(a: np.ndarray) -> None:
+    """Eliminate the first n columns of each bordered system in ``a``
+    (F, n + 1, n + 1) in place, pivoting on the largest |entry| among rows
+    k..n-1 of column k with explicit row swaps; the border row is never a
+    pivot.  The diagonal is left holding the pivots; below it ``a`` holds
+    stale values."""
+    n = a.shape[1] - 1
+    for k in range(n):
+        if k < n - 1:                 # at k = n - 1 row n - 1 is the only candidate
+            p = np.abs(a[:, k:n, k]).argmax(1)
+            if np.count_nonzero(p):
+                rows = np.arange(a.shape[0])
+                tail = a[:, k:]
+                top = tail[rows, p]
+                tail[rows, p] = tail[:, 0]
+                tail[:, 0] = top
+        factors = a[:, k + 1:, k:k + 1] / a[:, k:k + 1, k:k + 1]
+        rest = a[:, k + 1:, k + 1:]
+        rest -= factors * a[:, k:k + 1, k + 1:]
 
 
 def driving_point_impedance(netlist: Netlist, f: float) -> complex:
     """Impedance seen between the probe nodes: unit AC current in, voltage out."""
-    y, rhs, index = build_system(netlist, f)
-    if not np.array_equal(y, y.T):
-        raise AssertionError("MNA matrix must be symmetric for R/L/C circuits")
-    v = _solve_lu(y, rhs)
-    pa, pb = netlist.probe
-    va = v[index[pa]] if pa in index else 0.0
-    vb = v[index[pb]] if pb in index else 0.0
-    return complex(va - vb)
+    if not 0 < f < math.inf:
+        raise ValueError("frequency must be positive and finite")
+    corner, singular = _solve(stamp(netlist), np.array([TWO_PI * f]))
+    if singular[0]:
+        raise SingularCircuitError("singular MNA system (lossless resonance?)")
+    return -complex(corner[0])
 
 
 def ac_sweep(netlist: Netlist) -> ComplexResponse:
@@ -299,16 +369,17 @@ def ac_sweep(netlist: Netlist) -> ComplexResponse:
     if netlist.ac is None:
         raise ValueError("netlist has no .ac directive")
     points, fstart, fstop, spacing = netlist.ac
+    if not 1 <= points <= MAX_AC_POINTS:
+        raise ValueError(f".ac wants 1 to {MAX_AC_POINTS} points, got {points}")
     if points == 1:
         grid = np.array([fstart])
     elif spacing == "log":
         grid = np.geomspace(fstart, fstop, points)
     else:
         grid = np.linspace(fstart, fstop, points)
-    values = np.empty(grid.size, dtype=complex)
-    for i, f in enumerate(grid):
-        try:
-            values[i] = driving_point_impedance(netlist, float(f))
-        except SingularCircuitError:
-            values[i] = complex(math.nan, math.nan)
+    if not np.all((grid > 0) & (grid < math.inf)):
+        raise ValueError("frequency must be positive and finite")
+    corner, singular = _solve(stamp(netlist), TWO_PI * grid)
+    values = -corner
+    values[singular] = complex(math.nan, math.nan)
     return ComplexResponse(grid, values)

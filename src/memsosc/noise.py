@@ -45,10 +45,15 @@ class OscillatorOperatingPoint:
 
     def __post_init__(self):
         for name in ("v_osc", "f_0", "delta_f", "temperature"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be non-negative and finite, got {self.gamma}")
+        for name in ("g_mbias", "i_bias", "p_dc"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.delta_f < self.f_0:
             raise ValueError("offset must be below the carrier")
 

@@ -36,6 +36,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             rft_spec(rft, parasitic_c=-1e-15)
 
+    @pytest.mark.parametrize("field", ["target_f0", "v_osc_target", "parasitic_c",
+                                       "q_l0_available", "bank_unit", "bank_size",
+                                       "c_fix", "mu_cox", "gamma", "temperature",
+                                       "supply", "pn_offset", "l0_grid_step"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, rft, field, value):
+        with pytest.raises(ValueError, match=field):
+            rft_spec(rft, **{field: value})
+
 
 class TestSizeActive:
     def test_worked_example(self):

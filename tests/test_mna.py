@@ -1,5 +1,8 @@
 import cmath
 import math
+import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,12 +30,14 @@ from memsosc.mna import (
     E_NONPOSITIVE,
     E_NOT_CONNECTED,
     E_VALUE,
+    MAX_AC_POINTS,
     Element,
     SingularCircuitError,
-    build_system,
+    stamp,
 )
 
 from conftest import NETLIST_DIR
+from mna_reference import build_system, reference_solution, reference_sweep, rounding_bound
 
 
 def load(name: str) -> str:
@@ -209,6 +214,41 @@ class TestSolving:
         resp = ac_sweep(parse_netlist(text))
         assert np.all(np.isnan(resp.values.real))
 
+    # Powers of two keep the cancellation exact away from w = 1: a 2**-20 H
+    # || 2**-20 F trap resonates at w = 2**20, and TWO_PI * (2**20 / TWO_PI)
+    # == 2**20 whenever TWO_PI * (1 / TWO_PI) == 1.
+    POW2_TRAP = "L1 a 0 9.5367431640625e-07\nC1 a 0 9.5367431640625e-07\n"
+    POW2_F = 2.0 ** 20 / (2.0 * math.pi)
+
+    def test_sweep_gap_only_at_singular_point(self):
+        text = self.POW2_TRAP + f".ac lin 7 {self.POW2_F / 4!r} {self.POW2_F!r}\n.probe a 0\n"
+        nl = parse_netlist(text)
+        assert 2.0 * math.pi * nl.ac[2] == 2.0 ** 20   # construction premise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resp = ac_sweep(nl)
+            with pytest.raises(SingularCircuitError):
+                driving_point_impedance(nl, nl.ac[2])
+        assert np.isnan(resp.values).tolist() == [False] * 6 + [True]
+        w = 2.0 * math.pi * resp.frequencies[:-1]
+        expected = 1.0 / (1j * w * 2.0 ** -20 + 1.0 / (1j * w * 2.0 ** -20))
+        assert np.allclose(resp.values[:-1], expected, rtol=1e-12, atol=0)
+
+    def test_singular_pivot_ahead_of_other_nodes(self):
+        # node "a" sorts first and floats at resonance: the zero pivot comes
+        # at the first step, with the well-posed b-c network still to go
+        text = ("L1 a 0 1\nC1 a 0 1\nR1 b 0 50\nR2 b c 10\nC2 c 0 1\n"
+                f".ac log 3 {self.TRAP_F / 4!r} {self.TRAP_F!r}\n.probe b 0\n")
+        nl = parse_netlist(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resp = ac_sweep(nl)
+            with pytest.raises(SingularCircuitError):
+                driving_point_impedance(nl, self.TRAP_F)
+        assert np.isnan(resp.values).tolist() == [False, False, True]
+        assert np.allclose(resp.values[:2], reference_sweep(nl, resp.frequencies[:2]),
+                           rtol=1e-12, atol=0)
+
     def test_sweep_grids(self):
         nl = parse_netlist("R1 1 0 50\n.ac log 3 1meg 100meg\n.probe 1 0\n")
         resp = ac_sweep(nl)
@@ -217,8 +257,19 @@ class TestSolving:
 
     def test_matrix_symmetric(self):
         nl = parse_netlist(load("good_shunt_tank.cir"))
+        st = stamp(nl)
+        n = len(st.index)
+        assert st.planes.shape == (3, n + 1, n + 1)
+        for plane in st.planes:          # G, C and Gamma, probe-bordered
+            assert np.array_equal(plane, plane.T)
+        # the stamped planes rebuild the per-frequency admittance matrix
         y, rhs, index = build_system(nl, 30e9)
-        assert np.array_equal(y, y.T)
+        jw = 2j * math.pi * 30e9
+        g, c, gamma = st.planes[:, :n, :n]
+        scale = np.abs(g) + np.abs(jw * c) + np.abs(gamma / jw)
+        assert np.all(np.abs(g + jw * c + gamma / jw - y) <= 4e-16 * scale)
+        assert np.array_equal(st.planes[0, :n, n], rhs.real)
+        assert st.index == index
 
     def test_aligned_tank_sweep_single_dominant_region(self):
         nl = parse_netlist(load("good_shunt_tank.cir"))
@@ -254,3 +305,84 @@ def test_property_passivity(nl, f):
     except SingularCircuitError:
         return
     assert z.real >= -1e-9
+
+
+def _grids():
+    return st.tuples(st.integers(min_value=1, max_value=40),
+                     st.floats(min_value=1e3, max_value=1e9),
+                     st.floats(min_value=1.01, max_value=1e2),
+                     st.sampled_from(["lin", "log"])).map(
+        lambda t: (t[0], t[1], t[1] * t[2], t[3]))
+
+
+def _agrees(z, f, nl):
+    """z matches the per-frequency reference at f: to 1e-10 relative, or
+    within the reference's own rounding bound where Y is ill-conditioned."""
+    ref, y, v = reference_solution(nl, f)
+    return abs(z - ref) <= max(1e-10 * abs(ref), rounding_bound(y, v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_rlc(), _grids())
+def test_property_sweep_matches_reference(nl, ac):
+    """The batched solve finds the per-frequency solver's singular points
+    and agrees with it on every other point."""
+    nl = replace(nl, ac=ac)
+    resp = ac_sweep(nl)
+    ref = reference_sweep(nl, resp.frequencies)
+    assert np.array_equal(np.isnan(resp.values), np.isnan(ref))
+    for f, z in zip(resp.frequencies[~np.isnan(ref)], resp.values[~np.isnan(ref)]):
+        assert _agrees(z, f, nl)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_rlc(), st.floats(min_value=1e3, max_value=1e11))
+def test_property_point_matches_reference(nl, f):
+    try:
+        reference_solution(nl, f)
+    except SingularCircuitError:
+        with pytest.raises(SingularCircuitError):
+            driving_point_impedance(nl, f)
+        return
+    assert _agrees(driving_point_impedance(nl, f), f, nl)
+
+
+class TestBounds:
+    def test_huge_ac_grid_is_diagnosed(self):
+        text = "R1 1 0 50\n.ac lin 1000000000 1 2\n.probe 1 0\n"
+        diags = lint_netlist(text)
+        assert [d.code for d in diags] == [E_DIRECTIVE]
+        assert "1000000000" in diags[0].message
+        with pytest.raises(NetlistError):
+            parse_netlist(text)
+
+    def test_largest_ac_grid_parses(self):
+        text = f"R1 1 0 50\n.ac log {MAX_AC_POINTS} 1 2\n.probe 1 0\n"
+        assert parse_netlist(text).ac[0] == MAX_AC_POINTS
+
+    def test_sweep_refuses_huge_grid_built_directly(self):
+        nl = parse_netlist("R1 1 0 50\n.probe 1 0\n")
+        with pytest.raises(ValueError):
+            ac_sweep(replace(nl, ac=(10 ** 9, 1.0, 2.0, "lin")))
+
+    @pytest.mark.parametrize("f", [0.0, -1.0, math.inf, math.nan])
+    def test_point_rejects_bad_frequency(self, f):
+        nl = parse_netlist("R1 1 0 50\n.probe 1 0\n")
+        with pytest.raises(ValueError):
+            driving_point_impedance(nl, f)
+
+    def test_long_sweep_memory_is_bounded(self):
+        lines = []
+        for k in range(1, 21):
+            lines.append(f"C{k} {k} 0 1p")
+            lines.append(f"R{k} {k} {k + 1} 100" if k < 20 else f"R{k} {k} 0 1k")
+        lines += [".ac log 20000 1meg 10g", ".probe 1 0"]
+        nl = parse_netlist("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            resp = ac_sweep(nl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(resp) == 20000 and not np.isnan(resp.values).any()
+        assert peak < 64 * 2 ** 20

@@ -45,6 +45,13 @@ class TestOperatingPointType:
     def test_gamma_zero_allowed(self):
         assert base_op(gamma=0.0).gamma == 0.0
 
+    @pytest.mark.parametrize("field", ["v_osc", "f_0", "delta_f", "temperature", "gamma",
+                                       "g_mbias", "i_bias", "p_dc"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            base_op(**{field: value})
+
 
 class TestLeeson:
     def test_theoretical_floor(self, rft):
