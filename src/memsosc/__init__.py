@@ -19,15 +19,14 @@ from .compensation import (
     NoSolutionError,
     TankAnalysis,
     analyze_tank,
-    classify_alignment,
     effective_resistance,
-    find_impedance_peaks,
     find_lc_operating_point,
     find_motional_operating_point,
     find_operating_point,
     loaded_q,
     loaded_q_3db,
     motional_mode_capacitance_margin,
+    phase_slope_q,
     shunt_inductor_for,
     tank_impedance,
     tank_resonance,
@@ -46,8 +45,10 @@ from .mna import (
     parse_netlist,
 )
 from .noise import (
+    Evaluation,
     NoiseBudget,
     OscillatorOperatingPoint,
+    evaluate,
     fom_from_measurement,
     fom_max,
     fom_physical,

@@ -8,7 +8,7 @@ document loader handles engineering suffixes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,10 +66,19 @@ class ComplexResponse:
         return self.frequencies.size
 
 
-def _check_frequency(f) -> np.ndarray:
+def check_frequency(f) -> np.ndarray:
+    """f as a float array; raises ValueError unless every entry is positive
+    and finite."""
     f = np.asarray(f, dtype=float)
-    if (f <= 0).any():
-        raise ValueError("frequency must be positive")
+    if f.ndim == 0:
+        # the root polish and the phase slope pass one frequency at a time,
+        # tens of times per operating point: compare it as a Python float
+        ok = 0 < f.item() < math.inf
+    else:
+        # a NaN entry makes min() NaN, which fails the comparison
+        ok = f.size == 0 or 0 < f.min() <= f.max() < math.inf
+    if not ok:
+        raise ValueError("frequency must be positive and finite")
     return f
 
 
@@ -107,7 +116,7 @@ def motional_detuning(res: Resonator, f) -> np.ndarray:
 
 def motional_impedance(res: Resonator, f) -> np.ndarray:
     """Impedance of the series r_m-l_m-c_m branch alone."""
-    f = _check_frequency(f)
+    f = check_frequency(f)
     w = TWO_PI * f
     x = motional_detuning(res, f) / (w * res.c_m)
     return res.r_m + 1j * x
@@ -115,7 +124,7 @@ def motional_impedance(res: Resonator, f) -> np.ndarray:
 
 def impedance(res: Resonator, f) -> complex | np.ndarray:
     """Driving-point impedance of the BVD one-port (motional || static)."""
-    f = _check_frequency(f)
+    f = check_frequency(f)
     zm = motional_impedance(res, f)
     w = TWO_PI * f
     z = zm / (1.0 + 1j * w * res.c_0 * zm)
@@ -134,7 +143,7 @@ def phase(res: Resonator, f) -> float | np.ndarray:
 
 def static_reactance(res: Resonator, f) -> float | np.ndarray:
     """Magnitude of the static branch reactance 1/(2*pi*f*c_0)."""
-    f = _check_frequency(f)
+    f = check_frequency(f)
     x = 1.0 / (TWO_PI * f * res.c_0)
     return float(x) if np.ndim(f) == 0 else x
 

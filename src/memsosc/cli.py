@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bvd, compensation, design, fixtures, iodoc, mna, noise
+from . import bvd, compensation, design, iodoc, mna, noise
 from .engnotation import EngNotationError, format_eng, parse_eng
 
 DEFAULT_OFFSETS = (100e3, 1e6, 10e6)
@@ -67,28 +67,14 @@ def _load_network(args, res: bvd.Resonator) -> compensation.CompensationNetwork:
     return compensation.CompensationNetwork(l_0=l_0, q_l0=args.q_l0, f_ref=fs)
 
 
-def _operating_point(args, f_0: float, offset: float) -> noise.OscillatorOperatingPoint:
-    return noise.OscillatorOperatingPoint(
-        v_osc=args.vosc, f_0=f_0, delta_f=offset,
-        temperature=args.temp, gamma=args.gamma,
-        g_mbias=args.gmbias)
-
-
-def _point_metrics(res, comp, args, offset: float) -> dict:
-    """Shared per-point numbers for the noise report and parameter sweeps."""
-    tank = compensation.effective_resistance(res, comp)
+def _evaluate(res, comp, args, offset: float) -> noise.Evaluation:
+    """The governing operating point, biased as the options say."""
     f_op, _, _ = compensation.find_operating_point(res, comp)
-    q_l = compensation._phase_slope_q(
-        lambda f: compensation.tank_impedance(res, comp, f), f_op)
-    op = _operating_point(args, f_op, offset)
-    budget = noise.noise_factor_components(res, comp, op)
-    pn = noise.leeson_phase_noise(res, q_l, op, budget.f_min)
-    i_bias = args.vosc / tank.r_res
-    p_dc = design.SUPPLY_BRANCH_FACTOR * args.supply * i_bias
-    eta = args.vosc ** 2 / (2.0 * tank.r_res) / p_dc
-    fom = noise.fom_physical(q_l, tank.beta, eta, budget.f_min, args.temp)
-    return {"f_osc": f_op, "q_l": q_l, "beta": tank.beta, "r_res": tank.r_res,
-            "budget": budget, "pn": pn, "fom": fom, "p_dc": p_dc, "eta": eta}
+    i_bias = args.vosc / compensation.effective_resistance(res, comp).r_res
+    return noise.evaluate(res, comp, noise.OscillatorOperatingPoint(
+        v_osc=args.vosc, f_0=f_op, delta_f=offset,
+        temperature=args.temp, gamma=args.gamma, g_mbias=args.gmbias,
+        p_dc=design.SUPPLY_BRANCH_FACTOR * args.supply * i_bias))
 
 
 # --- subcommands ---------------------------------------------------------
@@ -142,27 +128,25 @@ def cmd_noise(args) -> int:
     res = _load_resonator(args)
     comp = _load_network(args, res)
     offsets = args.offsets or list(DEFAULT_OFFSETS)
-    m = _point_metrics(res, comp, args, offsets[0])
-    budget = m["budget"]
-    print(_defaults_header(_operating_point(args, m["f_osc"], offsets[0])))
-    print(f"f_osc          : {m['f_osc']!r} Hz")
-    print(f"Q_L            : {m['q_l']!r}")
-    print(f"beta           : {m['beta']!r}")
+    ev = _evaluate(res, comp, args, offsets[0])
+    op, budget = ev.op, ev.budget
+    print(_defaults_header(op))
+    print(f"f_osc          : {op.f_0!r} Hz")
+    print(f"Q_L            : {ev.q_loaded!r}")
+    print(f"beta           : {ev.tank.beta!r}")
     print(f"F_RL0          : {budget.f_rl0!r}")
     print(f"F_active       : {budget.f_active!r}")
     print(f"F_min          : {budget.f_min!r}")
     for off in offsets:
-        op = _operating_point(args, m["f_osc"], off)
-        pn = noise.leeson_phase_noise(res, m["q_l"], op, budget.f_min)
+        pn = noise.leeson_phase_noise(res, ev.q_loaded, replace(op, delta_f=off),
+                                      budget.f_min)
         print(f"PN @ {format_eng(off)}Hz : {pn!r} dBc/Hz")
-    print(f"FoM (physical) : {m['fom']!r} dBc/Hz  "
-          f"[p_dc = {m['p_dc']!r} W, eta = {m['eta']!r}]")
-    pn0 = noise.leeson_phase_noise(
-        res, m["q_l"], _operating_point(args, m["f_osc"], offsets[0]), budget.f_min)
+    print(f"FoM (physical) : {ev.fom!r} dBc/Hz  "
+          f"[p_dc = {op.p_dc!r} W, eta = {ev.eta!r}]")
     print(f"FoM (from PN)  : "
-          f"{noise.fom_from_measurement(pn0, m['f_osc'], offsets[0], m['p_dc'])!r}"
+          f"{noise.fom_from_measurement(ev.pn, op.f_0, op.delta_f, op.p_dc)!r}"
           f" dBc/Hz")
-    print(f"FoM (maximum)  : {noise.fom_max(m['q_l'], m['beta'])!r} dBc/Hz")
+    print(f"FoM (maximum)  : {noise.fom_max(ev.q_loaded, ev.tank.beta)!r} dBc/Hz")
     return 0
 
 
@@ -246,8 +230,8 @@ def cmd_sweep(args) -> int:
             comp_i = replace(comp, l_0=v)
         else:
             raise UserError(f"unknown sweep variable {args.var!r}")
-        m = _point_metrics(res_i, comp_i, args, offset)
-        rows.append((v, m["q_l"], m["beta"], m["pn"], m["fom"]))
+        ev = _evaluate(res_i, comp_i, args, offset)
+        rows.append((v, ev.q_loaded, ev.tank.beta, ev.pn, ev.fom))
 
     lines = [f"{args.var},q_l,beta,pn_dbchz,fom_dbchz"]
     for row in rows:

@@ -33,6 +33,7 @@ tangential root), and polished on Im Y itself with Brent's method
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -41,11 +42,10 @@ import numpy as np
 from .bvd import (
     TWO_PI,
     Resonator,
-    _check_frequency,
+    check_frequency,
     motional_bandwidth,
     motional_detuning,
     motional_impedance,
-    quality_factor,
     series_resonance,
 )
 
@@ -77,7 +77,6 @@ class CompensationNetwork:
     bank_unit: float = 0.0
     bank_size: int = 0
     bank_code: int = 0
-    topology: str = "shunt"
 
     def __post_init__(self):
         for name in ("l_0", "q_l0", "f_ref"):
@@ -86,12 +85,14 @@ class CompensationNetwork:
                                  f"got {getattr(self, name)}")
         if not (0 <= self.c_fix < math.inf and 0 <= self.bank_unit < math.inf):
             raise ValueError("capacitances must be non-negative and finite")
+        for name in ("bank_size", "bank_code"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.bank_size < 0:
             raise ValueError("bank_size must be non-negative")
         if not 0 <= self.bank_code <= self.bank_size:
             raise ValueError("bank_code must lie in [0, bank_size]")
-        if self.topology not in ("shunt", "series"):
-            raise ValueError(f"unknown topology {self.topology!r}")
 
     @property
     def r_l0(self) -> float:
@@ -122,7 +123,7 @@ def zero_phase_c0(res: Resonator, f: float) -> float:
 
     Only frequencies above the series resonance admit a positive solution.
     """
-    f = float(_check_frequency(f))
+    f = float(check_frequency(f))
     w = TWO_PI * f
     d = float(motional_detuning(res, f))  # omega^2*l_m*c_m - 1
     if d <= 0:
@@ -143,8 +144,6 @@ def shunt_inductor_for(c_total: float, f_0: float) -> float:
 
 def _tank_admittance(res: Resonator, comp: CompensationNetwork, f):
     """Admittance of motional branch || C branch || lossy inductor."""
-    if comp.topology != "shunt":
-        raise ValueError("tank_impedance is defined for the shunt topology only")
     w = TWO_PI * f
     return (1.0 / motional_impedance(res, f)
             + 1j * w * comp.branch_capacitance(res)
@@ -153,18 +152,9 @@ def _tank_admittance(res: Resonator, comp: CompensationNetwork, f):
 
 def tank_impedance(res: Resonator, comp: CompensationNetwork, f):
     """Complex impedance of motional branch || C branch || lossy inductor."""
-    f = _check_frequency(f)
+    f = check_frequency(f)
     z = 1.0 / _tank_admittance(res, comp, f)
     return complex(z) if np.ndim(f) == 0 else z
-
-
-def series_compensation_impedance(res: Resonator, l_0: float, r_l0: float, f):
-    """Impedance of the rejected series variant: inductor in series with the one-port."""
-    from .bvd import impedance
-
-    f = _check_frequency(f)
-    w = TWO_PI * f
-    return (r_l0 + 1j * w * l_0) + impedance(res, f)
 
 
 def tank_resonance(res: Resonator, comp: CompensationNetwork,
@@ -350,29 +340,20 @@ def find_operating_point(res: Resonator, comp: CompensationNetwork):
     return f, z, "lc_tank"
 
 
-def find_impedance_peaks(res: Resonator, comp: CompensationNetwork,
-                         lo: float, hi: float, points: int = 4001):
-    """Interior local maxima of |Z| over a linear grid, coarse but robust.
-
-    Returns (frequency, magnitude) pairs sorted by frequency; used to
-    examine split-resonance structures.
-    """
-    grid = np.linspace(lo, hi, points)
-    mags = np.abs(tank_impedance(res, comp, grid))
-    idx = np.nonzero((mags[1:-1] > mags[:-2]) & (mags[1:-1] > mags[2:]))[0] + 1
-    return [(float(grid[i]), float(mags[i])) for i in idx]
-
-
 # --- loaded quality factor ----------------------------------------------
 
-def _phase_slope_q(zfun, f_0: float) -> float:
-    """Q from the phase slope: (f/2)*|dphi/df|, central difference with step
-    halving until a halving changes the estimate by < 0.1%."""
+def phase_slope_q(res: Resonator, comp: CompensationNetwork, f_0: float) -> float:
+    """Q of the tank impedance at f_0 from its phase slope: (f/2)*|dphi/df|.
+
+    Central difference with step halving until a halving changes the
+    estimate by < 0.1%.
+    """
     h = f_0 * 1e-4
     q_prev = None
     q = 0.0
     while h > f_0 * 1e-13:
-        dphi = np.angle(zfun(f_0 + h)) - np.angle(zfun(f_0 - h))
+        dphi = (np.angle(tank_impedance(res, comp, f_0 + h))
+                - np.angle(tank_impedance(res, comp, f_0 - h)))
         dphi = (dphi + math.pi) % (2.0 * math.pi) - math.pi
         q = 0.5 * f_0 * abs(float(dphi)) / (2.0 * h)
         if q_prev is not None and q > 0 and abs(q - q_prev) < 1e-3 * q:
@@ -401,7 +382,7 @@ def loaded_q(res: Resonator, comp: CompensationNetwork,
         f_op = find_lc_operating_point(res, comp)[0]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return _phase_slope_q(lambda f: tank_impedance(res, comp, f), f_op)
+    return phase_slope_q(res, comp, f_op)
 
 
 def loaded_q_3db(res: Resonator, comp: CompensationNetwork) -> float:
@@ -419,7 +400,7 @@ def loaded_q_3db(res: Resonator, comp: CompensationNetwork) -> float:
     m0 = abs(z_op)
     # peak-or-notch probe at a bandwidth-scale offset; the zero-phase point
     # sits slightly off the magnitude extremum, so look at both sides
-    q_est = _phase_slope_q(lambda f: tank_impedance(res, comp, f), f_op)
+    q_est = phase_slope_q(res, comp, f_op)
     probe = f_op / (4.0 * max(q_est, 1.0))
     m_side = 0.5 * (abs(tank_impedance(res, comp, f_op + probe))
                     + abs(tank_impedance(res, comp, f_op - probe)))
@@ -459,19 +440,11 @@ def effective_resistance(res: Resonator, comp: CompensationNetwork) -> TankAnaly
                         aligned=aligned)
 
 
-def classify_alignment(res: Resonator, comp: CompensationNetwork) -> TankAnalysis:
-    """Alignment class plus the governing operating mode."""
-    base = effective_resistance(res, comp)
-    _, _, mode = find_operating_point(res, comp)
-    return replace(base, dominant_mode=mode)
-
-
 def analyze_tank(res: Resonator, comp: CompensationNetwork) -> TankAnalysis:
-    """Full tank summary including the phase-slope loaded Q."""
-    base = effective_resistance(res, comp)
-    _, _, mode = find_operating_point(res, comp)
-    q = loaded_q(res, comp, mode="dominant")
-    return replace(base, dominant_mode=mode, q_loaded=q)
+    """Full tank summary: alignment, governing mode and phase-slope loaded Q."""
+    f_op, _, mode = find_operating_point(res, comp)
+    return replace(effective_resistance(res, comp), dominant_mode=mode,
+                   q_loaded=phase_slope_q(res, comp, f_op))
 
 
 def tune_bank(res: Resonator, comp: CompensationNetwork) -> int:

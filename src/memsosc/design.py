@@ -9,8 +9,9 @@ phase noise / figure of merit.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .bvd import (
     Resonator,
@@ -21,22 +22,13 @@ from .bvd import (
 from .compensation import (
     AlignmentWarning,
     CompensationNetwork,
-    _phase_slope_q,
     effective_resistance,
     find_motional_operating_point,
     motional_mode_capacitance_margin,
-    tank_impedance,
     tank_resonance,
     tune_bank,
 )
-from .noise import (
-    DEFAULT_GAMMA,
-    DEFAULT_TEMPERATURE,
-    OscillatorOperatingPoint,
-    fom_physical,
-    leeson_phase_noise,
-    noise_factor_components,
-)
+from .noise import DEFAULT_GAMMA, DEFAULT_TEMPERATURE, OscillatorOperatingPoint, evaluate
 
 # Both differential branches of the cross-coupled pair draw the tail
 # current through the supply.
@@ -80,6 +72,9 @@ class DesignSpec:
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite, "
                                  f"got {getattr(self, name)}")
+        if isinstance(self.bank_size, bool) or not isinstance(self.bank_size,
+                                                               numbers.Integral):
+            raise ValueError(f"bank_size must be an integer, got {self.bank_size!r}")
         fs = series_resonance(self.resonator)
         if not 0.5 * fs <= self.target_f0 <= 1.5 * fs:
             raise ValueError("target_f0 must lie within [0.5, 1.5] of the "
@@ -195,41 +190,32 @@ def run_design(spec: DesignSpec) -> DesignReport:
     point = find_motional_operating_point(res, comp)
     if point is None:
         raise DesignError("high-Q motional operating point not found after tuning")
-    f_osc = point[0]
-    q_loaded = _phase_slope_q(lambda f: tank_impedance(res, comp, f), f_osc)
 
-    tank = effective_resistance(res, comp)
-    g_m, i_bias, w_over_l = size_active(tank.r_res, spec.v_osc_target, spec.mu_cox)
-
-    p_dc = SUPPLY_BRANCH_FACTOR * spec.supply * i_bias
-    p_out = spec.v_osc_target ** 2 / (2.0 * tank.r_res)
-    eta = p_out / p_dc
-
-    op = OscillatorOperatingPoint(
-        v_osc=spec.v_osc_target, f_0=f_osc, delta_f=spec.pn_offset,
+    r_res = effective_resistance(res, comp).r_res
+    g_m, i_bias, w_over_l = size_active(r_res, spec.v_osc_target, spec.mu_cox)
+    ev = evaluate(res, comp, OscillatorOperatingPoint(
+        v_osc=spec.v_osc_target, f_0=point[0], delta_f=spec.pn_offset,
         temperature=spec.temperature, gamma=spec.gamma, g_mbias=g_m,
-        i_bias=i_bias, p_dc=p_dc)
-    budget = noise_factor_components(res, comp, op)
-    pn = leeson_phase_noise(res, q_loaded, op, budget.f_min)
-    fom = fom_physical(q_loaded, tank.beta, eta, budget.f_min, spec.temperature)
+        p_dc=SUPPLY_BRANCH_FACTOR * spec.supply * i_bias))
+    q_loaded = ev.q_loaded
 
     if q_loaded / q_rft < 0.8:
         report_warnings.append(
             f"loaded Q is {q_loaded / q_rft:.2f} of the resonator Q; "
             f"compensation loading is significant")
-    if g_m * tank.r_res < STARTUP_MARGIN:
+    if g_m * r_res < STARTUP_MARGIN:
         report_warnings.append(
-            f"startup margin g_m*r_res = {g_m * tank.r_res:.2f} is below "
+            f"startup margin g_m*r_res = {g_m * r_res:.2f} is below "
             f"{STARTUP_MARGIN}; size the pair up from the minimum g_m")
 
     return DesignReport(
         l_0=l_0, r_l0=comp.r_l0, q_l0=comp.q_l0, c_fix=comp.c_fix,
         bank_code=code, bank_size=spec.bank_size,
-        f_s=fs, f_tank=f_tank, f_osc=f_osc,
-        r_res=tank.r_res, beta=tank.beta,
+        f_s=fs, f_tank=f_tank, f_osc=ev.op.f_0,
+        r_res=r_res, beta=ev.tank.beta,
         q_loaded=q_loaded, q_resonator=q_rft,
-        noise_factor=budget.f_min,
+        noise_factor=ev.budget.f_min,
         g_m=g_m, i_bias=i_bias, w_over_l=w_over_l,
-        p_dc_estimate=p_dc, eta=eta,
-        predicted_pn=pn, pn_offset=spec.pn_offset, predicted_fom=fom,
+        p_dc_estimate=ev.op.p_dc, eta=ev.eta,
+        predicted_pn=ev.pn, pn_offset=spec.pn_offset, predicted_fom=ev.fom,
         warnings=tuple(report_warnings))

@@ -22,7 +22,6 @@ from .engnotation import EngNotationError, format_eng, parse_eng
 FIXTURE_DIR_ENV = "MEMSOSC_FIXTURE_DIR"
 
 RESPONSE_CSV_HEADER = "freq_hz,re_ohm,im_ohm,mag_ohm,phase_deg"
-SENSITIVITY_CSV_HEADER = "delta_c_f,phase_noise_dbchz"
 
 
 class DocumentError(ValueError):
@@ -60,6 +59,13 @@ def _num(doc: dict[str, str], key: str, default: float | None = None) -> float:
         raise DocumentError(f"key {key!r}: {exc}") from exc
 
 
+def _count(doc: dict[str, str], key: str) -> int:
+    value = _num(doc, key, 0.0)
+    if value != int(value):
+        raise DocumentError(f"key {key!r}: expected an integer, got {doc[key]!r}")
+    return int(value)
+
+
 def resonator_from_document(doc: dict[str, str], label: str = "") -> Resonator:
     return Resonator(
         r_m=_num(doc, "rm"),
@@ -71,15 +77,18 @@ def resonator_from_document(doc: dict[str, str], label: str = "") -> Resonator:
 
 
 def network_from_document(doc: dict[str, str]) -> CompensationNetwork:
+    # the series variant is not modelled; refuse it rather than read it as shunt
+    if doc.get("topology", "shunt") != "shunt":
+        raise DocumentError(f"key 'topology': only 'shunt' is supported, "
+                            f"got {doc['topology']!r}")
     return CompensationNetwork(
         l_0=_num(doc, "l0"),
         q_l0=_num(doc, "q_l0"),
         f_ref=_num(doc, "f_ref"),
         c_fix=_num(doc, "c_fix", 0.0),
         bank_unit=_num(doc, "bank_unit", 0.0),
-        bank_size=int(_num(doc, "bank_size", 0)),
-        bank_code=int(_num(doc, "bank_code", 0)),
-        topology=doc.get("topology", "shunt"),
+        bank_size=_count(doc, "bank_size"),
+        bank_code=_count(doc, "bank_code"),
     )
 
 
@@ -132,7 +141,7 @@ def designspec_from_document(doc: dict[str, str]) -> DesignSpec:
         parasitic_c=_num(doc, "parasitic_c", 0.0),
         q_l0_available=_num(doc, "q_l0"),
         bank_unit=_num(doc, "bank_unit", 0.0),
-        bank_size=int(_num(doc, "bank_size", 0)),
+        bank_size=_count(doc, "bank_size"),
         c_fix=_num(doc, "c_fix", 10e-15),
         mu_cox=_num(doc, "mu_cox", 200e-6),
         gamma=_num(doc, "gamma", 1.0),
@@ -166,13 +175,6 @@ def response_csv(response: ComplexResponse) -> str:
         z = complex(z)
         lines.append(f"{float(f)!r},{z.real!r},{z.imag!r},{abs(z)!r},"
                      f"{math.degrees(cmath.phase(z))!r}")
-    return "\n".join(lines) + "\n"
-
-
-def sensitivity_csv(rows) -> str:
-    lines = [SENSITIVITY_CSV_HEADER]
-    for dc, pn in rows:
-        lines.append(f"{float(dc)!r},{float(pn)!r}")
     return "\n".join(lines) + "\n"
 
 

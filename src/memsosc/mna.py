@@ -30,12 +30,12 @@ NaN there and the single-point call raises `SingularCircuitError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .bvd import TWO_PI, ComplexResponse
+from .bvd import TWO_PI, ComplexResponse, check_frequency
 from .engnotation import EngNotationError, parse_eng
 
 _KINDS = ("R", "L", "C")
@@ -134,9 +134,12 @@ def _parse(text: str):
                     diags.append(Diagnostic(E_DIRECTIVE, lineno, col,
                                             f"malformed .ac parameters: {line!r}"))
                     continue
-                if points < 1 or fstart <= 0 or fstop < fstart:
+                # a grid of two or more points must be strictly increasing
+                if points < 1 or fstart <= 0 or fstop < fstart or (
+                        points > 1 and fstop == fstart):
                     diags.append(Diagnostic(E_DIRECTIVE, lineno, col,
-                                            "need points >= 1 and 0 < fstart <= fstop"))
+                                            "need points >= 1 and 0 < fstart <= fstop, "
+                                            "with fstart < fstop for more than one point"))
                     continue
                 if points > MAX_AC_POINTS:
                     diags.append(Diagnostic(E_DIRECTIVE, lineno, col,
@@ -377,8 +380,7 @@ def ac_sweep(netlist: Netlist) -> ComplexResponse:
         grid = np.geomspace(fstart, fstop, points)
     else:
         grid = np.linspace(fstart, fstop, points)
-    if not np.all((grid > 0) & (grid < math.inf)):
-        raise ValueError("frequency must be positive and finite")
+    check_frequency(grid)
     corner, singular = _solve(stamp(netlist), TWO_PI * grid)
     values = -corner
     values[singular] = complex(math.nan, math.nan)

@@ -2,6 +2,12 @@
 
 All dB-domain quantities are computed directly in dB algebra; the linear
 forms span ~25 orders of magnitude and are never round-tripped.
+
+`evaluate` is the one place where an operating point becomes numbers:
+loaded Q from the phase slope at f_0, the noise budget, the Leeson phase
+noise (Leeson, Proc. IEEE 54(2), 1966) and, given the DC power, the
+efficiency and the physical FoM.  The design flow, the misalignment sweep
+and the CLI all read its record.
 """
 
 from __future__ import annotations
@@ -11,13 +17,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bvd import Resonator, series_resonance
+from .bvd import Resonator
 from .compensation import (
     CompensationNetwork,
+    TankAnalysis,
     effective_resistance,
     find_operating_point,
-    _phase_slope_q,
-    tank_impedance,
+    phase_slope_q,
 )
 
 BOLTZMANN = 1.380649e-23
@@ -40,8 +46,7 @@ class OscillatorOperatingPoint:
     temperature: float = DEFAULT_TEMPERATURE
     gamma: float = DEFAULT_GAMMA
     g_mbias: float | None = None  # None: use the sizing rule 2/r_res
-    i_bias: float | None = None
-    p_dc: float | None = None
+    p_dc: float | None = None  # None: no efficiency or FoM
 
     def __post_init__(self):
         for name in ("v_osc", "f_0", "delta_f", "temperature"):
@@ -50,10 +55,10 @@ class OscillatorOperatingPoint:
                                  f"got {getattr(self, name)}")
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be non-negative and finite, got {self.gamma}")
-        for name in ("g_mbias", "i_bias", "p_dc"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if self.g_mbias is not None and not math.isfinite(self.g_mbias):
+            raise ValueError(f"g_mbias must be finite, got {self.g_mbias}")
+        if self.p_dc is not None and not 0 < self.p_dc < math.inf:
+            raise ValueError(f"p_dc must be positive and finite, got {self.p_dc}")
         if not self.delta_f < self.f_0:
             raise ValueError("offset must be below the carrier")
 
@@ -67,7 +72,6 @@ class NoiseBudget:
     f_active: float
     f_min: float
     beta: float
-    eta: float | None = None
 
 
 def leeson_phase_noise(res: Resonator, q_loaded: float,
@@ -145,6 +149,37 @@ def fom_max(q_loaded: float, beta: float) -> float:
             + 10.0 * math.log10(beta))
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """The oscillator's figures at one operating point."""
+
+    op: OscillatorOperatingPoint
+    tank: TankAnalysis
+    q_loaded: float
+    budget: NoiseBudget
+    pn: float  # dBc/Hz at op.delta_f
+    eta: float | None = None  # None unless op.p_dc is given
+    fom: float | None = None
+
+
+def evaluate(res: Resonator, comp: CompensationNetwork,
+             op: OscillatorOperatingPoint) -> Evaluation:
+    """Loaded Q, noise budget, phase noise and (given op.p_dc) FoM at op.f_0.
+
+    op.f_0 is the operating frequency: the caller picks the zero-phase point
+    (find_operating_point, find_motional_operating_point) once.
+    """
+    tank = effective_resistance(res, comp)
+    q_loaded = phase_slope_q(res, comp, op.f_0)
+    budget = noise_factor_components(res, comp, op)
+    pn = leeson_phase_noise(res, q_loaded, op, budget.f_min)
+    if op.p_dc is None:
+        return Evaluation(op, tank, q_loaded, budget, pn)
+    eta = op.v_osc ** 2 / (2.0 * tank.r_res) / op.p_dc
+    fom = fom_physical(q_loaded, tank.beta, eta, budget.f_min, op.temperature)
+    return Evaluation(op, tank, q_loaded, budget, pn, eta, fom)
+
+
 def sensitivity_sweep(res: Resonator, comp: CompensationNetwork,
                       op: OscillatorOperatingPoint,
                       delta_c_range) -> list[tuple[float, float]]:
@@ -160,8 +195,5 @@ def sensitivity_sweep(res: Resonator, comp: CompensationNetwork,
     for dc in np.asarray(delta_c_range, dtype=float):
         shifted = replace(comp, c_fix=comp.c_fix + dc)
         f_op, _, _ = find_operating_point(res, shifted)
-        q_l = _phase_slope_q(lambda f: tank_impedance(res, shifted, f), f_op)
-        budget = noise_factor_components(res, shifted, op)
-        pn = leeson_phase_noise(res, q_l, replace(op, f_0=f_op), budget.f_min)
-        out.append((float(dc), pn))
+        out.append((float(dc), evaluate(res, shifted, replace(op, f_0=f_op)).pn))
     return out

@@ -18,7 +18,7 @@ from memsosc import (
     series_resonance,
     static_reactance,
 )
-from memsosc.bvd import motional_detuning, motional_impedance, sweep
+from memsosc.bvd import check_frequency, motional_detuning, motional_impedance, sweep
 from memsosc.fixtures import (
     BUILTIN_RESONATORS,
     PUBLISHED_FREQUENCY,
@@ -142,6 +142,17 @@ class TestImpedance:
             impedance(rft, 0.0)
         with pytest.raises(ValueError):
             impedance(rft, -1e9)
+
+    @pytest.mark.parametrize("f", [math.nan, math.inf])
+    def test_rejects_non_finite_frequency(self, rft, f):
+        with pytest.raises(ValueError, match="positive and finite"):
+            impedance(rft, f)
+        with pytest.raises(ValueError, match="positive and finite"):
+            impedance(rft, np.array([29e9, f, 31e9]))
+        with pytest.raises(ValueError, match="positive and finite"):
+            static_reactance(rft, f)
+        with pytest.raises(ValueError, match="positive and finite"):
+            check_frequency([1.0, f])
 
     def test_detuning_cancellation_safe(self, rft):
         fs = series_resonance(rft)

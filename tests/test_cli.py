@@ -3,7 +3,7 @@ import math
 import pytest
 
 from memsosc.cli import main
-from memsosc.iodoc import RESPONSE_CSV_HEADER, SENSITIVITY_CSV_HEADER
+from memsosc.iodoc import RESPONSE_CSV_HEADER
 
 
 DESIGN_DOC = """\
@@ -65,6 +65,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "noise", "rft30g", "--network", str(p))
         assert code == 1
         assert "out of range" in err
+
+    def test_series_topology_network_is_1(self, tmp_path, capsys):
+        p = tmp_path / "net.txt"
+        p.write_text("l0 = 250p\nq_l0 = 8\nf_ref = 30g\ntopology = series\n")
+        code, out, err = run(capsys, "noise", "rft30g", "--network", str(p))
+        assert code == 1
+        assert out == ""
+        assert err == ("error: key 'topology': only 'shunt' is supported, "
+                       "got 'series'\n")
+
+    def test_zero_supply_is_1(self, capsys):
+        code, out, err = run(capsys, "noise", "rft30g", "--supply", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: p_dc must be positive and finite, got 0.0\n"
 
     def test_bad_spec_document_is_1(self, tmp_path, capsys):
         p = tmp_path / "spec.txt"

@@ -1,0 +1,132 @@
+"""CLI reports pinned to recorded output.
+
+`cli_golden.json` holds the exit code and stdout of every case below, as
+recorded before the noise/FoM chain moved into `noise.evaluate`.  The line
+layout must match exactly; numbers must agree to 1e-12 relative, because
+np.roots may round the last digit differently from one numpy to another.
+
+After a deliberate change to a report, regenerate the file with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+from memsosc.cli import main
+
+HERE = Path(__file__).parent
+GOLDEN = HERE / "cli_golden.json"
+
+SPEC = """\
+resonator = rft30g
+target_f0 = 30g
+v_osc = 300m
+parasitic_c = 86.58f
+q_l0 = 8
+bank_unit = 1f
+bank_size = 8
+"""
+
+Q8 = ("rft30g", "--network", "l0_250p_q8")
+
+# "@spec" and "@tank" stand for the design spec above and a netlist fixture.
+CASES = {
+    "resonator": ("resonator", "rft30g"),
+    "compensate": ("compensate", *Q8),
+    "noise": ("noise", *Q8),
+    "design": ("design", "--in", "@spec"),
+    "ac": ("ac", "--in", "@tank", "--out", "-"),
+    "sweep_delta_c": ("sweep", *Q8, "--var", "delta_c", "--from=-3f", "--to=3f",
+                      "--points", "25", "--out", "-"),
+    "compensate_quartz": ("compensate", "quartz45m"),
+    "compensate_fbar": ("compensate", "fbar2g4"),
+    "compensate_saw": ("compensate", "saw400m", "--q-l0", "20"),
+    "noise_quartz": ("noise", "quartz45m"),
+    "noise_fbar": ("noise", "fbar2g4"),
+    "noise_saw": ("noise", "saw400m", "--q-l0", "20"),
+    "noise_options": ("noise", "rft30g", "--q-l0", "8", "--offset", "100k",
+                      "--offset", "3meg", "--gamma", "1.5", "--gmbias", "5m",
+                      "--supply", "1.2", "--vosc", "0.2"),
+    "noise_temp": ("noise", "rft30g", "--network", "l0_250p_q10", "--temp", "350",
+                   "--offset", "10k"),
+    "sweep_q_l0": ("sweep", *Q8, "--var", "q_l0", "--from=2", "--to=20",
+                   "--points", "7", "--out", "-"),
+    "sweep_l_0": ("sweep", *Q8, "--var", "l_0", "--from=249p", "--to=251p",
+                  "--points", "5", "--out", "-"),
+    "sweep_q_rft": ("sweep", *Q8, "--var", "q_rft", "--from=5k", "--to=20k",
+                    "--points", "5", "--out", "-"),
+    "sweep_q_l0_log": ("sweep", *Q8, "--var", "q_l0", "--from=2", "--to=50",
+                       "--points", "6", "--log", "--out", "-"),
+    "sweep_q_rft_log": ("sweep", "fbar2g4", "--var", "q_rft", "--from=800",
+                        "--to=3200", "--points", "5", "--log", "--out", "-"),
+    "design_doc": ("design", "--in", "@spec", "--format", "doc", "--out", "-"),
+    "sweep_options": ("sweep", "rft30g", "--network", "l0_250p_q10", "--var",
+                      "delta_c", "--from=-1f", "--to=1f", "--points", "5",
+                      "--offset", "100k", "--gamma", "2", "--out", "-"),
+    "compensate_f0": ("compensate", "rft30g", "--f0", "30g"),
+}
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def run_case(name: str, workdir: Path) -> tuple[int, str]:
+    spec = workdir / "spec.txt"
+    spec.write_text(SPEC)
+    paths = {"@spec": str(spec), "@tank": str(HERE / "netlists" / "good_shunt_tank.cir")}
+    argv = [paths.get(arg, arg) for arg in CASES[name]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def assert_same_report(got: str, want: str) -> None:
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    assert len(got_lines) == len(want_lines)
+    for g, w in zip(got_lines, want_lines):
+        assert NUMBER.split(g) == NUMBER.split(w), (g, w)
+        for a, b in zip(NUMBER.findall(g), NUMBER.findall(w)):
+            assert math.isclose(float(a), float(b), rel_tol=1e-12), (g, w)
+    assert got.endswith("\n") == want.endswith("\n")
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_cases_match_golden_file(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, golden, tmp_path):
+    code, out = run_case(name, tmp_path)
+    assert code == golden[name]["code"]
+    assert_same_report(out, golden[name]["stdout"])
+
+
+def test_number_comparison_is_tight():
+    assert_same_report("Q_L : 1.0000000000001 x\n", "Q_L : 1.0 x\n")
+    with pytest.raises(AssertionError):
+        assert_same_report("Q_L : 1.00000000001 x\n", "Q_L : 1.0 x\n")
+    with pytest.raises(AssertionError):
+        assert_same_report("Q_L  : 1.0 x\n", "Q_L : 1.0 x\n")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {}
+        for case in CASES:
+            code, out = run_case(case, Path(tmp))
+            record[case] = {"code": code, "stdout": out}
+    GOLDEN.write_text(json.dumps(record, indent=1) + "\n")

@@ -13,9 +13,8 @@ from memsosc import (
     NoResonanceError,
     NoSolutionError,
     Resonator,
-    classify_alignment,
+    analyze_tank,
     effective_resistance,
-    find_impedance_peaks,
     find_lc_operating_point,
     find_motional_operating_point,
     find_operating_point,
@@ -23,6 +22,7 @@ from memsosc import (
     loaded_q_3db,
     motional_mode_capacitance_margin,
     phase,
+    phase_slope_q,
     quality_factor,
     series_resonance,
     shunt_inductor_for,
@@ -32,7 +32,6 @@ from memsosc import (
     zero_phase_c0,
 )
 from memsosc.bvd import TWO_PI, motional_bandwidth
-from memsosc.compensation import series_compensation_impedance
 
 from conftest import bare_c0_network, rescale_motional_q
 
@@ -63,9 +62,18 @@ class TestNetworkType:
         with pytest.raises(ValueError):
             CompensationNetwork(**values)
 
-    def test_rejects_unknown_topology(self):
-        with pytest.raises(ValueError):
-            CompensationNetwork(l_0=1e-9, q_l0=10, f_ref=1e9, topology="pi")
+    @pytest.mark.parametrize("field", ["bank_size", "bank_code"])
+    @pytest.mark.parametrize("value", [8.5, 4.0, True, "4"])
+    def test_rejects_non_integral_bank(self, field, value):
+        values = dict(l_0=1e-9, q_l0=10.0, f_ref=1e9, bank_size=8, bank_code=4)
+        values[field] = value
+        with pytest.raises(ValueError, match=field):
+            CompensationNetwork(**values)
+
+    def test_numpy_integers_accepted(self):
+        comp = CompensationNetwork(l_0=1e-9, q_l0=10.0, f_ref=1e9,
+                                   bank_size=np.int64(8), bank_code=np.int32(4))
+        assert (comp.bank_size, comp.bank_code) == (8, 4)
 
     def test_branch_capacitance(self, rft, comp_q8):
         expected = rft.c_0 + comp_q8.c_fix + 4 * 1e-15
@@ -83,6 +91,11 @@ class TestZeroPhaseC0:
         c0 = zero_phase_c0(rft, 30e9)
         res = replace(rft, c_0=c0)
         assert abs(phase(res, 30e9)) < 1e-6
+
+    @pytest.mark.parametrize("f", [math.nan, math.inf])
+    def test_rejects_non_finite_frequency(self, rft, f):
+        with pytest.raises(ValueError, match="positive and finite"):
+            zero_phase_c0(rft, f)
 
     def test_below_series_resonance_fails(self, rft):
         with pytest.raises(NoSolutionError):
@@ -126,23 +139,17 @@ class TestTankImpedance:
     def test_misaligned_splits_into_two_peaks(self, rft, comp_q8):
         mis = replace(comp_q8, l_0=comp_q8.l_0 / 1.21)  # f_tank +10%
         fs = series_resonance(rft)
-        peaks = find_impedance_peaks(rft, mis, 0.8 * fs, 1.3 * fs)
+        mags = np.abs(tank_impedance(rft, mis, np.linspace(0.8 * fs, 1.3 * fs, 4001)))
+        interior = mags[1:-1]
+        peaks = np.nonzero((interior > mags[:-2]) & (interior > mags[2:]))[0]
         assert len(peaks) == 2
 
-    def test_rejects_series_topology(self, rft):
-        comp = CompensationNetwork(l_0=1e-9, q_l0=10, f_ref=30e9,
-                                   topology="series")
-        with pytest.raises(ValueError):
-            tank_impedance(rft, comp, 30e9)
-
-    def test_series_sweep_has_zero_phase_crossing(self, rft):
-        # the rejected series variant still shows a 0-degree crossing near
-        # 30 GHz when swept
-        r_l0 = TWO_PI * 30e9 * 1.759e-9 / 10.0
-        grid = np.linspace(29.8e9, 30.2e9, 4001)
-        z = series_compensation_impedance(rft, 1.759e-9, r_l0, grid)
-        signs = np.sign(np.angle(z))
-        assert np.count_nonzero(signs[:-1] != signs[1:]) >= 1
+    @pytest.mark.parametrize("f", [math.nan, math.inf])
+    def test_rejects_non_finite_frequency(self, rft, comp_q8, f):
+        with pytest.raises(ValueError, match="positive and finite"):
+            tank_impedance(rft, comp_q8, f)
+        with pytest.raises(ValueError, match="positive and finite"):
+            tank_impedance(rft, comp_q8, [30e9, f])
 
 
 class TestEffectiveResistance:
@@ -222,6 +229,15 @@ class TestLoadedQ:
             q3 = loaded_q_3db(res, comp)
             assert q3 == pytest.approx(qp, rel=0.05)
 
+    def test_analyze_tank_reads_the_governing_point(self, rft, comp_q8):
+        margin = motional_mode_capacitance_margin(rft)
+        for comp in (comp_q8, replace(comp_q8, c_fix=comp_q8.c_fix + 3.0 * margin)):
+            f_op, _, mode = find_operating_point(rft, comp)
+            tank = analyze_tank(rft, comp)
+            assert tank.dominant_mode == mode
+            assert tank.q_loaded == phase_slope_q(rft, comp, f_op)
+            assert tank.q_loaded == loaded_q(rft, comp)
+
     def test_3db_on_bare_tank(self, rft, comp_q10):
         dead = replace(rft, r_m=1e9)
         assert loaded_q_3db(dead, comp_q10) == pytest.approx(
@@ -259,21 +275,21 @@ class TestOperatingPoints:
 
 class TestClassifyAlignment:
     def test_exact_alignment(self, rft):
-        tank = classify_alignment(rft, exactly_aligned_network(rft))
+        tank = analyze_tank(rft, exactly_aligned_network(rft))
         assert tank.aligned
         assert tank.dominant_mode == "motional"
 
     def test_large_mismatch_goes_lc(self, rft, comp_q8):
         margin = motional_mode_capacitance_margin(rft)
         detuned = replace(comp_q8, c_fix=comp_q8.c_fix + 3.0 * margin)
-        tank = classify_alignment(rft, detuned)
+        tank = analyze_tank(rft, detuned)
         assert not tank.aligned
         assert tank.dominant_mode == "lc_tank"
 
     def test_f_tank_formula(self, rft, comp_q8):
         c = comp_q8.branch_capacitance(rft)
         expected = 1.0 / (TWO_PI * math.sqrt(comp_q8.l_0 * c))
-        assert classify_alignment(rft, comp_q8).f_tank == pytest.approx(expected)
+        assert analyze_tank(rft, comp_q8).f_tank == pytest.approx(expected)
 
     def test_bank_step_sensitivity(self, rft, comp_q8):
         # 1 fF on ~113 fF moves f_tank by about f/2 * (1/113) ~ 133 MHz

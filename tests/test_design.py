@@ -1,12 +1,17 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from memsosc import (
+    CompensationNetwork,
     DesignError,
     DesignReport,
     DesignSpec,
+    OscillatorOperatingPoint,
+    evaluate,
+    find_motional_operating_point,
     fom_physical,
     run_design,
     series_resonance,
@@ -44,6 +49,15 @@ class TestSpecValidation:
     def test_rejects_non_finite(self, rft, field, value):
         with pytest.raises(ValueError, match=field):
             rft_spec(rft, **{field: value})
+
+
+    @pytest.mark.parametrize("value", [8.5, 8.0, True])
+    def test_rejects_non_integral_bank_size(self, rft, value):
+        with pytest.raises(ValueError, match="bank_size must be an integer"):
+            rft_spec(rft, bank_size=value)
+
+    def test_numpy_bank_size_accepted(self, rft):
+        assert run_design(rft_spec(rft, bank_size=np.int64(8))) == run_design(rft_spec(rft))
 
 
 class TestSizeActive:
@@ -107,6 +121,21 @@ class TestRunDesign:
         again = fom_physical(report.q_loaded, report.beta, report.eta,
                              report.noise_factor, 300.0)
         assert report.predicted_fom == pytest.approx(again, abs=0.01)
+
+    def test_fields_equal_evaluate_at_f_osc(self, rft):
+        spec = rft_spec(rft, gamma=1.3, supply=1.1, pn_offset=3e5)
+        rep = run_design(spec)
+        comp = CompensationNetwork(l_0=rep.l_0, q_l0=rep.q_l0, f_ref=spec.target_f0,
+                                   c_fix=rep.c_fix, bank_unit=spec.bank_unit,
+                                   bank_size=rep.bank_size, bank_code=rep.bank_code)
+        assert rep.f_osc == find_motional_operating_point(rft, comp)[0]
+        ev = evaluate(rft, comp, OscillatorOperatingPoint(
+            v_osc=spec.v_osc_target, f_0=rep.f_osc, delta_f=spec.pn_offset,
+            gamma=spec.gamma, g_mbias=rep.g_m, p_dc=rep.p_dc_estimate))
+        assert (rep.r_res, rep.beta, rep.q_loaded, rep.noise_factor,
+                rep.predicted_pn, rep.eta, rep.predicted_fom) == (
+            ev.tank.r_res, ev.tank.beta, ev.q_loaded, ev.budget.f_min,
+            ev.pn, ev.eta, ev.fom)
 
     def test_lower_q_l0_never_helps(self, rft):
         foms = [run_design(rft_spec(rft, q_l0_available=q)).predicted_fom

@@ -7,7 +7,6 @@ from memsosc.iodoc import (
     DocumentError,
     FIXTURE_DIR_ENV,
     RESPONSE_CSV_HEADER,
-    SENSITIVITY_CSV_HEADER,
     atomic_write_text,
     designspec_from_document,
     load_document,
@@ -18,7 +17,6 @@ from memsosc.iodoc import (
     resolve_resonator,
     resonator_from_document,
     response_csv,
-    sensitivity_csv,
 )
 from memsosc.bvd import sweep
 from memsosc.fixtures import get_resonator
@@ -71,6 +69,27 @@ class TestDocuments:
         assert comp.l_0 == pytest.approx(250e-12)
         assert comp.bank_size == 8
 
+    def test_network_topology(self):
+        base = "l0 = 250p\nq_l0 = 8\nf_ref = 30g\n"
+        assert network_from_document(parse_document(base + "topology = shunt\n"))
+        with pytest.raises(DocumentError, match="topology"):
+            network_from_document(parse_document(base + "topology = series\n"))
+
+    @pytest.mark.parametrize("key", ["bank_size", "bank_code"])
+    def test_network_rejects_fractional_bank(self, key):
+        values = {"bank_size": "8", "bank_code": "4", key: "8.5"}
+        doc = parse_document("l0 = 250p\nq_l0 = 8\nf_ref = 30g\nbank_unit = 1f\n"
+                             + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        with pytest.raises(DocumentError, match=key):
+            network_from_document(doc)
+
+    def test_integral_bank_in_engineering_notation(self):
+        doc = parse_document("l0 = 250p\nq_l0 = 8\nf_ref = 30g\nbank_unit = 1f\n"
+                             "bank_size = 2k\nbank_code = 1e3\n")
+        comp = network_from_document(doc)
+        assert (comp.bank_size, comp.bank_code) == (2000, 1000)
+        assert type(comp.bank_size) is int
+
 
 class TestResolvers:
     def test_builtin_name(self):
@@ -109,12 +128,6 @@ class TestEmission:
         assert f == 29e9
         assert mag == pytest.approx(math.hypot(re, im))
 
-    def test_sensitivity_csv(self):
-        text = sensitivity_csv([(0.0, -150.0), (1e-15, -149.5)])
-        lines = text.strip().split("\n")
-        assert lines[0] == SENSITIVITY_CSV_HEADER
-        assert lines[1] == "0.0,-150.0"
-
     def test_report_document_reparses(self, rft):
         from memsosc import DesignSpec
 
@@ -144,3 +157,9 @@ class TestDesignSpecDocument:
         spec = designspec_from_document(doc)
         assert spec.resonator.label == "rft"
         assert spec.parasitic_c == 0.0
+
+    def test_rejects_fractional_bank(self):
+        doc = parse_document("resonator = rft30g\ntarget_f0 = 30g\nv_osc = 300m\n"
+                             "q_l0 = 8\nbank_unit = 1f\nbank_size = 8.5\n")
+        with pytest.raises(DocumentError, match="bank_size"):
+            designspec_from_document(doc)

@@ -149,8 +149,9 @@ def netlists(draw):
     elements.append(Element("R", "Rterm", prev, "0", 50.0))
     ac = None
     if draw(st.booleans()):
+        # fstart < fstop: equal endpoints are a diagnosed error for N > 1
         ac = (draw(st.integers(min_value=1, max_value=50)),
-              draw(st.floats(min_value=1.0, max_value=1e9)),
+              draw(st.floats(min_value=1.0, max_value=1e9, exclude_max=True)),
               draw(st.floats(min_value=1e9, max_value=1e12)),
               draw(st.sampled_from(["lin", "log"])))
     probe = ("0", elements[0].node_b)
@@ -359,6 +360,20 @@ class TestBounds:
     def test_largest_ac_grid_parses(self):
         text = f"R1 1 0 50\n.ac log {MAX_AC_POINTS} 1 2\n.probe 1 0\n"
         assert parse_netlist(text).ac[0] == MAX_AC_POINTS
+
+    @pytest.mark.parametrize("spacing", ["lin", "log"])
+    def test_equal_endpoints_need_a_single_point(self, spacing):
+        # three points from 1k to 1k would make a grid that is not increasing
+        text = f"R1 1 0 50\n.ac {spacing} 3 1k 1k\n.probe 1 0\n"
+        diags = lint_netlist(text)
+        assert [(d.code, d.line) for d in diags] == [(E_DIRECTIVE, 2)]
+        with pytest.raises(NetlistError):
+            parse_netlist(text)
+        nl = parse_netlist(f"R1 1 0 50\n.ac {spacing} 1 1k 1k\n.probe 1 0\n")
+        assert nl.ac == (1, 1e3, 1e3, spacing)
+        resp = ac_sweep(nl)
+        assert resp.frequencies.tolist() == [1e3]
+        assert resp.values.tolist() == [50.0]
 
     def test_sweep_refuses_huge_grid_built_directly(self):
         nl = parse_netlist("R1 1 0 50\n.probe 1 0\n")

@@ -12,10 +12,14 @@ from memsosc import (
     CompensationNetwork,
     OscillatorOperatingPoint,
     effective_resistance,
+    evaluate,
+    find_operating_point,
     fom_from_measurement,
     fom_max,
     fom_physical,
     leeson_phase_noise,
+    loaded_q,
+    motional_mode_capacitance_margin,
     noise_factor_components,
     sensitivity_sweep,
     tune_bank,
@@ -46,11 +50,17 @@ class TestOperatingPointType:
         assert base_op(gamma=0.0).gamma == 0.0
 
     @pytest.mark.parametrize("field", ["v_osc", "f_0", "delta_f", "temperature", "gamma",
-                                       "g_mbias", "i_bias", "p_dc"])
+                                       "g_mbias", "p_dc"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
             base_op(**{field: value})
+
+
+    @pytest.mark.parametrize("p_dc", [0.0, -1e-3])
+    def test_rejects_nonpositive_p_dc(self, p_dc):
+        with pytest.raises(ValueError, match="p_dc"):
+            base_op(p_dc=p_dc)
 
 
 class TestLeeson:
@@ -174,6 +184,40 @@ class TestDbIdentities:
         via_physics = fom_physical(q_l, tank.beta, eta, budget.f_min,
                                    op.temperature)
         assert via_measurement == pytest.approx(via_physics, abs=0.01)
+
+
+class TestEvaluate:
+    def test_record_is_the_chain(self, rft, comp_q8):
+        f_op, _, _ = find_operating_point(rft, comp_q8)
+        op = base_op(f_0=f_op)
+        ev = evaluate(rft, comp_q8, op)
+        assert ev.op == op
+        assert ev.tank == effective_resistance(rft, comp_q8)
+        assert ev.q_loaded == loaded_q(rft, comp_q8)
+        assert ev.budget == noise_factor_components(rft, comp_q8, op)
+        assert ev.pn == leeson_phase_noise(rft, ev.q_loaded, op, ev.budget.f_min)
+        assert ev.eta is None and ev.fom is None
+
+    def test_p_dc_gives_eta_and_fom(self, rft, comp_q8):
+        f_op, _, _ = find_operating_point(rft, comp_q8)
+        ev = evaluate(rft, comp_q8, base_op(f_0=f_op, p_dc=2e-3))
+        assert ev.eta == pytest.approx(0.3 ** 2 / (2.0 * ev.tank.r_res) / 2e-3, rel=1e-15)
+        assert ev.fom == fom_physical(ev.q_loaded, ev.tank.beta, ev.eta,
+                                      ev.budget.f_min, 300.0)
+        with pytest.raises(AttributeError):
+            ev.pn = 0.0
+
+    def test_sensitivity_rows_are_evaluations(self, rft, comp_q8):
+        # the last delta leaves only the LC-branch point
+        deltas = [-6e-15, 0.0, 6e-15, 3.0 * motional_mode_capacitance_margin(rft)]
+        rows = sensitivity_sweep(rft, comp_q8, base_op(), deltas)
+        modes = []
+        for (dc, pn), delta in zip(rows, deltas):
+            shifted = replace(comp_q8, c_fix=comp_q8.c_fix + delta)
+            f_op, _, mode = find_operating_point(rft, shifted)
+            modes.append(mode)
+            assert (dc, pn) == (delta, evaluate(rft, shifted, base_op(f_0=f_op)).pn)
+        assert modes == ["motional"] * 3 + ["lc_tank"]
 
 
 class TestSensitivity:
