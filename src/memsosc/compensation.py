@@ -28,6 +28,13 @@ bracketed, first tightly around its estimate and otherwise between its
 neighbours, skipped when Im Y keeps its sign across the bracket (a
 tangential root), and polished on Im Y itself with Brent's method
 (Brent 1973) until the bracket is 1e-15 of the frequency wide.
+
+One frequency at a time is a Python float.  The admittance is plain
+arithmetic, so a float gives a complex and an array gives an array, with
+the same bits: `_reciprocal` divides an array the way Python divides a
+complex.  The public entry points check the frequency once; from there
+the bracket edges, sign tests, Brent polish and phase slope run in Python
+floats.  ``np.roots`` stays, the one eigenvalue solve of a search.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from .bvd import (
     check_frequency,
     motional_bandwidth,
     motional_detuning,
-    motional_impedance,
     series_resonance,
 )
 
@@ -142,19 +148,49 @@ def shunt_inductor_for(c_total: float, f_0: float) -> float:
     return 1.0 / (w * w * c_total)
 
 
+def _reciprocal(z):
+    """1/z for a complex or a complex array, rounded as Python rounds it.
+
+    Both divide by Smith's method, but numpy multiplies by the reciprocal
+    of the denominator where Python divides by it, and the two differ in
+    the last bit about a quarter of the time.  An array takes Python's
+    steps here, so it gives the bits of one frequency at a time.
+    """
+    if isinstance(z, complex):
+        return 1.0 / z
+    r, x = z.real, z.imag
+    wide = abs(r) >= abs(x)  # Smith divides through by the larger part
+    big, small = np.where(wide, r, x), np.where(wide, x, r)
+    ratio = small / big
+    denom = big + small * ratio
+    out = np.empty_like(z)  # numerators of 1 + 0j in Python's two branches
+    out.real = np.where(wide, 1.0, ratio + 0.0) / denom
+    out.imag = np.where(wide, 0.0 - ratio, -1.0) / denom
+    return out
+
+
 def _tank_admittance(res: Resonator, comp: CompensationNetwork, f):
-    """Admittance of motional branch || C branch || lossy inductor."""
+    """Admittance of motional branch || C branch || lossy inductor.
+
+    f is a checked Python float or float array; the motional detuning is
+    taken in the factored form of `motional_detuning`.
+    """
+    fs = series_resonance(res)
     w = TWO_PI * f
-    return (1.0 / motional_impedance(res, f)
+    x_m = (f - fs) * (f + fs) / (fs * fs) / (w * res.c_m)
+    return (_reciprocal(res.r_m + 1j * x_m)
             + 1j * w * comp.branch_capacitance(res)
-            + 1.0 / (comp.r_l0 + 1j * w * comp.l_0))
+            + _reciprocal(comp.r_l0 + 1j * w * comp.l_0))
+
+
+def _impedance(res: Resonator, comp: CompensationNetwork, f):
+    return _reciprocal(_tank_admittance(res, comp, f))
 
 
 def tank_impedance(res: Resonator, comp: CompensationNetwork, f):
     """Complex impedance of motional branch || C branch || lossy inductor."""
     f = check_frequency(f)
-    z = 1.0 / _tank_admittance(res, comp, f)
-    return complex(z) if np.ndim(f) == 0 else z
+    return _impedance(res, comp, f.item() if f.ndim == 0 else f)
 
 
 def tank_resonance(res: Resonator, comp: CompensationNetwork,
@@ -252,11 +288,10 @@ def _zero_phase_frequencies(res: Resonator, comp: CompensationNetwork,
     if not all(math.isfinite(k) for k in coeffs):
         raise ValueError("tank values overflow the zero-phase polynomial")
     roots = np.roots(coeffs)
-    x = np.sort(roots[roots.imag == 0].real)
-    x = x[x > -1.0]
-    f_est = fs * np.sqrt(1.0 + x)
-    sel = np.nonzero((f_est >= lo) & (f_est <= hi))[0]
-    if sel.size == 0:
+    x = sorted(float(r.real) for r in roots if r.imag == 0 and r.real > -1.0)
+    f_est = [fs * math.sqrt(1.0 + v) for v in x]
+    sel = [i for i, f in enumerate(f_est) if lo <= f <= hi]
+    if not sel:
         return []
     # Wide brackets run between neighbouring roots.  No other real root lies
     # beyond the outermost ones, so any margin over the eigenvalue error
@@ -264,29 +299,30 @@ def _zero_phase_frequencies(res: Resonator, comp: CompensationNetwork,
     # relative here, so a 1e-9 bracket around each estimate is tried first:
     # Brent then needs about 5 evaluations instead of up to 20.
     margin = 1e-3 * float(np.abs(roots).max())
-    edges = np.concatenate(([max(x[0] - margin, 0.5 * (x[0] - 1.0))],
-                            0.5 * (x[1:] + x[:-1]), [x[-1] + margin]))
-    f_wide = fs * np.sqrt(1.0 + edges)
-    f_near = np.concatenate((np.maximum(f_wide[sel], f_est[sel] * (1.0 - 1e-9)),
-                             np.minimum(f_wide[sel + 1], f_est[sel] * (1.0 + 1e-9))))
-    n = sel.size
-    im = _tank_admittance(res, comp, np.concatenate((f_near, f_wide))).imag
-    near, wide = np.sign(im[:2 * n]), np.sign(im[2 * n:])
+    edges = ([max(x[0] - margin, 0.5 * (x[0] - 1.0))]
+             + [0.5 * (b + a) for a, b in zip(x, x[1:])] + [x[-1] + margin])
+    f_wide = [fs * math.sqrt(1.0 + v) for v in edges]
 
     def susceptance(f):
-        return float(_tank_admittance(res, comp, f).imag)
+        return _tank_admittance(res, comp, f).imag
 
     out = []
-    for j, i in enumerate(sel):
-        if near[j] * near[n + j] < 0:
-            f = _brent(susceptance, float(f_near[j]), float(f_near[n + j]))
-        elif wide[i] * wide[i + 1] < 0:
-            f = _brent(susceptance, float(f_wide[i]), float(f_wide[i + 1]))
-        else:
-            continue  # tangential root: the phase touches zero without crossing
+    for i in sel:
+        a = max(f_wide[i], f_est[i] * (1.0 - 1e-9))
+        b = min(f_wide[i + 1], f_est[i] * (1.0 + 1e-9))
+        if not _opposite(susceptance(a), susceptance(b)):
+            a, b = f_wide[i], f_wide[i + 1]
+            if not _opposite(susceptance(a), susceptance(b)):
+                continue  # tangential root: the phase touches zero without crossing
+        f = _brent(susceptance, a, b)
         if lo <= f <= hi:
             out.append(f)
     return out
+
+
+def _opposite(a: float, b: float) -> bool:
+    """a and b are non-zero and of opposite sign (False on NaN)."""
+    return a < 0 < b or b < 0 < a
 
 
 def find_motional_operating_point(res: Resonator, comp: CompensationNetwork):
@@ -304,7 +340,7 @@ def find_motional_operating_point(res: Resonator, comp: CompensationNetwork):
     if not crossings:
         return None
     f = min(crossings, key=lambda x: abs(x - fs))
-    return f, complex(tank_impedance(res, comp, f))
+    return f, _impedance(res, comp, f)
 
 
 def find_lc_operating_point(res: Resonator, comp: CompensationNetwork):
@@ -321,9 +357,8 @@ def find_lc_operating_point(res: Resonator, comp: CompensationNetwork):
     crossings = _zero_phase_frequencies(res, comp, lo, hi)
     if not crossings:
         raise NoResonanceError("no resonance found in the LC sweep window")
-    z = tank_impedance(res, comp, crossings)
-    i = int(np.argmax(np.abs(z)))
-    return crossings[i], complex(z[i])
+    return max(((f, _impedance(res, comp, f)) for f in crossings),
+               key=lambda point: abs(point[1]))
 
 
 def find_operating_point(res: Resonator, comp: CompensationNetwork):
@@ -346,21 +381,28 @@ def phase_slope_q(res: Resonator, comp: CompensationNetwork, f_0: float) -> floa
     """Q of the tank impedance at f_0 from its phase slope: (f/2)*|dphi/df|.
 
     Central difference with step halving until a halving changes the
-    estimate by < 0.1%.
+    estimate by < 0.1%.  ValueError unless f_0 is positive and finite.
     """
+    f_0 = check_frequency(f_0).item()
     h = f_0 * 1e-4
     q_prev = None
     q = 0.0
     while h > f_0 * 1e-13:
-        dphi = (np.angle(tank_impedance(res, comp, f_0 + h))
-                - np.angle(tank_impedance(res, comp, f_0 - h)))
+        dphi = (_phase(_impedance(res, comp, f_0 + h))
+                - _phase(_impedance(res, comp, f_0 - h)))
         dphi = (dphi + math.pi) % (2.0 * math.pi) - math.pi
-        q = 0.5 * f_0 * abs(float(dphi)) / (2.0 * h)
+        q = 0.5 * f_0 * abs(dphi) / (2.0 * h)
         if q_prev is not None and q > 0 and abs(q - q_prev) < 1e-3 * q:
             return q
         q_prev = q
         h *= 0.5
     return q
+
+
+def _phase(z: complex) -> float:
+    # numpy's arctan2, as np.angle takes it: SIMD builds of numpy differ
+    # from math.atan2 in the last bit for some angles above ~1e-3 rad
+    return float(np.arctan2(z.imag, z.real))
 
 
 def loaded_q(res: Resonator, comp: CompensationNetwork,
@@ -402,13 +444,13 @@ def loaded_q_3db(res: Resonator, comp: CompensationNetwork) -> float:
     # sits slightly off the magnitude extremum, so look at both sides
     q_est = phase_slope_q(res, comp, f_op)
     probe = f_op / (4.0 * max(q_est, 1.0))
-    m_side = 0.5 * (abs(tank_impedance(res, comp, f_op + probe))
-                    + abs(tank_impedance(res, comp, f_op - probe)))
+    m_side = 0.5 * (abs(_impedance(res, comp, f_op + probe))
+                    + abs(_impedance(res, comp, f_op - probe)))
     is_notch = m_side > m0
     target = m0 * math.sqrt(2.0) if is_notch else m0 / math.sqrt(2.0)
 
     def excess(f):
-        return (abs(tank_impedance(res, comp, f)) - target) * (1 if is_notch else -1)
+        return (abs(_impedance(res, comp, f)) - target) * (1 if is_notch else -1)
 
     def crossing(direction: int) -> float:
         step = f_op * 1e-9
@@ -447,22 +489,71 @@ def analyze_tank(res: Resonator, comp: CompensationNetwork) -> TankAnalysis:
                    q_loaded=phase_slope_q(res, comp, f_op))
 
 
+def first_true(pred, lo: int, hi, guess: int) -> int:
+    """Smallest integer k in [lo, hi] with pred(k), or hi + 1 when none has.
+
+    pred must be monotone on [lo, hi]: false up to some k, true from there
+    on.  The search gallops out from guess and then bisects, so a guess
+    that is d away costs about 2*log2(d + 1) + 2 calls of pred.  hi may be
+    math.inf when pred holds from some finite k on.
+    """
+    guess = min(max(guess, lo), hi)
+    step = 1
+    if pred(guess):
+        a, b = guess - 1, guess  # pred(b) holds; walk a down until it fails
+        while a >= lo and pred(a):
+            b, step = a, 2 * step
+            a = b - step
+        a = max(a, lo - 1)
+    else:
+        a, b = guess, guess + 1  # pred(a) fails; walk b up until it holds
+        while b <= hi and not pred(b):
+            a, step = b, 2 * step
+            b = a + step
+        b = min(b, hi + 1)
+    while b - a > 1:  # pred fails at a (or a < lo) and holds at b (or b > hi)
+        m = (a + b) // 2
+        if pred(m):
+            b = m
+        else:
+            a = m
+    return b
+
+
 def tune_bank(res: Resonator, comp: CompensationNetwork) -> int:
     """Bank code minimizing |f_tank - f_s|; ties break toward the lower code.
 
-    Scans every code exhaustively; warns when even the best code leaves the
-    tank more than a motional bandwidth off the series resonance.
+    f_tank falls with the code, in floating point too, so the offset falls
+    until f_tank reaches f_s and rises from there.  The search starts at
+    the closed-form code, the capacitance deficit 1/(w_s^2*l_0) - c_branch
+    over the bank unit, finds the first code at or below f_s and the
+    lowest code that ties the one before it: a handful of `tank_resonance`
+    calls, and O(log bank_size) at worst.  Warns when even the best code
+    leaves the tank more than a motional bandwidth off the series
+    resonance.
     """
     if comp.bank_size < 1:
         warnings.warn("bank has no tunable units", AlignmentWarning)
         return 0
     fs = series_resonance(res)
-    codes = np.arange(comp.bank_size + 1)
-    offsets = np.array([abs(tank_resonance(res, comp, int(c)) - fs) for c in codes])
-    best = int(np.argmin(offsets))  # argmin takes the first (lowest) code on ties
-    if offsets[best] > motional_bandwidth(res):
+    n = comp.bank_size
+
+    def offset(code):
+        return abs(tank_resonance(res, comp, code) - fs)
+
+    ws = TWO_PI * fs
+    deficit = 1.0 / (ws * ws * comp.l_0) - comp.branch_capacitance(res, 0)
+    units = deficit / comp.bank_unit if comp.bank_unit > 0 else 0.0
+    guess = math.ceil(min(max(units, 0.0), n))
+    best = first_true(lambda code: tank_resonance(res, comp, code) <= fs, 0, n, guess)
+    if best > 0:
+        low = offset(best - 1)
+        if best > n or low <= offset(best):
+            best = first_true(lambda code: offset(code) <= low, 0, best - 1, best - 1)
+    off = offset(best)
+    if off > motional_bandwidth(res):
         warnings.warn(
             f"best bank code {best} still leaves the tank "
-            f"{offsets[best]:.4g} Hz off the series resonance",
+            f"{off:.4g} Hz off the series resonance",
             AlignmentWarning)
     return best

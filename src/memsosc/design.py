@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -24,6 +25,7 @@ from .compensation import (
     CompensationNetwork,
     effective_resistance,
     find_motional_operating_point,
+    first_true,
     motional_mode_capacitance_margin,
     tank_resonance,
     tune_bank,
@@ -129,8 +131,11 @@ def _choose_inductor(spec: DesignSpec) -> float:
     Feasibility: the capacitance 1/(w_s^2*L0) required for alignment must
     fall inside [c_base, c_base + bank span] with half a bank unit of
     slack on both sides (midscale centering maximizes margin both ways).
-    Smaller inductors need more capacitance than the bank can add, so the
-    first feasible grid point ascending is the minimum.
+    The required capacitance falls as L0 rises, so only the first grid
+    point at or below the top of that window can be feasible.  Its index
+    comes in closed form, ceil(L_lo/step) with L_lo = 1/(w_s^2*c_top),
+    corrected for rounding by `first_true`; the point is then checked
+    against the bottom of the window and the largest sensible inductor.
     """
     res = spec.resonator
     ws = 2.0 * math.pi * series_resonance(res)
@@ -139,16 +144,18 @@ def _choose_inductor(spec: DesignSpec) -> float:
     # floor keeps bankless specs solvable: 0.1% capacitance = 0.05% in
     # frequency, well inside the later mode-margin check for any high-Q part
     slack = max(0.5 * spec.bank_unit, 1e-3 * c_base)
+    c_top = c_base + c_span + slack
     # Upper bound: inductor resonating the bare base capacitance.
     l_max = 1.0 / (ws * ws * c_base) * 1.25
     step = spec.l0_grid_step
-    k = 1
-    while k * step <= l_max:
-        l_0 = k * step
-        c_needed = 1.0 / (ws * ws * l_0)
-        if c_base - slack <= c_needed <= c_base + c_span + slack:
-            return l_0
-        k += 1
+
+    def c_needed(k):
+        return 1.0 / (ws * ws * (k * step))
+
+    guess = math.ceil(min(1.0 / (ws * ws * c_top) / step, sys.float_info.max))
+    k = first_true(lambda k: c_needed(k) <= c_top, 1, math.inf, guess)
+    if k * step <= l_max and c_base - slack <= c_needed(k):
+        return k * step
     raise DesignError(
         f"no inductor on the {step:.3g} H grid can align the tank: base "
         f"capacitance {c_base:.4g} F, bank span {c_span:.4g} F")

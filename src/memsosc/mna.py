@@ -146,7 +146,13 @@ def _parse(text: str):
                                             f".ac allows at most {MAX_AC_POINTS} points, "
                                             f"got {points}"))
                     continue
-                ac = (points, fstart, fstop, tokens[1].lower())
+                directive = (points, fstart, fstop, tokens[1].lower())
+                try:
+                    _check_ac_grid(directive)
+                except ValueError as exc:
+                    diags.append(Diagnostic(E_DIRECTIVE, lineno, col, str(exc)))
+                    continue
+                ac = directive
             elif card == ".probe":
                 if len(tokens) != 3:
                     diags.append(Diagnostic(E_DIRECTIVE, lineno, col,
@@ -367,11 +373,13 @@ def driving_point_impedance(netlist: Netlist, f: float) -> complex:
     return -complex(corner[0])
 
 
-def ac_sweep(netlist: Netlist) -> ComplexResponse:
-    """Probe impedance over the .ac grid; singular points become NaN gaps."""
-    if netlist.ac is None:
-        raise ValueError("netlist has no .ac directive")
-    points, fstart, fstop, spacing = netlist.ac
+def _ac_grid(ac) -> np.ndarray:
+    """Frequencies of an .ac directive (points, fstart, fstop, spacing).
+
+    ValueError unless the grid is positive, finite and strictly increasing:
+    endpoints closer than the float grid can resolve repeat values.
+    """
+    points, fstart, fstop, spacing = ac
     if not 1 <= points <= MAX_AC_POINTS:
         raise ValueError(f".ac wants 1 to {MAX_AC_POINTS} points, got {points}")
     if points == 1:
@@ -381,6 +389,33 @@ def ac_sweep(netlist: Netlist) -> ComplexResponse:
     else:
         grid = np.linspace(fstart, fstop, points)
     check_frequency(grid)
+    if not (grid[1:] > grid[:-1]).all():
+        raise ValueError(f".ac grid of {points} points from {fstart!r} to "
+                         f"{fstop!r} Hz is not strictly increasing")
+    return grid
+
+
+def _check_ac_grid(ac) -> None:
+    """Raise the ValueError `_ac_grid` would, building the grid only if needed.
+
+    The directive has 0 < fstart <= fstop, as the parser checks first.
+    Rounding moves a linspace or geomspace point by under 1e-12 of its
+    value, so a grid that steps by 1e-9 of the frequency or more cannot
+    repeat a value; only finer grids are built to compare.
+    """
+    points, fstart, fstop, spacing = ac
+    if 1 < points <= MAX_AC_POINTS:
+        span = math.log(fstop / fstart) if spacing == "log" else (fstop - fstart) / fstop
+        if span / (points - 1) >= 1e-9:
+            return
+    _ac_grid(ac)
+
+
+def ac_sweep(netlist: Netlist) -> ComplexResponse:
+    """Probe impedance over the .ac grid; singular points become NaN gaps."""
+    if netlist.ac is None:
+        raise ValueError("netlist has no .ac directive")
+    grid = _ac_grid(netlist.ac)
     corner, singular = _solve(stamp(netlist), TWO_PI * grid)
     values = -corner
     values[singular] = complex(math.nan, math.nan)

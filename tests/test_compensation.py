@@ -32,6 +32,7 @@ from memsosc import (
     zero_phase_c0,
 )
 from memsosc.bvd import TWO_PI, motional_bandwidth
+from memsosc.fixtures import BUILTIN_RESONATORS, get_resonator
 
 from conftest import bare_c0_network, rescale_motional_q
 
@@ -150,6 +151,48 @@ class TestTankImpedance:
             tank_impedance(rft, comp_q8, f)
         with pytest.raises(ValueError, match="positive and finite"):
             tank_impedance(rft, comp_q8, [30e9, f])
+
+    @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf, 0.0, -30e9])
+    def test_float_path_keeps_boundary_checks(self, rft, comp_q8, f):
+        # unchecked, a NaN f_0 would leave the phase-slope loop at once
+        # with q = 0.0
+        with pytest.raises(ValueError, match="positive and finite"):
+            tank_impedance(rft, comp_q8, f)
+        with pytest.raises(ValueError, match="positive and finite"):
+            phase_slope_q(rft, comp_q8, f)
+        with pytest.raises(ValueError, match="positive and finite"):
+            phase_slope_q(rft, comp_q8, np.float64(f))
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_RESONATORS))
+    def test_float_path_equals_array_path_on_a_grid(self, name):
+        # includes f_s itself, where the motional reactance is exactly zero
+        res = get_resonator(name)
+        fs = series_resonance(res)
+        comp = bare_c0_network(res, q_l0=8.0)
+        grid = np.concatenate((np.linspace(0.5 * fs, 1.5 * fs, 401),
+                               fs + motional_bandwidth(res) * np.linspace(-4, 4, 401)))
+        assert fs in grid
+        z = tank_impedance(res, comp, grid)
+        assert [tank_impedance(res, comp, float(f)) for f in grid] == z.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(BUILTIN_RESONATORS)),
+       q_l0=st.floats(min_value=2.0, max_value=50.0),
+       shift=st.floats(min_value=-3.0, max_value=3.0),
+       where=st.one_of(st.floats(min_value=-0.8, max_value=1.0).map(lambda r: ("rel", r)),
+                       st.floats(min_value=-5.0, max_value=5.0).map(lambda k: ("bw", k))))
+def test_property_float_path_equals_array_path(name, q_l0, shift, where):
+    """One frequency as a Python float gives the bits of a one-entry array."""
+    res = get_resonator(name)
+    fs = series_resonance(res)
+    c_fix = 2.0 * res.c_0
+    comp = CompensationNetwork(
+        l_0=shunt_inductor_for(res.c_0 + c_fix, fs), q_l0=q_l0, f_ref=fs,
+        c_fix=max(c_fix + shift * motional_mode_capacitance_margin(res), 0.0))
+    kind, v = where
+    f = fs * (1.0 + v) if kind == "rel" else fs + v * motional_bandwidth(res)
+    assert tank_impedance(res, comp, f) == tank_impedance(res, comp, np.array([f]))[0]
 
 
 class TestEffectiveResistance:

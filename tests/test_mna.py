@@ -33,6 +33,8 @@ from memsosc.mna import (
     MAX_AC_POINTS,
     Element,
     SingularCircuitError,
+    _ac_grid,
+    _check_ac_grid,
     stamp,
 )
 
@@ -149,10 +151,11 @@ def netlists(draw):
     elements.append(Element("R", "Rterm", prev, "0", 50.0))
     ac = None
     if draw(st.booleans()):
-        # fstart < fstop: equal endpoints are a diagnosed error for N > 1
+        # fstart < fstop with room for the points: equal endpoints, or
+        # endpoints too close to separate N > 1 floats, are diagnosed errors
         ac = (draw(st.integers(min_value=1, max_value=50)),
               draw(st.floats(min_value=1.0, max_value=1e9, exclude_max=True)),
-              draw(st.floats(min_value=1e9, max_value=1e12)),
+              draw(st.floats(min_value=2e9, max_value=1e12)),
               draw(st.sampled_from(["lin", "log"])))
     probe = ("0", elements[0].node_b)
     return Netlist(tuple(elements), ac, probe)
@@ -374,6 +377,38 @@ class TestBounds:
         resp = ac_sweep(nl)
         assert resp.frequencies.tolist() == [1e3]
         assert resp.values.tolist() == [50.0]
+
+    @pytest.mark.parametrize("spacing", ["lin", "log"])
+    def test_unresolvable_grid_is_diagnosed(self, spacing):
+        # 1000 points between adjacent floats repeat values
+        text = f"R1 a 0 1\n.ac {spacing} 1000 1 1.0000000000000002\n.probe a 0\n"
+        diags = lint_netlist(text)
+        assert [(d.code, d.line) for d in diags] == [(E_DIRECTIVE, 2)]
+        assert "not strictly increasing" in diags[0].message
+        with pytest.raises(NetlistError):
+            parse_netlist(text)
+        nl = parse_netlist(f"R1 a 0 1\n.ac {spacing} 2 1 1.0000000000000002\n.probe a 0\n")
+        assert ac_sweep(nl).frequencies.tolist() == [1.0, 1.0000000000000002]
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            ac_sweep(replace(nl, ac=(1000, 1.0, 1.0000000000000002, spacing)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.integers(min_value=2, max_value=3000),
+           fstart=st.floats(min_value=1e-3, max_value=1e12),
+           ulps=st.integers(min_value=1, max_value=10 ** 10),
+           spacing=st.sampled_from(["lin", "log"]))
+    def test_property_parse_check_agrees_with_grid(self, points, fstart, ulps, spacing):
+        # endpoints from 1 ulp apart to steps far above the 1e-9 shortcut
+        ac = (points, fstart, fstart + ulps * math.ulp(fstart), spacing)
+
+        def refused(check):
+            try:
+                check(ac)
+            except ValueError:
+                return True
+            return False
+
+        assert refused(_check_ac_grid) == refused(_ac_grid)
 
     def test_sweep_refuses_huge_grid_built_directly(self):
         nl = parse_netlist("R1 1 0 50\n.probe 1 0\n")
