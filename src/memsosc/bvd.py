@@ -102,14 +102,14 @@ def coupling_coefficient(res: Resonator) -> float:
     return res.c_m / res.c_0
 
 
-def motional_detuning(res: Resonator, f) -> np.ndarray:
+def motional_detuning(res: Resonator, f) -> float | np.ndarray:
     """omega^2*l_m*c_m - 1, evaluated as (f-f_s)(f+f_s)/f_s^2.
 
     The factored form keeps full precision through the resonance where the
     naive product cancels catastrophically (a Q of 1e4 leaves ~3 MHz of
-    bandwidth on a 30 GHz carrier).
+    bandwidth on a 30 GHz carrier).  Plain arithmetic: a float gives a
+    float, an array an array.
     """
-    f = np.asarray(f, dtype=float)
     fs = series_resonance(res)
     return (f - fs) * (f + fs) / (fs * fs)
 

@@ -154,10 +154,11 @@ def _reciprocal(z):
     Both divide by Smith's method, but numpy multiplies by the reciprocal
     of the denominator where Python divides by it, and the two differ in
     the last bit about a quarter of the time.  An array takes Python's
-    steps here, so it gives the bits of one frequency at a time.
+    steps here, so it gives the bits of one frequency at a time.  A numpy
+    scalar (a field set from an array) is divided as a Python complex too.
     """
-    if isinstance(z, complex):
-        return 1.0 / z
+    if not isinstance(z, np.ndarray):
+        return 1.0 / complex(z)
     r, x = z.real, z.imag
     wide = abs(r) >= abs(x)  # Smith divides through by the larger part
     big, small = np.where(wide, r, x), np.where(wide, x, r)
@@ -172,12 +173,10 @@ def _reciprocal(z):
 def _tank_admittance(res: Resonator, comp: CompensationNetwork, f):
     """Admittance of motional branch || C branch || lossy inductor.
 
-    f is a checked Python float or float array; the motional detuning is
-    taken in the factored form of `motional_detuning`.
+    f is a checked Python float or float array.
     """
-    fs = series_resonance(res)
     w = TWO_PI * f
-    x_m = (f - fs) * (f + fs) / (fs * fs) / (w * res.c_m)
+    x_m = motional_detuning(res, f) / (w * res.c_m)
     return (_reciprocal(res.r_m + 1j * x_m)
             + 1j * w * comp.branch_capacitance(res)
             + _reciprocal(comp.r_l0 + 1j * w * comp.l_0))

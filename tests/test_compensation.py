@@ -181,18 +181,28 @@ class TestTankImpedance:
        q_l0=st.floats(min_value=2.0, max_value=50.0),
        shift=st.floats(min_value=-3.0, max_value=3.0),
        where=st.one_of(st.floats(min_value=-0.8, max_value=1.0).map(lambda r: ("rel", r)),
-                       st.floats(min_value=-5.0, max_value=5.0).map(lambda k: ("bw", k))))
-def test_property_float_path_equals_array_path(name, q_l0, shift, where):
-    """One frequency as a Python float gives the bits of a one-entry array."""
+                       st.floats(min_value=-5.0, max_value=5.0).map(lambda k: ("bw", k))),
+       numpy_fields=st.booleans())
+def test_property_float_path_equals_array_path(name, q_l0, shift, where, numpy_fields):
+    """One frequency as a Python float gives the bits of a one-entry array.
+
+    numpy_fields holds q_l0 and l_0 as np.float64, as a sweep over
+    np.linspace values sets them.
+    """
     res = get_resonator(name)
     fs = series_resonance(res)
     c_fix = 2.0 * res.c_0
+    l_0 = shunt_inductor_for(res.c_0 + c_fix, fs)
+    if numpy_fields:
+        q_l0, l_0 = np.float64(q_l0), np.float64(l_0)
     comp = CompensationNetwork(
-        l_0=shunt_inductor_for(res.c_0 + c_fix, fs), q_l0=q_l0, f_ref=fs,
+        l_0=l_0, q_l0=q_l0, f_ref=fs,
         c_fix=max(c_fix + shift * motional_mode_capacitance_margin(res), 0.0))
     kind, v = where
     f = fs * (1.0 + v) if kind == "rel" else fs + v * motional_bandwidth(res)
-    assert tank_impedance(res, comp, f) == tank_impedance(res, comp, np.array([f]))[0]
+    z = tank_impedance(res, comp, f)
+    assert type(z) is complex
+    assert z == tank_impedance(res, comp, np.array([f]))[0]
 
 
 class TestEffectiveResistance:

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from memsosc import (
@@ -34,7 +34,6 @@ from memsosc.mna import (
     Element,
     SingularCircuitError,
     _ac_grid,
-    _check_ac_grid,
     stamp,
 )
 
@@ -135,6 +134,14 @@ KINDS = st.sampled_from("RLC")
 NODE = st.integers(min_value=0, max_value=6).map(str)
 
 
+def _grid_builds(ac) -> bool:
+    try:
+        _ac_grid(ac)
+    except ValueError:
+        return False
+    return True
+
+
 @st.composite
 def netlists(draw):
     n = draw(st.integers(min_value=1, max_value=8))
@@ -151,12 +158,13 @@ def netlists(draw):
     elements.append(Element("R", "Rterm", prev, "0", 50.0))
     ac = None
     if draw(st.booleans()):
-        # fstart < fstop with room for the points: equal endpoints, or
-        # endpoints too close to separate N > 1 floats, are diagnosed errors
+        # fstart < fstop; endpoints too close to separate N > 1 floats
+        # (fstart = 999999999.9999999, fstop = 1e9) are diagnosed errors
         ac = (draw(st.integers(min_value=1, max_value=50)),
               draw(st.floats(min_value=1.0, max_value=1e9, exclude_max=True)),
-              draw(st.floats(min_value=2e9, max_value=1e12)),
+              draw(st.floats(min_value=1e9, max_value=1e12)),
               draw(st.sampled_from(["lin", "log"])))
+        assume(_grid_builds(ac))
     probe = ("0", elements[0].node_b)
     return Netlist(tuple(elements), ac, probe)
 
@@ -391,24 +399,6 @@ class TestBounds:
         assert ac_sweep(nl).frequencies.tolist() == [1.0, 1.0000000000000002]
         with pytest.raises(ValueError, match="not strictly increasing"):
             ac_sweep(replace(nl, ac=(1000, 1.0, 1.0000000000000002, spacing)))
-
-    @settings(max_examples=300, deadline=None)
-    @given(points=st.integers(min_value=2, max_value=3000),
-           fstart=st.floats(min_value=1e-3, max_value=1e12),
-           ulps=st.integers(min_value=1, max_value=10 ** 10),
-           spacing=st.sampled_from(["lin", "log"]))
-    def test_property_parse_check_agrees_with_grid(self, points, fstart, ulps, spacing):
-        # endpoints from 1 ulp apart to steps far above the 1e-9 shortcut
-        ac = (points, fstart, fstart + ulps * math.ulp(fstart), spacing)
-
-        def refused(check):
-            try:
-                check(ac)
-            except ValueError:
-                return True
-            return False
-
-        assert refused(_check_ac_grid) == refused(_ac_grid)
 
     def test_sweep_refuses_huge_grid_built_directly(self):
         nl = parse_netlist("R1 1 0 50\n.probe 1 0\n")
