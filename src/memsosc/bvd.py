@@ -66,14 +66,14 @@ class ComplexResponse:
         return self.frequencies.size
 
 
-def check_frequency(f) -> np.ndarray:
-    """f as a float array; raises ValueError unless every entry is positive
-    and finite."""
+def check_frequency(f) -> float | np.ndarray:
+    """One frequency as a Python float, several as a float array; raises
+    ValueError unless every entry is positive and finite."""
     f = np.asarray(f, dtype=float)
     if f.ndim == 0:
-        # the root polish and the phase slope pass one frequency at a time,
-        # tens of times per operating point: compare it as a Python float
-        ok = 0 < f.item() < math.inf
+        # one frequency runs through Python float arithmetic from here on
+        f = f.item()
+        ok = 0 < f < math.inf
     else:
         # a NaN entry makes min() NaN, which fails the comparison
         ok = f.size == 0 or 0 < f.min() <= f.max() < math.inf
@@ -114,21 +114,39 @@ def motional_detuning(res: Resonator, f) -> float | np.ndarray:
     return (f - fs) * (f + fs) / (fs * fs)
 
 
-def motional_impedance(res: Resonator, f) -> np.ndarray:
-    """Impedance of the series r_m-l_m-c_m branch alone."""
-    f = check_frequency(f)
-    w = TWO_PI * f
-    x = motional_detuning(res, f) / (w * res.c_m)
-    return res.r_m + 1j * x
+def reciprocal(z):
+    """1/z for a complex or a complex array, rounded as Python rounds it.
+
+    Both divide by Smith's method, but numpy multiplies by the reciprocal
+    of the denominator where Python divides by it, which differs in the
+    last bit about a quarter of the time.  Arrays take Python's steps here,
+    and a numpy scalar is divided as a Python complex, so one frequency
+    gets the bits of the matching array entry.
+    """
+    if not isinstance(z, np.ndarray):
+        return 1.0 / complex(z)
+    r, x = z.real, z.imag
+    wide = abs(r) >= abs(x)  # Smith divides through by the larger part
+    big, small = np.where(wide, r, x), np.where(wide, x, r)
+    ratio = small / big
+    denom = big + small * ratio
+    out = np.empty_like(z)  # numerators of 1 + 0j in Python's two branches
+    out.real = np.where(wide, 1.0, ratio + 0.0) / denom
+    out.imag = np.where(wide, 0.0 - ratio, -1.0) / denom
+    return out
+
+
+def motional_admittance(res: Resonator, f):
+    """Admittance of the series r_m-l_m-c_m branch alone; f is a checked
+    Python float (giving a complex) or float array."""
+    x_m = motional_detuning(res, f) / (TWO_PI * f * res.c_m)
+    return reciprocal(res.r_m + 1j * x_m)
 
 
 def impedance(res: Resonator, f) -> complex | np.ndarray:
     """Driving-point impedance of the BVD one-port (motional || static)."""
     f = check_frequency(f)
-    zm = motional_impedance(res, f)
-    w = TWO_PI * f
-    z = zm / (1.0 + 1j * w * res.c_0 * zm)
-    return complex(z) if np.ndim(f) == 0 else z
+    return reciprocal(motional_admittance(res, f) + 1j * (TWO_PI * f) * res.c_0)
 
 
 def phase(res: Resonator, f) -> float | np.ndarray:
@@ -143,9 +161,7 @@ def phase(res: Resonator, f) -> float | np.ndarray:
 
 def static_reactance(res: Resonator, f) -> float | np.ndarray:
     """Magnitude of the static branch reactance 1/(2*pi*f*c_0)."""
-    f = check_frequency(f)
-    x = 1.0 / (TWO_PI * f * res.c_0)
-    return float(x) if np.ndim(f) == 0 else x
+    return 1.0 / (TWO_PI * check_frequency(f) * res.c_0)
 
 
 def motional_bandwidth(res: Resonator) -> float:

@@ -96,7 +96,7 @@ def cmd_resonator(args) -> int:
     print(f"|X_C0| / R_m   : {xc0 / res.r_m!r}")
     if args.out is not None:
         if args.f_from is None or args.f_to is None:
-            raise UserError("--out needs a sweep window (--from/--to)")
+            raise UserError("--out needs a frequency range (--from/--to)")
         resp = bvd.sweep(res, args.f_from, args.f_to, args.points, log=args.log)
         _emit(args.out, iodoc.response_csv(resp))
     return 0

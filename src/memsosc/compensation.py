@@ -11,8 +11,11 @@ oscillation.  The tuned high-Q crossing sits at the motional series
 resonance (an impedance notch of depth r_res with a steep phase slope);
 the broad LC-branch structure carries its own low-Q crossing.  The
 motional crossing exists only while the capacitive misalignment stays
-below 1/(2*r_m*w_s) - beyond that the tank susceptance exceeds what the
-motional branch can cancel and only the low-Q point remains.
+below 1/(2*r_m*w_s).  One root solve finds every crossing at any
+frequency, and one rule picks among them: the motional point is the
+crossing nearest f_s within +-2 motional bandwidths of it (capped to the
+octave around f_s); without one, the LC point, the crossing with the
+largest |Z|, governs.  NoResonanceError means no crossing exists at all.
 
 The crossings are found in closed form.  The tank admittance is always
 conductive, so the phase is zero exactly where Im Y = 0.  With
@@ -31,10 +34,11 @@ tangential root), and polished on Im Y itself with Brent's method
 
 One frequency at a time is a Python float.  The admittance is plain
 arithmetic, so a float gives a complex and an array gives an array, with
-the same bits: `_reciprocal` divides an array the way Python divides a
-complex.  The public entry points check the frequency once; from there
+the same bits: `bvd.reciprocal` divides an array the way Python divides
+a complex.  The public entry points check the frequency once; from there
 the bracket edges, sign tests, Brent polish and phase slope run in Python
-floats.  ``np.roots`` stays, the one eigenvalue solve of a search.
+floats.  ``np.roots`` stays, the one eigenvalue solve per operating point,
+and only the roots a rule asks about get polished.
 """
 
 from __future__ import annotations
@@ -50,8 +54,10 @@ from .bvd import (
     TWO_PI,
     Resonator,
     check_frequency,
+    motional_admittance,
     motional_bandwidth,
     motional_detuning,
+    reciprocal,
     series_resonance,
 )
 
@@ -61,7 +67,7 @@ class NoSolutionError(ValueError):
 
 
 class NoResonanceError(RuntimeError):
-    """No resonant operating point exists in the examined window."""
+    """The tank has no zero-phase crossing the request can run at."""
 
 
 class AlignmentWarning(UserWarning):
@@ -148,48 +154,24 @@ def shunt_inductor_for(c_total: float, f_0: float) -> float:
     return 1.0 / (w * w * c_total)
 
 
-def _reciprocal(z):
-    """1/z for a complex or a complex array, rounded as Python rounds it.
-
-    Both divide by Smith's method, but numpy multiplies by the reciprocal
-    of the denominator where Python divides by it, and the two differ in
-    the last bit about a quarter of the time.  An array takes Python's
-    steps here, so it gives the bits of one frequency at a time.  A numpy
-    scalar (a field set from an array) is divided as a Python complex too.
-    """
-    if not isinstance(z, np.ndarray):
-        return 1.0 / complex(z)
-    r, x = z.real, z.imag
-    wide = abs(r) >= abs(x)  # Smith divides through by the larger part
-    big, small = np.where(wide, r, x), np.where(wide, x, r)
-    ratio = small / big
-    denom = big + small * ratio
-    out = np.empty_like(z)  # numerators of 1 + 0j in Python's two branches
-    out.real = np.where(wide, 1.0, ratio + 0.0) / denom
-    out.imag = np.where(wide, 0.0 - ratio, -1.0) / denom
-    return out
-
-
 def _tank_admittance(res: Resonator, comp: CompensationNetwork, f):
     """Admittance of motional branch || C branch || lossy inductor.
 
     f is a checked Python float or float array.
     """
     w = TWO_PI * f
-    x_m = motional_detuning(res, f) / (w * res.c_m)
-    return (_reciprocal(res.r_m + 1j * x_m)
+    return (motional_admittance(res, f)
             + 1j * w * comp.branch_capacitance(res)
-            + _reciprocal(comp.r_l0 + 1j * w * comp.l_0))
+            + reciprocal(comp.r_l0 + 1j * w * comp.l_0))
 
 
 def _impedance(res: Resonator, comp: CompensationNetwork, f):
-    return _reciprocal(_tank_admittance(res, comp, f))
+    return reciprocal(_tank_admittance(res, comp, f))
 
 
 def tank_impedance(res: Resonator, comp: CompensationNetwork, f):
     """Complex impedance of motional branch || C branch || lossy inductor."""
-    f = check_frequency(f)
-    return _impedance(res, comp, f.item() if f.ndim == 0 else f)
+    return _impedance(res, comp, check_frequency(f))
 
 
 def tank_resonance(res: Resonator, comp: CompensationNetwork,
@@ -266,12 +248,13 @@ def _brent(fn, a: float, b: float) -> float:
         fb = fn(b)
 
 
-def _zero_phase_frequencies(res: Resonator, comp: CompensationNetwork,
-                            lo: float = 0.0, hi: float = math.inf) -> list[float]:
-    """Zero-phase crossings of the tank impedance within [lo, hi], ascending.
+def _zero_phase_roots(res: Resonator, comp: CompensationNetwork):
+    """Every zero-phase crossing of the tank impedance, as (estimates, polish).
 
-    Roots of the susceptance cubic (see the module docstring), each
-    polished on Im Y within the bracket its neighbours leave it.
+    The estimates, ascending, are the roots of the susceptance cubic (see
+    the module docstring).  polish(i) polishes crossing i on Im Y within the
+    bracket its neighbours leave it, or gives None for a tangential root;
+    only the roots a rule asks about get polished.
     """
     fs = series_resonance(res)
     ws = TWO_PI * fs
@@ -289,34 +272,29 @@ def _zero_phase_frequencies(res: Resonator, comp: CompensationNetwork,
     roots = np.roots(coeffs)
     x = sorted(float(r.real) for r in roots if r.imag == 0 and r.real > -1.0)
     f_est = [fs * math.sqrt(1.0 + v) for v in x]
-    sel = [i for i, f in enumerate(f_est) if lo <= f <= hi]
-    if not sel:
-        return []
     # Wide brackets run between neighbouring roots.  No other real root lies
     # beyond the outermost ones, so any margin over the eigenvalue error
     # closes them (the lower one keeps w > 0).  np.roots is good to ~1e-13
     # relative here, so a 1e-9 bracket around each estimate is tried first:
     # Brent then needs about 5 evaluations instead of up to 20.
     margin = 1e-3 * float(np.abs(roots).max())
-    edges = ([max(x[0] - margin, 0.5 * (x[0] - 1.0))]
-             + [0.5 * (b + a) for a, b in zip(x, x[1:])] + [x[-1] + margin])
+    edges = ([max(v - margin, 0.5 * (v - 1.0)) for v in x[:1]]
+             + [0.5 * (b + a) for a, b in zip(x, x[1:])] + [v + margin for v in x[-1:]])
     f_wide = [fs * math.sqrt(1.0 + v) for v in edges]
 
     def susceptance(f):
         return _tank_admittance(res, comp, f).imag
 
-    out = []
-    for i in sel:
+    def polish(i):
         a = max(f_wide[i], f_est[i] * (1.0 - 1e-9))
         b = min(f_wide[i + 1], f_est[i] * (1.0 + 1e-9))
         if not _opposite(susceptance(a), susceptance(b)):
             a, b = f_wide[i], f_wide[i + 1]
             if not _opposite(susceptance(a), susceptance(b)):
-                continue  # tangential root: the phase touches zero without crossing
-        f = _brent(susceptance, a, b)
-        if lo <= f <= hi:
-            out.append(f)
-    return out
+                return None  # tangential root: the phase touches zero without crossing
+        return _brent(susceptance, a, b)
+
+    return f_est, polish
 
 
 def _opposite(a: float, b: float) -> bool:
@@ -324,54 +302,55 @@ def _opposite(a: float, b: float) -> bool:
     return a < 0 < b or b < 0 < a
 
 
-def find_motional_operating_point(res: Resonator, comp: CompensationNetwork):
-    """Zero-phase crossing nearest f_s, or None once that mode has vanished.
-
-    The crossing lies within one motional bandwidth of f_s whenever it
-    exists; the search window spans +-2 bandwidths.
-    """
+def _motional_point(res, comp, f_est, polish):
     fs = series_resonance(res)
     bw = motional_bandwidth(res)
     # cap: for very low motional Q the bandwidth exceeds the octave around f_s
     lo = max(fs - 2.0 * bw, 0.5 * fs)
     hi = min(fs + 2.0 * bw, 1.5 * fs)
-    crossings = _zero_phase_frequencies(res, comp, lo, hi)
+    crossings = [f for i, est in enumerate(f_est) if lo <= est <= hi
+                 and (f := polish(i)) is not None and lo <= f <= hi]
     if not crossings:
         return None
     f = min(crossings, key=lambda x: abs(x - fs))
     return f, _impedance(res, comp, f)
 
 
-def find_lc_operating_point(res: Resonator, comp: CompensationNetwork):
-    """Zero-phase crossing of the broad LC-branch structure.
+def _lc_point(res, comp, f_est, polish):
+    points = [(f, _impedance(res, comp, f)) for f in map(polish, range(len(f_est)))
+              if f is not None]
+    if not points:
+        raise NoResonanceError(f"no zero-phase crossing at any frequency "
+                               f"(f_tank = {tank_resonance(res, comp)!r} Hz)")
+    return max(points, key=lambda point: abs(point[1]))
 
-    Among the crossings in a window around the LC resonance this is the one
-    with the largest impedance (the motional crossing, when inside the
-    window, is a notch of much lower impedance).
-    """
-    ft = tank_resonance(res, comp)
-    half = ft / max(2.0 * comp.q_l0, 4.0)
-    lo = max(ft - 4.0 * half, ft * 0.2)
-    hi = ft + 4.0 * half
-    crossings = _zero_phase_frequencies(res, comp, lo, hi)
-    if not crossings:
-        raise NoResonanceError("no resonance found in the LC sweep window")
-    return max(((f, _impedance(res, comp, f)) for f in crossings),
-               key=lambda point: abs(point[1]))
+
+def find_motional_operating_point(res: Resonator, comp: CompensationNetwork):
+    """Zero-phase crossing nearest f_s among those within +-2 motional
+    bandwidths of it (capped to the octave), or None once that mode has
+    vanished.  The crossing lies within one bandwidth when it exists."""
+    return _motional_point(res, comp, *_zero_phase_roots(res, comp))
+
+
+def find_lc_operating_point(res: Resonator, comp: CompensationNetwork):
+    """Zero-phase crossing with the largest impedance at any frequency: the
+    broad LC-branch structure's (the motional crossing is a low notch).
+    NoResonanceError only when the tank has no crossing at all."""
+    return _lc_point(res, comp, *_zero_phase_roots(res, comp))
 
 
 def find_operating_point(res: Resonator, comp: CompensationNetwork):
     """Governing operating point: (frequency, impedance, mode).
 
     The tuned high-Q motional crossing governs whenever it exists (it is
-    what the bank tuning targets); otherwise only the low-Q LC-branch
-    point remains.
+    what the bank tuning targets); otherwise the LC crossing does.  Both
+    rules pick from one root solve.
     """
-    motional = find_motional_operating_point(res, comp)
+    roots = _zero_phase_roots(res, comp)
+    motional = _motional_point(res, comp, *roots)
     if motional is not None:
         return (*motional, "motional")
-    f, z = find_lc_operating_point(res, comp)
-    return f, z, "lc_tank"
+    return (*_lc_point(res, comp, *roots), "lc_tank")
 
 
 # --- loaded quality factor ----------------------------------------------
@@ -382,7 +361,7 @@ def phase_slope_q(res: Resonator, comp: CompensationNetwork, f_0: float) -> floa
     Central difference with step halving until a halving changes the
     estimate by < 0.1%.  ValueError unless f_0 is positive and finite.
     """
-    f_0 = check_frequency(f_0).item()
+    f_0 = check_frequency(f_0)
     h = f_0 * 1e-4
     q_prev = None
     q = 0.0
@@ -409,21 +388,17 @@ def loaded_q(res: Resonator, comp: CompensationNetwork,
     """Loaded Q of the composite tank by the phase-slope method.
 
     Evaluated at a zero-phase operating point: "dominant" (the governing
-    one), "motional" (nearest f_s; raises once that mode has vanished) or
-    "lc_tank".
+    one), "motional" (nearest f_s within +-2 motional bandwidths; raises
+    once that mode has vanished) or "lc_tank" (largest |Z| at any
+    frequency).
     """
-    if mode == "dominant":
-        f_op, _, _ = find_operating_point(res, comp)
-    elif mode == "motional":
-        point = find_motional_operating_point(res, comp)
-        if point is None:
-            raise NoResonanceError("no motional-mode resonance found")
-        f_op = point[0]
-    elif mode == "lc_tank":
-        f_op = find_lc_operating_point(res, comp)[0]
-    else:
+    if mode not in ("dominant", "motional", "lc_tank"):
         raise ValueError(f"unknown mode {mode!r}")
-    return phase_slope_q(res, comp, f_op)
+    roots = _zero_phase_roots(res, comp)
+    point = None if mode == "lc_tank" else _motional_point(res, comp, *roots)
+    if point is None and mode == "motional":
+        raise NoResonanceError("no motional-mode resonance found")
+    return phase_slope_q(res, comp, (point or _lc_point(res, comp, *roots))[0])
 
 
 def loaded_q_3db(res: Resonator, comp: CompensationNetwork) -> float:

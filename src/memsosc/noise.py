@@ -20,6 +20,7 @@ import numpy as np
 from .bvd import Resonator
 from .compensation import (
     CompensationNetwork,
+    NoResonanceError,
     TankAnalysis,
     effective_resistance,
     find_operating_point,
@@ -60,7 +61,8 @@ class OscillatorOperatingPoint:
         if self.p_dc is not None and not 0 < self.p_dc < math.inf:
             raise ValueError(f"p_dc must be positive and finite, got {self.p_dc}")
         if not self.delta_f < self.f_0:
-            raise ValueError("offset must be below the carrier")
+            raise ValueError(f"offset {self.delta_f!r} Hz must be below the "
+                             f"carrier {self.f_0!r} Hz")
 
 
 @dataclass(frozen=True)
@@ -189,11 +191,16 @@ def sensitivity_sweep(res: Resonator, comp: CompensationNetwork,
     assumed to hold the tuned high-Q motional mode while that mode exists
     (the bank tuning targets it); once it vanishes only the low-Q LC-branch
     operating point remains and the prediction collapses accordingly.
-    Returns (delta_c, phase_noise_dbchz) pairs in input order.
+    NoResonanceError when a point has no crossing, or its governing one is
+    not above op.delta_f.  Returns (delta_c, phase_noise_dbchz) pairs in
+    input order.
     """
     out = []
     for dc in np.asarray(delta_c_range, dtype=float):
         shifted = replace(comp, c_fix=comp.c_fix + dc)
         f_op, _, _ = find_operating_point(res, shifted)
+        if not f_op > op.delta_f:
+            raise NoResonanceError(f"the governing crossing at {f_op!r} Hz is not "
+                                   f"above the {op.delta_f!r} Hz offset")
         out.append((float(dc), evaluate(res, shifted, replace(op, f_0=f_op)).pn))
     return out

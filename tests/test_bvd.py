@@ -18,7 +18,7 @@ from memsosc import (
     series_resonance,
     static_reactance,
 )
-from memsosc.bvd import check_frequency, motional_detuning, motional_impedance, sweep
+from memsosc.bvd import check_frequency, motional_admittance, motional_detuning, sweep
 from memsosc.fixtures import (
     BUILTIN_RESONATORS,
     PUBLISHED_FREQUENCY,
@@ -134,8 +134,17 @@ class TestImpedance:
 
     def test_series_branch_at_resonance(self, rft):
         # C0 shunting removed: motional branch alone reads r_m at f_s
-        zm = motional_impedance(rft, series_resonance(rft))
-        assert complex(zm) == pytest.approx(rft.r_m, abs=1e-9)
+        ym = motional_admittance(rft, series_resonance(rft))
+        assert 1.0 / ym == pytest.approx(rft.r_m, abs=1e-9)
+
+    def test_one_frequency_has_the_bits_of_the_array(self, rft):
+        # one Python float and the matching entry of a grid through f_s
+        fs = series_resonance(rft)
+        grid = np.linspace(0.99 * fs, 1.01 * fs, 2001)
+        zs = impedance(rft, grid)
+        singles = [impedance(rft, float(f)) for f in grid]
+        assert all(type(z) is complex for z in singles)
+        assert sum(z != zs[i] for i, z in enumerate(singles)) == 0
 
     def test_rejects_nonpositive_frequency(self, rft):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """CLI reports pinned to recorded output.
 
 `cli_golden.json` holds the exit code and stdout of every case below, as
-recorded before the noise/FoM chain moved into `noise.evaluate`.  The line
+recorded before the noise/FoM chain moved into `noise.evaluate`
+(`sweep_lc_beyond_window` was recorded later, once every zero-phase
+crossing counted).  The line
 layout must match exactly; numbers must agree to 1e-12 relative, because
 np.roots may round the last digit differently from one numpy to another.
 
@@ -71,6 +73,10 @@ CASES = {
                       "delta_c", "--from=-1f", "--to=1f", "--points", "5",
                       "--offset", "100k", "--gamma", "2", "--out", "-"),
     "compensate_f0": ("compensate", "rft30g", "--f0", "30g"),
+    # LC-governed rows; from 180 fF on the crossing lies below 0.5 f_tank
+    "sweep_lc_beyond_window": ("sweep", "rft30g", "--q-l0", "4", "--var", "delta_c",
+                               "--from=120f", "--to=200f", "--points", "5",
+                               "--out", "-"),
 }
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")

@@ -1,5 +1,7 @@
-"""memsosc needs numpy only: it imports and runs with scipy unimportable."""
+"""memsosc needs numpy only: it imports and runs with scipy unimportable.
+Inside the package, no module takes another module's `_`-prefixed name."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -43,3 +45,48 @@ def test_import_loads_no_scipy():
     proc = run_python("import sys, memsosc; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def private_names_crossing_modules(source: str) -> list[str]:
+    """`_`-prefixed names one module takes from another package module:
+    `from .x import _y`, `from . import _x`, or `x._y` on an imported module."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = "." * node.level + (node.module or "")
+        if not module.startswith((".", "memsosc")):
+            continue
+        from_package = module.strip(".") in ("", "memsosc")  # names are modules
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                found.append(f"from {module} import {alias.name}")
+            elif from_package:
+                modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_private_name_crosses_modules():
+    package = Path(memsosc.__file__).resolve().parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) >= 10
+    found = {path.name: private_names_crossing_modules(path.read_text())
+             for path in sources}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_private_name_check_sees_each_form():
+    assert private_names_crossing_modules(
+        "from .bvd import _check\nfrom . import _x\nfrom memsosc.mna import _grid\n"
+        "from . import compensation\ncompensation._brent(1)\n") == [
+        "from .bvd import _check", "from . import _x", "from memsosc.mna import _grid",
+        "compensation._brent"]
+    assert private_names_crossing_modules(
+        "from __future__ import annotations\nfrom .bvd import check\n"
+        "import numpy as np\nnp._core\n") == []

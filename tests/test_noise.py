@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from memsosc import (
     AlignmentWarning,
     CompensationNetwork,
+    NoResonanceError,
     OscillatorOperatingPoint,
     effective_resistance,
     evaluate,
@@ -44,6 +45,11 @@ class TestOperatingPointType:
 
     def test_rejects_offset_above_carrier(self):
         with pytest.raises(ValueError):
+            base_op(delta_f=31e9)
+
+    def test_offset_refusal_names_both_values(self):
+        with pytest.raises(ValueError, match=r"offset 31000000000\.0 Hz must be below "
+                                             r"the carrier 30000000000\.0 Hz"):
             base_op(delta_f=31e9)
 
     def test_gamma_zero_allowed(self):
@@ -266,3 +272,13 @@ class TestSensitivity:
                                  np.linspace(-7e-15, -2e-15, 6))
         pns = [pn for _, pn in rows]
         assert all(a >= b - 0.01 for a, b in zip(pns, pns[1:]))
+
+    def test_sweep_refuses_a_crossing_below_the_offset(self, rft):
+        # the default network at q_l0 = 4 with 200 fF more governs at 3.23 GHz
+        comp = bare_c0_network(rft, q_l0=4.0)
+        f_op, _, mode = find_operating_point(rft, replace(comp, c_fix=200e-15))
+        assert mode == "lc_tank" and f_op < 5e9
+        with pytest.raises(NoResonanceError) as info:
+            sensitivity_sweep(rft, comp, base_op(delta_f=5e9), [0.0, 200e-15])
+        assert f"{f_op!r} Hz" in str(info.value)
+        assert "5000000000.0 Hz offset" in str(info.value)
