@@ -24,7 +24,6 @@ from .compensation import (
     find_motional_operating_point,
     find_operating_point,
     loaded_q,
-    loaded_q_3db,
     motional_mode_capacitance_margin,
     phase_slope_q,
     shunt_inductor_for,

@@ -36,9 +36,10 @@ One frequency at a time is a Python float.  The admittance is plain
 arithmetic, so a float gives a complex and an array gives an array, with
 the same bits: `bvd.reciprocal` divides an array the way Python divides
 a complex.  The public entry points check the frequency once; from there
-the bracket edges, sign tests, Brent polish and phase slope run in Python
-floats.  ``np.roots`` stays, the one eigenvalue solve per operating point,
-and only the roots a rule asks about get polished.
+the bracket edges, sign tests and Brent polish run in Python floats, and
+the loaded Q is a closed form in them (see `phase_slope_q`).
+``np.roots`` stays, the one eigenvalue solve per operating point, and
+only the roots a rule asks about get polished.
 """
 
 from __future__ import annotations
@@ -356,31 +357,30 @@ def find_operating_point(res: Resonator, comp: CompensationNetwork):
 # --- loaded quality factor ----------------------------------------------
 
 def phase_slope_q(res: Resonator, comp: CompensationNetwork, f_0: float) -> float:
-    """Q of the tank impedance at f_0 from its phase slope: (f/2)*|dphi/df|.
+    """Q of the tank impedance at f_0 from its phase slope: (w/2)*|dphi/dw|.
 
-    Central difference with step halving until a halving changes the
-    estimate by < 0.1%.  ValueError unless f_0 is positive and finite.
+    Exact, from the tank admittance Y = 1/Z_m + j*w*C + 1/Z_L and its
+    derivative
+
+        Y' = j*[C - (l_m + 1/(w^2*c_m))/Z_m^2 - l_0/Z_L^2],
+
+    with Z_m = r_m + j*X_m and Z_L = r_l0 + j*w*l_0.  The phase of Z = 1/Y
+    has slope -Im(Y'/Y), so Q = (w/2)*|Im(Y'/Y)|.  X_m comes from the
+    detuning, as in the tank admittance, and l_m + 1/(w^2*c_m) is taken as
+    2*l_m - X_m/w.  ValueError unless f_0 is positive and finite and the
+    slope is finite there.
     """
     f_0 = check_frequency(f_0)
-    h = f_0 * 1e-4
-    q_prev = None
-    q = 0.0
-    while h > f_0 * 1e-13:
-        dphi = (_phase(_impedance(res, comp, f_0 + h))
-                - _phase(_impedance(res, comp, f_0 - h)))
-        dphi = (dphi + math.pi) % (2.0 * math.pi) - math.pi
-        q = 0.5 * f_0 * abs(dphi) / (2.0 * h)
-        if q_prev is not None and q > 0 and abs(q - q_prev) < 1e-3 * q:
-            return q
-        q_prev = q
-        h *= 0.5
+    w = TWO_PI * f_0
+    x_m = motional_detuning(res, f_0) / (w * res.c_m)
+    z_m = res.r_m + 1j * x_m
+    z_l = comp.r_l0 + 1j * w * comp.l_0
+    dy = 1j * (comp.branch_capacitance(res) - (2.0 * res.l_m - x_m / w) / (z_m * z_m)
+               - comp.l_0 / (z_l * z_l))
+    q = 0.5 * w * abs((dy / _tank_admittance(res, comp, f_0)).imag)
+    if not math.isfinite(q):
+        raise ValueError(f"phase slope is not finite at f_0 = {f_0!r} Hz")
     return q
-
-
-def _phase(z: complex) -> float:
-    # numpy's arctan2, as np.angle takes it: SIMD builds of numpy differ
-    # from math.atan2 in the last bit for some angles above ~1e-3 rad
-    return float(np.arctan2(z.imag, z.real))
 
 
 def loaded_q(res: Resonator, comp: CompensationNetwork,
@@ -399,49 +399,6 @@ def loaded_q(res: Resonator, comp: CompensationNetwork,
     if point is None and mode == "motional":
         raise NoResonanceError("no motional-mode resonance found")
     return phase_slope_q(res, comp, (point or _lc_point(res, comp, *roots))[0])
-
-
-def loaded_q_3db(res: Resonator, comp: CompensationNetwork) -> float:
-    """Secondary Q estimate from the half-power (-3 dB) bandwidth.
-
-    The governing operating point is a |Z| extremum: a peak for the bare
-    LC structure, a notch for a motionally loaded tank.  The bandwidth is
-    the spacing of the sqrt(2) magnitude points around that extremum
-    (down from a peak, up from a notch).  Agrees with the phase-slope
-    method on lightly loaded tanks; under heavy loading (beta well below
-    1) the notch walls are set by the unloaded motional branch and this
-    estimate reads high.
-    """
-    f_op, z_op, _ = find_operating_point(res, comp)
-    m0 = abs(z_op)
-    # peak-or-notch probe at a bandwidth-scale offset; the zero-phase point
-    # sits slightly off the magnitude extremum, so look at both sides
-    q_est = phase_slope_q(res, comp, f_op)
-    probe = f_op / (4.0 * max(q_est, 1.0))
-    m_side = 0.5 * (abs(_impedance(res, comp, f_op + probe))
-                    + abs(_impedance(res, comp, f_op - probe)))
-    is_notch = m_side > m0
-    target = m0 * math.sqrt(2.0) if is_notch else m0 / math.sqrt(2.0)
-
-    def excess(f):
-        return (abs(_impedance(res, comp, f)) - target) * (1 if is_notch else -1)
-
-    def crossing(direction: int) -> float:
-        step = f_op * 1e-9
-        f = f_op
-        while step < f_op:
-            f_next = f + direction * step
-            if f_next <= 0:
-                break
-            if excess(f_next) >= 0:
-                return _brent(excess, min(f, f_next), max(f, f_next))
-            f = f_next
-            step *= 2.0
-        raise NoResonanceError("half-power point not found")
-
-    f_lo = crossing(-1)
-    f_hi = crossing(+1)
-    return f_op / (f_hi - f_lo)
 
 
 # --- tank-level summaries ------------------------------------------------

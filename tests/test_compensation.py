@@ -19,7 +19,6 @@ from memsosc import (
     find_motional_operating_point,
     find_operating_point,
     loaded_q,
-    loaded_q_3db,
     motional_mode_capacitance_margin,
     phase,
     phase_slope_q,
@@ -35,6 +34,7 @@ from memsosc.bvd import TWO_PI, motional_bandwidth
 from memsosc.fixtures import BUILTIN_RESONATORS, get_resonator
 
 from conftest import bare_c0_network, rescale_motional_q
+from slope_reference import loaded_q_3db
 
 
 def exactly_aligned_network(res, q_l0=8.0, l_0=250e-12):
@@ -154,8 +154,8 @@ class TestTankImpedance:
 
     @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf, 0.0, -30e9])
     def test_float_path_keeps_boundary_checks(self, rft, comp_q8, f):
-        # unchecked, a NaN f_0 would leave the phase-slope loop at once
-        # with q = 0.0
+        # the closed-form slope's own finiteness check would miss these:
+        # a negative f_0 gives a negative Q and f_0 = 0 divides by zero
         with pytest.raises(ValueError, match="positive and finite"):
             tank_impedance(rft, comp_q8, f)
         with pytest.raises(ValueError, match="positive and finite"):
