@@ -1,11 +1,13 @@
 """CLI reports pinned to recorded output.
 
-`cli_golden.json` holds the exit code and stdout of every case below, as
-recorded before the noise/FoM chain moved into `noise.evaluate`
-(`sweep_lc_beyond_window` was recorded later, once every zero-phase
-crossing counted).  The line
-layout must match exactly; numbers must agree to 1e-12 relative, because
-np.roots may round the last digit differently from one numpy to another.
+`cli_golden.json` holds the exit code and stdout of every case below.
+They were first recorded before the noise/FoM chain moved into
+`noise.evaluate` (`sweep_lc_beyond_window` later, once every zero-phase
+crossing counted), and re-recorded when the loaded Q became the exact
+phase slope, which moved only the Q-derived numbers: Q_L, phase noise and
+FoM.  The line layout must match exactly; numbers must agree to 1e-12
+relative, because np.roots may round the last digit differently from one
+numpy to another.
 
 After a deliberate change to a report, regenerate the file with
 
