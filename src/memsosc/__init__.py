@@ -1,4 +1,8 @@
-"""Design toolkit for shunt-inductor compensated MEMS resonator oscillators."""
+"""Design toolkit for shunt-inductor compensated MEMS resonator oscillators.
+
+The MNA netlist engine (`memsosc.mna` and the names below taken from it)
+loads on first use, so importing the package does not import numpy.
+"""
 
 from .bvd import (
     ComplexResponse,
@@ -33,16 +37,6 @@ from .compensation import (
     zero_phase_c0,
 )
 from .design import DesignError, DesignReport, DesignSpec, run_design, size_active
-from .mna import (
-    Netlist,
-    NetlistError,
-    SingularCircuitError,
-    ac_sweep,
-    driving_point_impedance,
-    format_netlist,
-    lint_netlist,
-    parse_netlist,
-)
 from .noise import (
     Evaluation,
     NoiseBudget,
@@ -58,3 +52,28 @@ from .noise import (
 )
 
 __version__ = "0.1.0"
+
+_MNA_NAMES = frozenset({
+    "Netlist",
+    "NetlistError",
+    "SingularCircuitError",
+    "ac_sweep",
+    "driving_point_impedance",
+    "format_netlist",
+    "lint_netlist",
+    "parse_netlist",
+})
+
+
+def __getattr__(name):
+    # PEP 562: mna and its names import on first access
+    if name == "mna" or name in _MNA_NAMES:
+        import importlib
+
+        mna = importlib.import_module(".mna", __name__)
+        return mna if name == "mna" else getattr(mna, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), "mna", *_MNA_NAMES])

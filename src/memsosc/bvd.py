@@ -3,14 +3,17 @@
 A resonator is the series motional branch (r_m, l_m, c_m) shunted by the
 static transducer capacitance c_0.  All values are SI base units; the
 document loader handles engineering suffixes.
+
+One frequency is a Python float and runs in plain arithmetic, so this
+module imports numpy only inside the functions that build or take arrays
+(`ComplexResponse`, `phase`, `sweep` and the array branches).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,6 +35,10 @@ class Resonator:
                                  f"got {getattr(self, name)}")
         if not self.c_m / self.c_0 < 1:
             raise ValueError("coupling coefficient c_m/c_0 must be below unity")
+        if not 0 < self.l_m * self.c_m < math.inf:
+            raise ValueError("l_m*c_m must stay within the float range")
+        # f_s, computed once here: every admittance evaluation reads it
+        object.__setattr__(self, "_f_s", 1.0 / (TWO_PI * math.sqrt(self.l_m * self.c_m)))
 
 
 @dataclass(frozen=True)
@@ -45,6 +52,8 @@ class ComplexResponse:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         freqs = np.asarray(self.frequencies, dtype=float)
         vals = np.asarray(self.values, dtype=complex)
         if freqs.size == 0:
@@ -57,9 +66,11 @@ class ComplexResponse:
         object.__setattr__(self, "values", vals)
 
     def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
+        return abs(self.values)
 
     def phase_deg(self) -> np.ndarray:
+        import numpy as np
+
         return np.degrees(np.angle(self.values))
 
     def __len__(self) -> int:
@@ -69,12 +80,16 @@ class ComplexResponse:
 def check_frequency(f) -> float | np.ndarray:
     """One frequency as a Python float, several as a float array; raises
     ValueError unless every entry is positive and finite."""
-    f = np.asarray(f, dtype=float)
-    if f.ndim == 0:
+    if isinstance(f, (float, int)):
         # one frequency runs through Python float arithmetic from here on
-        f = f.item()
+        f = float(f)
         ok = 0 < f < math.inf
     else:
+        import numpy as np
+
+        f = np.asarray(f, dtype=float)
+        if f.ndim == 0:
+            return check_frequency(f.item())
         # a NaN entry makes min() NaN, which fails the comparison
         ok = f.size == 0 or 0 < f.min() <= f.max() < math.inf
     if not ok:
@@ -82,9 +97,27 @@ def check_frequency(f) -> float | np.ndarray:
     return f
 
 
+def finite_impedance(admittance, f):
+    """1/admittance(f) for a checked frequency f.
+
+    At one frequency so low that w*c_m underflows (below about 1e-290 Hz
+    for real resonators) the motional reactance divides by zero or
+    overflows; that raises ValueError naming f instead of returning NaN.
+    """
+    if not isinstance(f, float):
+        return reciprocal(admittance(f))
+    try:
+        z = reciprocal(admittance(f))
+    except ZeroDivisionError:
+        z = None
+    if z is None or z != z:
+        raise ValueError(f"impedance is not finite at f = {f!r} Hz")
+    return z
+
+
 def series_resonance(res: Resonator) -> float:
     """Motional series resonance 1/(2*pi*sqrt(l_m*c_m))."""
-    return 1.0 / (TWO_PI * math.sqrt(res.l_m * res.c_m))
+    return res._f_s
 
 
 def parallel_resonance(res: Resonator) -> float:
@@ -110,7 +143,7 @@ def motional_detuning(res: Resonator, f) -> float | np.ndarray:
     bandwidth on a 30 GHz carrier).  Plain arithmetic: a float gives a
     float, an array an array.
     """
-    fs = series_resonance(res)
+    fs = res._f_s
     return (f - fs) * (f + fs) / (fs * fs)
 
 
@@ -121,9 +154,14 @@ def reciprocal(z):
     of the denominator where Python divides by it, which differs in the
     last bit about a quarter of the time.  Arrays take Python's steps here,
     and a numpy scalar is divided as a Python complex, so one frequency
-    gets the bits of the matching array entry.
+    gets the bits of the matching array entry.  A Python complex, one
+    frequency's case, is divided at once; no array exists before numpy is
+    loaded, so no scalar imports it.
     """
-    if not isinstance(z, np.ndarray):
+    if type(z) is complex:
+        return 1.0 / z
+    np = sys.modules.get("numpy")
+    if np is None or not isinstance(z, np.ndarray):
         return 1.0 / complex(z)
     r, x = z.real, z.imag
     wide = abs(r) >= abs(x)  # Smith divides through by the larger part
@@ -145,8 +183,9 @@ def motional_admittance(res: Resonator, f):
 
 def impedance(res: Resonator, f) -> complex | np.ndarray:
     """Driving-point impedance of the BVD one-port (motional || static)."""
-    f = check_frequency(f)
-    return reciprocal(motional_admittance(res, f) + 1j * (TWO_PI * f) * res.c_0)
+    return finite_impedance(
+        lambda f: motional_admittance(res, f) + 1j * (TWO_PI * f) * res.c_0,
+        check_frequency(f))
 
 
 def phase(res: Resonator, f) -> float | np.ndarray:
@@ -155,6 +194,8 @@ def phase(res: Resonator, f) -> float | np.ndarray:
     Computed as the principal argument of the complex impedance; the
     two-arctangent closed form has quadrant ambiguities.
     """
+    import numpy as np
+
     p = np.degrees(np.angle(impedance(res, f)))
     return float(p) if np.ndim(f) == 0 else p
 
@@ -176,6 +217,8 @@ def sweep(res: Resonator, f_start: float, f_stop: float, points: int,
         raise ValueError("need 0 < f_start < f_stop")
     if points < 2:
         raise ValueError("need at least 2 points")
+    import numpy as np
+
     if log:
         grid = np.geomspace(f_start, f_stop, points)
     else:

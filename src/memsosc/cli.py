@@ -3,6 +3,10 @@
 Subcommands: resonator, compensate, noise, design, ac, sweep.  Every
 report prints the defaults it used so any quoted number is reproducible.
 Exit codes: 0 success, 1 user/input error, 2 design failure.
+
+numpy is imported only by the subcommands that build arrays: `ac`,
+`sweep` and `resonator --out`.  The others work one frequency at a time
+in Python floats.
 """
 
 from __future__ import annotations
@@ -13,9 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import bvd, compensation, design, iodoc, mna, noise
+from . import bvd, compensation, design, iodoc, noise
 from .engnotation import EngNotationError, format_eng, parse_eng
 
 DEFAULT_OFFSETS = (100e3, 1e6, 10e6)
@@ -187,6 +189,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_ac(args) -> int:
+    from . import mna
+
     try:
         netlist = mna.parse_netlist(Path(args.infile).read_text())
     except OSError as exc:
@@ -203,6 +207,8 @@ def cmd_ac(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
     res = _load_resonator(args)
     comp = _load_network(args, res)
     offset = args.offsets[0] if args.offsets else 1e6

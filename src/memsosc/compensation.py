@@ -26,20 +26,22 @@ x = (w/w_s)^2 - 1, A = 1/Q_m^2 = (w_s*r_m*c_m)^2 and B = (w_s*l_0)^2,
 and both denominators are positive for w > 0, so clearing them leaves a
 cubic in x whose real roots with 1 + x > 0 are the candidate crossings.
 Centring on x = 0 (the series resonance) keeps the close motional pair
-well conditioned.  The roots come from ``np.roots``.  Each one is then
-bracketed, first tightly around its estimate and otherwise between its
-neighbours, skipped when Im Y keeps its sign across the bracket (a
-tangential root), and polished on Im Y itself with Brent's method
-(Brent 1973) until the bracket is 1e-15 of the frequency wide.
+well conditioned.  Its leading coefficient C*B is positive, and the roots
+come from the closed form (see `_real_cubic_roots`), refined by Newton
+steps on the cubic.  Each one is then bracketed, first tightly around its
+estimate and otherwise between its neighbours, skipped when Im Y keeps
+its sign across the bracket (a tangential root), and polished on Im Y
+itself with Brent's method (Brent 1973) until the bracket is 1e-15 of the
+frequency wide.
 
 One frequency at a time is a Python float.  The admittance is plain
 arithmetic, so a float gives a complex and an array gives an array, with
 the same bits: `bvd.reciprocal` divides an array the way Python divides
 a complex.  The public entry points check the frequency once; from there
 the bracket edges, sign tests and Brent polish run in Python floats, and
-the loaded Q is a closed form in them (see `phase_slope_q`).
-``np.roots`` stays, the one eigenvalue solve per operating point, and
-only the roots a rule asks about get polished.
+the loaded Q is a closed form in them (see `phase_slope_q`).  One cubic
+solve serves each operating point, only the roots a rule asks about get
+polished, and none of it needs numpy.
 """
 
 from __future__ import annotations
@@ -49,12 +51,11 @@ import numbers
 import warnings
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .bvd import (
     TWO_PI,
     Resonator,
     check_frequency,
+    finite_impedance,
     motional_admittance,
     motional_bandwidth,
     motional_detuning,
@@ -171,8 +172,11 @@ def _impedance(res: Resonator, comp: CompensationNetwork, f):
 
 
 def tank_impedance(res: Resonator, comp: CompensationNetwork, f):
-    """Complex impedance of motional branch || C branch || lossy inductor."""
-    return _impedance(res, comp, check_frequency(f))
+    """Complex impedance of motional branch || C branch || lossy inductor.
+
+    ValueError unless f is positive and finite and, for one frequency, the
+    impedance is finite there."""
+    return finite_impedance(lambda f: _tank_admittance(res, comp, f), check_frequency(f))
 
 
 def tank_resonance(res: Resonator, comp: CompensationNetwork,
@@ -249,6 +253,67 @@ def _brent(fn, a: float, b: float) -> float:
         fb = fn(b)
 
 
+def _real_cubic_roots(c3: float, c2: float, c1: float, c0: float):
+    """Real roots, ascending, of c3*x^3 + c2*x^2 + c1*x + c0 with c3 > 0,
+    and the largest modulus among all three roots.
+
+    Two exact power-of-two scalings come first: x = 2^k*y with 2^k near
+    the size of the roots, and the coefficients by 2^-m with 2^m near
+    c3*2^(3k).  The cubic in y then has a leading coefficient in [0.5, 1)
+    and the others below 1, so nothing overflows or cancels to NaN however
+    large or small the input.  The closed form follows on the depressed
+    cubic t^3 + p*t + q: the trigonometric solution when it has three real
+    roots, otherwise Cardano's one real root, whose deflation leaves a
+    quadratic for the other two.  Each real root then takes Newton steps
+    on the scaled coefficients for as long as they shrink the residual.
+    """
+    lead = math.frexp(c3)[1]
+    k = max([-((lead - math.frexp(c)[1]) // n) for n, c in ((1, c2), (2, c1), (3, c0))
+             if c] or [0])  # ceil(log2 |c_n/c3| / n), the largest
+    d3 = math.ldexp(c3, -lead)
+    d2 = math.ldexp(c2, -k - lead)
+    d1 = math.ldexp(c1, -2 * k - lead)
+    d0 = math.ldexp(c0, -3 * k - lead)
+
+    def newton(y):
+        r = ((d3 * y + d2) * y + d1) * y + d0
+        for _ in range(8):
+            slope = (3.0 * d3 * y + 2.0 * d2) * y + d1
+            if not slope:
+                break
+            z = y - r / slope
+            rz = ((d3 * z + d2) * z + d1) * z + d0
+            if not abs(rz) < abs(r):
+                break
+            y, r = z, rz
+        return y
+
+    a, b, c = d2 / d3, d1 / d3, d0 / d3
+    shift = a / 3.0
+    p = b - a * shift
+    q = (2.0 * shift * shift - b) * shift + c
+    h = 0.25 * q * q + p * p * p / 27.0
+    if h < 0:  # three real roots, p < 0
+        r = math.sqrt(-p / 3.0)
+        angle = math.acos(max(-1.0, min(1.0, -0.5 * q / (r * r * r)))) / 3.0
+        ys = [newton(2.0 * r * math.cos(angle - j * TWO_PI / 3.0) - shift)
+              for j in range(3)]
+    else:
+        u = -0.5 * q - math.copysign(math.sqrt(h), q)
+        u = math.copysign(abs(u) ** (1.0 / 3.0), u)  # cube root
+        y = newton((u - p / (3.0 * u) if u else 0.0) - shift)
+        # y^2 + s*y + t = 0 holds the other two roots
+        s = a + y
+        t = b + y * s
+        disc = s * s - 4.0 * t
+        if disc < 0:
+            return [math.ldexp(y, k)], math.ldexp(max(abs(y), math.sqrt(t)), k)
+        w = -0.5 * (s + math.copysign(math.sqrt(disc), s))
+        ys = [y, newton(w), newton(t / w)] if w else [y, 0.0, 0.0]
+    ys.sort()
+    return [math.ldexp(y, k) for y in ys], math.ldexp(max(-ys[0], ys[-1]), k)
+
+
 def _zero_phase_roots(res: Resonator, comp: CompensationNetwork):
     """Every zero-phase crossing of the tank impedance, as (estimates, polish).
 
@@ -268,17 +333,18 @@ def _zero_phase_roots(res: Resonator, comp: CompensationNetwork):
               c * (e + a * b) - res.c_m * b - l_0,
               c * a * (e + b) - res.c_m * e - l_0 * a,
               a * (c * e - l_0)]
-    if not all(math.isfinite(k) for k in coeffs):
+    if not (coeffs[0] > 0 and all(math.isfinite(k) for k in coeffs)):
         raise ValueError("tank values overflow the zero-phase polynomial")
-    roots = np.roots(coeffs)
-    x = sorted(float(r.real) for r in roots if r.imag == 0 and r.real > -1.0)
+    roots, size = _real_cubic_roots(*coeffs)
+    x = [v for v in roots if v > -1.0]
     f_est = [fs * math.sqrt(1.0 + v) for v in x]
     # Wide brackets run between neighbouring roots.  No other real root lies
-    # beyond the outermost ones, so any margin over the eigenvalue error
-    # closes them (the lower one keeps w > 0).  np.roots is good to ~1e-13
-    # relative here, so a 1e-9 bracket around each estimate is tried first:
-    # Brent then needs about 5 evaluations instead of up to 20.
-    margin = 1e-3 * float(np.abs(roots).max())
+    # beyond the outermost ones, so any margin over the estimates' error
+    # closes them (the lower one keeps w > 0).  The Newton-refined estimates
+    # are good to a few units in the last place of x, so a 1e-9 bracket
+    # around each is tried first: Brent then needs about 5 evaluations
+    # instead of up to 20.
+    margin = 1e-3 * size
     edges = ([max(v - margin, 0.5 * (v - 1.0)) for v in x[:1]]
              + [0.5 * (b + a) for a, b in zip(x, x[1:])] + [v + margin for v in x[-1:]])
     f_wide = [fs * math.sqrt(1.0 + v) for v in edges]
@@ -372,12 +438,15 @@ def phase_slope_q(res: Resonator, comp: CompensationNetwork, f_0: float) -> floa
     """
     f_0 = check_frequency(f_0)
     w = TWO_PI * f_0
-    x_m = motional_detuning(res, f_0) / (w * res.c_m)
-    z_m = res.r_m + 1j * x_m
-    z_l = comp.r_l0 + 1j * w * comp.l_0
-    dy = 1j * (comp.branch_capacitance(res) - (2.0 * res.l_m - x_m / w) / (z_m * z_m)
-               - comp.l_0 / (z_l * z_l))
-    q = 0.5 * w * abs((dy / _tank_admittance(res, comp, f_0)).imag)
+    try:
+        x_m = motional_detuning(res, f_0) / (w * res.c_m)
+        z_m = res.r_m + 1j * x_m
+        z_l = comp.r_l0 + 1j * w * comp.l_0
+        dy = 1j * (comp.branch_capacitance(res) - (2.0 * res.l_m - x_m / w) / (z_m * z_m)
+                   - comp.l_0 / (z_l * z_l))
+        q = 0.5 * w * abs((dy / _tank_admittance(res, comp, f_0)).imag)
+    except ZeroDivisionError:  # w*c_m underflows at the lowest frequencies
+        q = math.nan
     if not math.isfinite(q):
         raise ValueError(f"phase slope is not finite at f_0 = {f_0!r} Hz")
     return q

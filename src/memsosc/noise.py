@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .bvd import Resonator
 from .compensation import (
     CompensationNetwork,
@@ -196,11 +194,11 @@ def sensitivity_sweep(res: Resonator, comp: CompensationNetwork,
     input order.
     """
     out = []
-    for dc in np.asarray(delta_c_range, dtype=float):
+    for dc in map(float, delta_c_range):
         shifted = replace(comp, c_fix=comp.c_fix + dc)
         f_op, _, _ = find_operating_point(res, shifted)
         if not f_op > op.delta_f:
             raise NoResonanceError(f"the governing crossing at {f_op!r} Hz is not "
                                    f"above the {op.delta_f!r} Hz offset")
-        out.append((float(dc), evaluate(res, shifted, replace(op, f_0=f_op)).pn))
+        out.append((dc, evaluate(res, shifted, replace(op, f_0=f_op)).pn))
     return out

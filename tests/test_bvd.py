@@ -50,6 +50,17 @@ class TestResonatorType:
         with pytest.raises(AttributeError):
             rft.r_m = 1.0
 
+    def test_rejects_underflowing_lc_product(self):
+        with pytest.raises(ValueError, match="l_m\\*c_m"):
+            Resonator(r_m=1.0, l_m=1e-200, c_m=1e-200, c_0=1.0)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_RESONATORS))
+    def test_series_resonance_keeps_its_bits(self, name):
+        # f_s is computed once per resonator, by the same expression
+        res = get_resonator(name)
+        for r in (res, replace(res, l_m=0.7 * res.l_m), replace(res, c_m=1.3 * res.c_m)):
+            assert series_resonance(r) == 1.0 / (2.0 * math.pi * math.sqrt(r.l_m * r.c_m))
+
 
 class TestComplexResponse:
     def test_requires_increasing_grid(self):

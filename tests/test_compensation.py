@@ -18,6 +18,7 @@ from memsosc import (
     find_lc_operating_point,
     find_motional_operating_point,
     find_operating_point,
+    impedance,
     loaded_q,
     motional_mode_capacitance_margin,
     phase,
@@ -162,6 +163,16 @@ class TestTankImpedance:
             phase_slope_q(rft, comp_q8, f)
         with pytest.raises(ValueError, match="positive and finite"):
             phase_slope_q(rft, comp_q8, np.float64(f))
+
+    @pytest.mark.parametrize("f", [1e-306, 1e-310])
+    def test_lowest_frequencies_raise_value_error(self, rft, comp_q8, f):
+        # w*c_m underflows: at 1e-310 Hz the motional reactance divided by
+        # zero, at 1e-306 Hz it overflowed and both impedances came back NaN
+        calls = (lambda: impedance(rft, f), lambda: tank_impedance(rft, comp_q8, f),
+                 lambda: phase_slope_q(rft, comp_q8, f))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"f(_0)? = {f!r} Hz"):
+                call()
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_RESONATORS))
     def test_float_path_equals_array_path_on_a_grid(self, name):

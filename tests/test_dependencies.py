@@ -1,50 +1,153 @@
-"""memsosc needs numpy only: it imports and runs with scipy unimportable.
-Inside the package, no module takes another module's `_`-prefixed name."""
+"""memsosc needs numpy only for arrays, and scipy never.
+
+It imports and runs with scipy unimportable.  `import memsosc` loads no
+numpy, and the subcommands that work one frequency at a time (resonator
+without --out, compensate, noise, design) print the same report with
+numpy unimportable.  Inside the package, no module takes another
+module's `_`-prefixed name."""
 
 import ast
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import memsosc
+from memsosc.cli import main
 
-# Blocks every scipy import, then runs one noise report (root finding,
-# phase-slope Q, budget and FoM) through the CLI entry point.
-NO_SCIPY = """
-import sys
+# Makes the named packages unimportable, then runs each argv of
+# sys.argv[1] (JSON) through the CLI entry point and prints one JSON list
+# of [exit code, stdout] and whether numpy got loaded.
+BLOCKED_RUN = """
+import contextlib, io, json, sys
 
-class NoScipy:
+BLOCKED = {blocked!r}
+
+class Blocker:
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
-            raise ImportError(f"{name} is blocked")
+        if name.split(".")[0] in BLOCKED:
+            raise ImportError(f"{{name}} is blocked")
         return None
 
-sys.meta_path.insert(0, NoScipy())
-import memsosc
+sys.meta_path.insert(0, Blocker())
 import memsosc.cli
-sys.exit(memsosc.cli.main(["noise", "rft30g", "--network", "l0_250p_q8"]))
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = memsosc.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue()])
+print(json.dumps([results, "numpy" in sys.modules]))
 """
 
+SPEC = """\
+resonator = rft30g
+target_f0 = 30g
+v_osc = 300m
+parasitic_c = 86.58f
+q_l0 = 8
+bank_unit = 1f
+bank_size = 8
+"""
 
-def run_python(code):
+# "@spec", "@partial" and "@infeasible" stand for design documents: the
+# spec above, one missing its required keys, and one no design can meet.
+SCALAR_CASES = {
+    "resonator": (["resonator", "rft30g"], 0),
+    "compensate": (["compensate", "rft30g", "--network", "l0_250p_q8"], 0),
+    "compensate_default": (["compensate", "quartz45m"], 0),
+    "noise": (["noise", "rft30g", "--network", "l0_250p_q8"], 0),
+    "noise_options": (["noise", "saw400m", "--q-l0", "20", "--offset", "10k"], 0),
+    "design": (["design", "--in", "@spec"], 0),
+    "design_doc": (["design", "--in", "@spec", "--format", "doc", "--out", "-"], 0),
+    "unknown_fixture": (["noise", "bogus_device"], 1),
+    "missing_key": (["design", "--in", "@partial"], 1),
+    "infeasible_design": (["design", "--in", "@infeasible"], 2),
+    "bad_choice": (["design", "--in", "@spec", "--format", "xml"], 2),
+}
+
+
+def run_python(code, *args):
     src = str(Path(memsosc.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
-def test_cli_runs_with_scipy_blocked():
-    proc = run_python(NO_SCIPY)
+def run_blocked(blocked, argvs):
+    proc = run_python(BLOCKED_RUN.format(blocked=blocked), json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
-    assert "FoM (physical)" in proc.stdout
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def scalar_argvs(tmp_path_factory):
+    docs = tmp_path_factory.mktemp("docs")
+    paths = {"@spec": SPEC, "@partial": "resonator = rft30g\n",
+             "@infeasible": SPEC + "bank_size = 2\nl0_grid = 1n\n"}
+    for name, text in paths.items():
+        (docs / name[1:]).write_text(text)
+    return {case: [str(docs / a[1:]) if a in paths else a for a in argv]
+            for case, (argv, _) in SCALAR_CASES.items()}
+
+
+def test_cli_runs_with_scipy_blocked():
+    results, _ = run_blocked(("scipy",), [["noise", "rft30g", "--network", "l0_250p_q8"]])
+    [[code, out]] = results
+    assert code == 0
+    assert "FoM (physical)" in out
 
 
 def test_import_loads_no_scipy():
     proc = run_python("import sys, memsosc; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_loads_no_numpy():
+    proc = run_python("import sys, memsosc; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_scalar_subcommands_run_with_numpy_blocked(scalar_argvs):
+    argvs = list(scalar_argvs.values())
+    results, numpy_loaded = run_blocked(("numpy", "scipy"), argvs)
+    assert not numpy_loaded
+    for (case, (_, want_code)), argv, (code, out) in zip(SCALAR_CASES.items(), argvs,
+                                                         results):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                unblocked = main(argv)
+            except SystemExit as exc:
+                unblocked = exc.code
+        assert (code, unblocked) == (want_code, want_code), case
+        assert out == stdout.getvalue(), case
+    assert results[0][1].startswith("# defaults")  # reports were really printed
+
+
+def test_mna_names_resolve_lazily():
+    proc = run_python(
+        "import sys, memsosc\n"
+        "before = 'memsosc.mna' in sys.modules\n"
+        "from memsosc import mna, parse_netlist, Netlist\n"
+        "print(before, memsosc.mna is mna, memsosc.parse_netlist is mna.parse_netlist,\n"
+        "      Netlist is mna.Netlist, 'parse_netlist' in dir(memsosc))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True", "True", "True"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        memsosc.no_such_name
 
 
 def private_names_crossing_modules(source: str) -> list[str]:

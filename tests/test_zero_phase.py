@@ -1,7 +1,9 @@
 """Closed-form zero-phase crossings against the grid search they replaced."""
 
 import math
+import random
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,10 +23,12 @@ from memsosc import (
     tank_impedance,
     tank_resonance,
 )
-from memsosc.compensation import _brent, _zero_phase_roots
+from memsosc import compensation
+from memsosc.compensation import _brent, _real_cubic_roots, _zero_phase_roots
 from memsosc.fixtures import BUILTIN_RESONATORS, get_resonator
 
 from conftest import bare_c0_network
+from roots_reference import reference_roots
 from grid_oracle import (
     grid_lc_crossings,
     grid_motional_crossings,
@@ -195,13 +199,115 @@ def test_no_crossing_at_any_frequency():
     assert find_motional_operating_point(res, comp) is None
 
 
+def susceptance_cubic(res, comp):
+    """Coefficients of the susceptance cubic the operating-point search solves."""
+    seen = []
+    solve = compensation._real_cubic_roots
+    with mock.patch.object(compensation, "_real_cubic_roots",
+                           lambda *c: seen.append(c) or solve(*c)):
+        _zero_phase_roots(res, comp)
+    (coeffs,) = seen
+    return coeffs
+
+
+def random_network(res, rng):
+    """A compensation network near alignment: q_l0 2-50 (log-uniform),
+    c_fix 0.5-8 c_0 and a shift of +-3 motional-mode margins."""
+    fs = series_resonance(res)
+    c_fix = rng.uniform(0.5, 8.0) * res.c_0
+    return CompensationNetwork(
+        l_0=shunt_inductor_for(res.c_0 + c_fix, fs), q_l0=math.exp(rng.uniform(0.7, 3.9)),
+        f_ref=fs, c_fix=max(c_fix + rng.uniform(-3.0, 3.0)
+                            * motional_mode_capacitance_margin(res), 0.0))
+
+
+def assert_same_roots(coeffs, rel=1e-12):
+    """The in-house solve gives np.roots' crossing count, each estimate and
+    the largest |root| to rel."""
+    roots, size = _real_cubic_roots(*coeffs)
+    x = [v for v in roots if v > -1.0]
+    want, want_size = reference_roots(coeffs)
+    assert len(x) == len(want), (coeffs, x, want)
+    assert x == pytest.approx(want, rel=rel, abs=rel * want_size)
+    assert size == pytest.approx(want_size, rel=rel)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_RESONATORS))
+def test_cubic_solve_matches_np_roots(name):
+    res = get_resonator(name)
+    fs = series_resonance(res)
+    rng = random.Random(name)
+    counts = set()
+    for _ in range(250):
+        comp = random_network(res, rng)
+        coeffs = susceptance_cubic(res, comp)
+        assert_same_roots(coeffs)
+        # the crossing estimates, as frequencies
+        want = [fs * math.sqrt(1.0 + v) for v in reference_roots(coeffs)[0]]
+        assert _zero_phase_roots(res, comp)[0] == pytest.approx(want, rel=1e-12)
+        counts.add(len(_real_cubic_roots(*coeffs)[0]))
+    assert counts == {1, 3}  # the draws reach both branches of the closed form
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+@pytest.mark.parametrize("name", sorted(BUILTIN_RESONATORS))
+def test_cubic_solve_ignores_coefficient_scale(name, scale):
+    rng = random.Random(name)
+    res = get_resonator(name)
+    for _ in range(20):
+        coeffs = susceptance_cubic(res, random_network(res, rng))
+        scaled = [scale * c for c in coeffs]
+        roots, size = _real_cubic_roots(*scaled)
+        assert all(math.isfinite(v) for v in [*roots, size])
+        assert roots == pytest.approx(_real_cubic_roots(*coeffs)[0], rel=1e-14)
+        assert_same_roots(scaled)
+
+
+@pytest.mark.parametrize("k", [-300, -100, 100, 300])
+def test_cubic_roots_scale_exactly_by_powers_of_two(k):
+    # roots 0.5, 1e-4, -3 and 2^k times them: every coefficient scales exactly
+    coeffs = np.poly([0.5, 1e-4, -3.0]).tolist()
+    roots, size = _real_cubic_roots(*coeffs)
+    scaled = [math.ldexp(c, n * k) for n, c in enumerate(coeffs)]
+    assert _real_cubic_roots(*scaled) == ([math.ldexp(v, k) for v in roots],
+                                          math.ldexp(size, k))
+    assert roots == pytest.approx([-3.0, 1e-4, 0.5], rel=1e-15)
+
+
+def test_cubic_with_one_real_root():
+    # x^3 + x + 1: one real root and a complex pair of modulus sqrt(1/root)
+    roots, size = _real_cubic_roots(1.0, 0.0, 1.0, 1.0)
+    assert roots == pytest.approx([-0.6823278038280193], rel=1e-15)
+    assert size == pytest.approx(math.sqrt(1.0 / 0.6823278038280193), rel=1e-15)
+    assert_same_roots((1.0, 0.0, 1.0, 1.0))
+    assert_same_roots((2.0, -3.0, 4.0, 5.0))
+
+
+@pytest.mark.parametrize("coeffs, simple, double", [
+    ((1.0, -1.5, 0.0, 0.5), -0.5, 1.0),  # (x - 1)^2 (x + 0.5)
+    ((3.0, -1.5, -0.75, 0.375), 0.5, -0.5),  # 3 (x + 0.5)^2 (x - 0.5)
+    ((1.0, 0.0, 0.0, 0.0), 0.0, 0.0),  # x^3
+    ((1.0, -0.75, 0.1875, -0.015625), 0.25, 0.25),  # (x - 0.25)^3
+])
+def test_cubic_with_a_repeated_root(coeffs, simple, double):
+    # a tangential root: rounding may split it into two close real roots or a
+    # complex pair, but nothing is lost, invented far away or NaN
+    roots, size = _real_cubic_roots(*coeffs)
+    assert 1 <= len(roots) <= 3
+    assert all(math.isfinite(v) for v in [*roots, size])
+    assert min(abs(v - simple) for v in roots) <= 1e-7
+    assert all(min(abs(v - simple), abs(v - double)) <= 1e-5 for v in roots)
+    assert size == pytest.approx(max(abs(simple), abs(double)), abs=1e-5)
+
+
 @pytest.mark.parametrize("shift, mode", [(0.0, "motional"), (3.0, "lc_tank")])
 def test_one_root_solve_per_operating_point(monkeypatch, shift, mode):
     res = get_resonator("rft30g")
     comp = replace(bare_c0_network(res, q_l0=8.0),
                    c_fix=shift * motional_mode_capacitance_margin(res))
     calls = []
-    solve = np.roots
-    monkeypatch.setattr(np, "roots", lambda coeffs: calls.append(1) or solve(coeffs))
+    solve = compensation._real_cubic_roots
+    monkeypatch.setattr(compensation, "_real_cubic_roots",
+                        lambda *coeffs: calls.append(1) or solve(*coeffs))
     assert find_operating_point(res, comp)[2] == mode
     assert len(calls) == 1
