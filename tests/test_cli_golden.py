@@ -6,8 +6,12 @@ They were first recorded before the noise/FoM chain moved into
 crossing counted), and re-recorded when the loaded Q became the exact
 phase slope, which moved only the Q-derived numbers: Q_L, phase noise and
 FoM.  The line layout must match exactly; numbers must agree to 1e-12
-relative, because np.roots may round the last digit differently from one
-numpy to another.
+relative, not to the last digit: each crossing is polished from its
+root estimate until the bracket is 1e-15 of the frequency wide, so where
+the susceptance changes sign over a few units in the last place the
+polished frequency depends on the starting estimate's last bits.  The
+file was recorded with np.roots estimates; the in-house cubic solve that
+replaced it moves `sweep_lc_beyond_window`'s last digits.
 
 After a deliberate change to a report, regenerate the file with
 

@@ -300,6 +300,20 @@ def test_cubic_with_a_repeated_root(coeffs, simple, double):
     assert size == pytest.approx(max(abs(simple), abs(double)), abs=1e-5)
 
 
+@pytest.mark.parametrize("coeffs", [
+    (1.0, -1.191370664987243, 0.013527238565631337, -3.858321509428623e-05),
+    (1.0, -0.6316117196968745, -0.8456732903728568, 0.5693506336015273),
+])
+def test_cubic_with_a_close_pair_past_the_acos_domain(coeffs):
+    # a close pair: the three-root test passes, yet -q/(2 r^3) rounds to
+    # just beyond +-1, which math.acos would refuse
+    roots, size = _real_cubic_roots(*coeffs)
+    want = sorted(np.roots(coeffs).real)
+    assert len(roots) == 3
+    assert roots == pytest.approx(want, abs=1e-7)
+    assert size == pytest.approx(max(map(abs, want)), rel=1e-12)
+
+
 @pytest.mark.parametrize("shift, mode", [(0.0, "motional"), (3.0, "lc_tank")])
 def test_one_root_solve_per_operating_point(monkeypatch, shift, mode):
     res = get_resonator("rft30g")
