@@ -98,14 +98,22 @@ def check_frequency(f) -> float | np.ndarray:
 
 
 def finite_impedance(admittance, f):
-    """1/admittance(f) for a checked frequency f.
+    """1/admittance(f) for a checked frequency f, one or an array.
 
-    At one frequency so low that w*c_m underflows (below about 1e-290 Hz
-    for real resonators) the motional reactance divides by zero or
-    overflows; that raises ValueError naming f instead of returning NaN.
+    At a frequency so low that w*c_m underflows (below about 1e-290 Hz for
+    real resonators) the motional reactance divides by zero or overflows;
+    that raises ValueError naming the frequency, an array's first such
+    one, instead of returning NaN.
     """
     if not isinstance(f, float):
-        return reciprocal(admittance(f))
+        import numpy as np
+
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            z = reciprocal(admittance(f))
+        bad = np.isnan(z)
+        if bad.any():
+            raise ValueError(f"impedance is not finite at f = {float(f[bad][0])!r} Hz")
+        return z
     try:
         z = reciprocal(admittance(f))
     except ZeroDivisionError:

@@ -325,9 +325,12 @@ def _zero_phase_roots(res: Resonator, comp: CompensationNetwork):
     fs = series_resonance(res)
     ws = TWO_PI * fs
     c, l_0 = comp.branch_capacitance(res), comp.l_0
-    a = (ws * res.r_m * res.c_m) ** 2
-    b = (ws * l_0) ** 2
-    e = comp.r_l0 ** 2 + b
+    # squares as x * x: an overflow gives inf, which the check below
+    # refuses, where float ** 2 raises OverflowError
+    wrc, wl = ws * res.r_m * res.c_m, ws * l_0
+    a = wrc * wrc
+    b = wl * wl
+    e = comp.r_l0 * comp.r_l0 + b
     # Im Y / w times both denominators, expanded in x
     coeffs = [c * b,
               c * (e + a * b) - res.c_m * b - l_0,

@@ -3,7 +3,7 @@
 The netlist grammar is one statement per line:
 
     <Kind><name> <nodeA> <nodeB> <value>     R/L/C element (ohm, henry, farad)
-    .ac lin|log <points> <fstart> <fstop>    sweep directive (at most 10**6 points)
+    .ac lin|log <points> <fstart> <fstop>    sweep directive
     .probe <nodeA> <nodeB>                   driving-point impedance probe
     * comment
 
@@ -17,20 +17,40 @@ matrices: conductance G, capacitance C and inverse inductance Gamma, so
 that Y(w) = G + jwC + Gamma/(jw) at every frequency.  They are bordered by
 the probe vector p, and eliminating the n node columns of
 [[Y, p], [p^T, 0]] leaves -p^T Y^-1 p, minus the probe impedance, in the
-corner.  A whole block of frequencies is eliminated together: each of the
-n steps of the partial-pivot LU (largest |entry| of the column, explicit
-row swaps) acts on every frequency of the block at once, and blocks hold
-at most a fixed number of entries, so memory stays bounded on any grid.
-`ac_sweep` passes the .ac grid and `driving_point_impedance` one
-frequency.  A frequency is singular when any of its pivots falls below
-1e-12 of its largest |Y| row sum (floored at 1e-300): the sweep returns a
-NaN there and the single-point call raises `SingularCircuitError`.
+corner.
+
+Ordering and band.  The rows follow reverse Cuthill-McKee (Cuthill and
+McKee 1969): a breadth-first search over the node graph starts from the
+probe border, taken as a vertex joined to the probe nodes, and the visit
+order is reversed, so the border comes last and every element lies within
+a small bandwidth b of the diagonal (a ladder probed at one end gets b =
+1).  Nodes with no path to the border come first, in sorted order.  The
+ordering is computed once per `Netlist`.  The matrices are stored as a
+band: row i keeps columns i - b to i + 2b, the upper half being room for
+the fill that partial pivoting can bring.  A whole block of frequencies is
+eliminated together: each of the n steps of the partial-pivot LU (largest
+|entry| among the b + 1 candidate rows of the column, explicit row swaps,
+the border row never a pivot) acts on every frequency of the block at
+once and only inside the band, so a sweep costs O(F n b^2) rather than
+O(F n^3).  Blocks hold at most a fixed number of band entries, so memory
+stays bounded on any grid; a dense matrix is the case b = n.
+
+Bounds.  `.ac` takes at most 10**6 points, and a solve at most
+MAX_SOLVE_WORK band operations, about F n (b + 1)^2 for F frequencies
+plus a fixed cost per elimination step of each block.  A netlist beyond
+that is an E_DIRECTIVE diagnostic at its .ac (else .probe) line, and
+`ac_sweep` or `driving_point_impedance` refuse one built by hand with
+ValueError.  `ac_sweep` passes the .ac grid, built once per `Netlist`,
+and `driving_point_impedance` one frequency.  A frequency is singular
+when any of its pivots falls below 1e-12 of its largest |Y| row sum
+(floored at 1e-300): the sweep returns a NaN there and the single-point
+call raises `SingularCircuitError`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -90,6 +110,10 @@ class Netlist:
     elements: tuple[Element, ...]
     ac: tuple[int, float, float, str] | None = None  # (points, start, stop, spacing)
     probe: tuple[str, str] | None = None
+    # derived on first use and kept; `dataclasses.replace` starts afresh
+    _grid: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _ordering: _Ordering | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
 
 def lint_netlist(text: str) -> list[Diagnostic]:
@@ -108,8 +132,9 @@ def parse_netlist(text: str) -> Netlist:
 def _parse(text: str):
     elements: list[Element] = []
     seen_names: set[str] = set()
-    ac = None
+    ac = grid = None
     probe = None
+    work_at = (0, 0)   # where a solve too large is reported: .ac, else .probe
     diags: list[Diagnostic] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -142,17 +167,20 @@ def _parse(text: str):
                 # not strictly increasing, are refused by building the grid
                 directive = (points, fstart, fstop, tokens[1].lower())
                 try:
-                    _ac_grid(directive)
+                    grid = _ac_grid(directive)
                 except ValueError as exc:
                     diags.append(Diagnostic(E_DIRECTIVE, lineno, col, str(exc)))
                     continue
                 ac = directive
+                work_at = (lineno, col)
             elif card == ".probe":
                 if len(tokens) != 3:
                     diags.append(Diagnostic(E_DIRECTIVE, lineno, col,
                                             ".probe wants: .probe <nodeA> <nodeB>"))
                     continue
                 probe = (tokens[1], tokens[2])
+                if ac is None:
+                    work_at = (lineno, col)
             else:
                 diags.append(Diagnostic(E_DIRECTIVE, lineno, col,
                                         f"unknown directive {tokens[0]!r}"))
@@ -186,7 +214,14 @@ def _parse(text: str):
         elements.append(Element(kind, name, tokens[1], tokens[2], value))
 
     diags.extend(_structural_diagnostics(elements, probe))
-    return Netlist(tuple(elements), ac, probe), diags
+    netlist = Netlist(tuple(elements), ac, probe)
+    object.__setattr__(netlist, "_grid", grid)
+    if probe is not None:
+        try:
+            _check_work(netlist, 1 if ac is None else ac[0])
+        except ValueError as exc:
+            diags.append(Diagnostic(E_DIRECTIVE, *work_at, str(exc)))
+    return netlist, diags
 
 
 def _structural_diagnostics(elements, probe):
@@ -240,60 +275,149 @@ def format_netlist(netlist: Netlist) -> str:
 # --- solving -------------------------------------------------------------
 
 # The LU works on blocks of frequencies holding at most this many complex
-# entries (1 MiB), so memory stays bounded whatever the grid length and a
-# block's updates stay in cache.
+# band entries (1 MiB), so memory stays bounded whatever the grid length
+# and a block's updates stay in cache.
 _BLOCK_ELEMENTS = 1 << 16
+
+# The most work one solve may take, in band operations (about a minute on
+# one core): points * n * (b + 1)**2 for n nodes of bandwidth b, plus
+# _STEP_WORK for each of the n elimination steps of every block, the fixed
+# cost of a step that dominates when few frequencies fit in a block.
+MAX_SOLVE_WORK = 10**9
+_STEP_WORK = 300
+
+
+class _Ordering(NamedTuple):
+    index: dict[str, int]
+    bandwidth: int
+
+
+def _order(netlist: Netlist) -> _Ordering:
+    """Rows of the non-ground nodes by reverse Cuthill-McKee from the probe
+    border (see the module docstring; neighbours are visited by degree,
+    then name), and the bandwidth of the bordered matrix.  Computed once
+    per `Netlist`."""
+    if netlist._ordering is not None:
+        return netlist._ordering
+    adjacency: dict[str, set[str]] = {}
+    for el in netlist.elements:
+        a, b = el.node_a, el.node_b
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
+    adjacency.pop("0", None)
+    degree = {}
+    for node, neighbours in adjacency.items():
+        neighbours.discard("0")
+        neighbours.discard(node)
+        degree[node] = len(neighbours)
+    probed = [node for node in dict.fromkeys(netlist.probe or ()) if node in adjacency]
+    # Cuthill-McKee order after the border; the list grows as the search runs
+    visited = sorted(sorted(probed), key=degree.get)
+    seen = set(visited)
+    for node in visited:
+        fresh = adjacency[node] - seen
+        seen |= fresh
+        visited += sorted(sorted(fresh), key=degree.get)
+    nodes = sorted(adjacency.keys() - seen) + visited[::-1]
+    index = {node: i for i, node in enumerate(nodes)}
+    n = len(nodes)
+    bandwidth = max((n - index[node] for node in probed), default=0)
+    for el in netlist.elements:
+        ia, ib = index.get(el.node_a), index.get(el.node_b)
+        if ia is not None and ib is not None and abs(ia - ib) > bandwidth:
+            bandwidth = abs(ia - ib)
+    ordering = _Ordering(index, bandwidth)
+    object.__setattr__(netlist, "_ordering", ordering)
+    return ordering
+
+
+def _check_work(netlist: Netlist, points: int) -> None:
+    """ValueError when solving ``points`` frequencies would take more than
+    MAX_SOLVE_WORK band operations."""
+    index, b = _order(netlist)
+    n = len(index)
+    blocks = -(-points // _block_points(n, b))
+    work = n * (points * (b + 1) ** 2 + blocks * _STEP_WORK)
+    if work > MAX_SOLVE_WORK:
+        raise ValueError(f"{points} points on {n} nodes of bandwidth {b} need "
+                         f"{work:.3g} band operations, over the limit of "
+                         f"{MAX_SOLVE_WORK:.3g}")
+
+
+def _block_points(n: int, bandwidth: int) -> int:
+    """Frequencies per block of the LU."""
+    return max(1, _BLOCK_ELEMENTS // (n * _row_stride(n, bandwidth) + n + 1))
+
+
+def _row_stride(n: int, bandwidth: int) -> int:
+    """Band storage keeps entry (i, j) of the bordered (n + 1)-square matrix
+    at i * stride + j.  Row i's band, columns i - b to i + 2b (the upper
+    half partial pivoting may fill), then never meets row i + 1's; with
+    stride n + 1 (for b > n / 3) the layout is the dense square."""
+    return min(3 * bandwidth, n + 1)
 
 
 class Stamp(NamedTuple):
     """A netlist stamped once for every frequency.
 
-    ``planes`` holds three real, symmetric (n + 1, n + 1) matrices: G, C
-    and Gamma (conductance, capacitance and inverse inductance over the n
-    non-ground nodes), each bordered by a last row and column.  G's border
-    is the probe vector p (+1 at the + probe node, -1 at the - node), the
-    others' are zero.  The bordered system at angular frequency w is
-    planes[0] + jw planes[1] + planes[2] / (jw) = [[Y(w), p], [p^T, 0]].
+    ``planes`` holds three real symmetric (n + 1)-square matrices, G, C and
+    Gamma (conductance, capacitance and inverse inductance over the n
+    non-ground nodes), each bordered by a last row and column, in band
+    storage: entry (i, j) sits at i * stride + j of a plane's row, see
+    `_row_stride`.  G's border is the probe vector p (+1 at the + probe
+    node, -1 at the - node), the others' are zero.  The bordered system at
+    angular frequency w is planes[0] + jw planes[1] + planes[2] / (jw) =
+    [[Y(w), p], [p^T, 0]].  No entry lies more than ``bandwidth`` off the
+    diagonal.
     """
 
     planes: np.ndarray
     index: dict[str, int]
+    bandwidth: int
+
+    def dense(self) -> np.ndarray:
+        """The three bordered planes as (3, n + 1, n + 1) arrays."""
+        n = len(self.index)
+        stride = _row_stride(n, self.bandwidth)
+        itemsize = self.planes.itemsize
+        skewed = np.ndarray((3, n + 1, n + 1), float, self.planes, 0,
+                            (self.planes.strides[0], stride * itemsize, itemsize))
+        i, j = np.indices((n + 1, n + 1))
+        return np.where(abs(i - j) <= self.bandwidth, skewed, 0.0)
 
 
 def stamp(netlist: Netlist) -> Stamp:
-    """The bordered G, C and Gamma planes and the node index map (non-ground
-    nodes sorted by name)."""
+    """The bordered G, C and Gamma planes in band storage, the node index
+    map (reverse Cuthill-McKee, see `_order`) and the bandwidth."""
     if netlist.probe is None:
         raise ValueError("netlist has no .probe directive")
-    nodes = sorted({n for el in netlist.elements for n in (el.node_a, el.node_b)}
-                   - {"0"})
-    index = {n: i for i, n in enumerate(nodes)}
-    n = len(nodes)
-    size = n + 1
-    area = size * size
-    buffer = bytearray(24 * area)
+    index, bandwidth = _order(netlist)
+    n = len(index)
+    stride = _row_stride(n, bandwidth)
+    length = n * stride + n + 1
+    buffer = bytearray(24 * length)
     m = memoryview(buffer).cast("d")   # the three planes, flattened
     for el in netlist.elements:
         kind = el.kind
-        base = _PLANE[kind] * area
+        base = _PLANE[kind] * length
         value = el.value if kind == "C" else 1.0 / el.value
         ia = index.get(el.node_a)
         ib = index.get(el.node_b)
         if ia is not None:
-            m[base + ia * (size + 1)] += value
+            m[base + ia * (stride + 1)] += value
         if ib is not None:
-            m[base + ib * (size + 1)] += value
+            m[base + ib * (stride + 1)] += value
         if ia is not None and ib is not None:
-            m[base + ia * size + ib] -= value
-            m[base + ib * size + ia] -= value
+            m[base + ia * stride + ib] -= value
+            m[base + ib * stride + ia] -= value
     pa, pb = netlist.probe
     for node, sign in ((pa, 1.0), (pb, -1.0)):
         if node in index:
-            m[index[node] * size + n] += sign
-            m[n * size + index[node]] += sign
+            m[index[node] * stride + n] += sign
+            m[n * stride + index[node]] += sign
         elif node != "0":
             raise ValueError(f"probe node {node!r} not in circuit")
-    return Stamp(np.ndarray((3, size, size), buffer=buffer), index)
+    return Stamp(np.ndarray((3, length), buffer=buffer), index, bandwidth)
 
 
 _PLANE = {"R": 0, "C": 1, "L": 2}
@@ -302,65 +426,90 @@ _PLANE = {"R": 0, "C": 1, "L": 2}
 def _solve(st: Stamp, omega: np.ndarray):
     """Minus the probe impedance at each angular frequency, and the singular mask.
 
-    The bordered system [[Y, p], [p^T, 0]] is formed for a block of
-    frequencies at once and its first n columns are eliminated by a
-    partial-pivot LU whose steps each act on the whole block.  That leaves
-    -p^T Y^-1 p, minus the probe impedance, in the corner, so no back
-    substitution is needed.  A point is singular when any pivot falls below
-    1e-12 of its largest |Y| row sum (floored at 1e-300).  Its elimination
-    runs on into zero pivots, infinities and NaNs, so floating-point
-    errors are silenced and its value is meaningless.
+    The bordered system [[Y, p], [p^T, 0]] is formed in band storage for a
+    block of frequencies at once and its first n columns are eliminated by
+    a banded partial-pivot LU whose steps each act on the whole block.
+    That leaves -p^T Y^-1 p, minus the probe impedance, in the corner, so
+    no back substitution is needed.  A point is singular when any pivot
+    falls below 1e-12 of its largest |Y| row sum (floored at 1e-300).  Its
+    elimination runs on into zero pivots, infinities and NaNs, so
+    floating-point errors are silenced and its value is meaningless.
     """
-    planes = st.planes
-    size = planes.shape[1]
-    n = size - 1
+    planes, b = st.planes, st.bandwidth
+    n = len(st.index)
+    size = n + 1
+    stride = _row_stride(n, b)
+    length = planes.shape[1]
+    # row i's node columns, max(0, i - b) to min(n - 1, i + b), lie at
+    # consecutive offsets; the sums between the segments are discarded
+    segments = []
+    for i in range(n):
+        row = i * stride
+        segments += (row + i - b if i > b else row, row + i + b + 1 if i + b + 1 < n else row + n)
     corner = np.empty(omega.size, dtype=complex)
-    singular = np.empty(omega.size, dtype=bool)
-    step = max(1, _BLOCK_ELEMENTS // (size * size))
+    singular = np.zeros(omega.size, dtype=bool)
+    step = _block_points(n, b)
     with np.errstate(all="ignore"):
         for lo in range(0, omega.size, step):
             w = omega[lo:lo + step]
             # Y = G + j(wC - Gamma/w), formed without BLAS: its threads
             # would contend with this one for the cores
-            a = np.empty((w.size, size, size), dtype=complex)
+            a = np.empty((w.size, length), dtype=complex)
             a.real = planes[0]
             susceptance = a.imag
             np.multiply.outer(w, planes[1], out=susceptance)
             susceptance -= np.multiply.outer(1.0 / w, planes[2])
-            row_sum = np.add.reduce(np.abs(a[:, :n, :n]), 2)
-            threshold = 1e-12 * np.maximum.reduce(row_sum, 1, initial=1e-300)
-            _eliminate(a)
-            pivots = np.abs(a.diagonal(0, 1, 2)[:, :n])
-            singular[lo:lo + step] = np.fmin.reduce(pivots, 1, initial=math.inf) < threshold
-            corner[lo:lo + step] = a[:, n, n]
+            # the matrix view: entry (i, j) of a frequency at i * stride + j
+            matrix = np.ndarray((w.size, size, size), complex, a, 0,
+                                (a.strides[0], stride * a.itemsize, a.itemsize))
+            if n:
+                row_sum = np.add.reduceat(np.abs(a), segments, 1)[:, 0::2]
+                threshold = 1e-12 * np.maximum.reduce(row_sum, 1, initial=1e-300)
+                _eliminate(matrix, b)
+                pivots = np.abs(matrix.diagonal(0, 1, 2)[:, :n])
+                singular[lo:lo + step] = np.fmin.reduce(pivots, 1) < threshold
+            corner[lo:lo + step] = matrix[:, n, n]
     return corner, singular
 
 
-def _eliminate(a: np.ndarray) -> None:
+def _eliminate(a: np.ndarray, b: int) -> None:
     """Eliminate the first n columns of each bordered system in ``a``
-    (F, n + 1, n + 1) in place, pivoting on the largest |entry| among rows
-    k..n-1 of column k with explicit row swaps; the border row is never a
-    pivot.  The diagonal is left holding the pivots; below it ``a`` holds
-    stale values."""
+    (F, n + 1, n + 1) of bandwidth b in place, pivoting on the largest
+    |entry| among rows k..k+b of column k with explicit row swaps; the
+    border row n is never a pivot.  Only the band is read or written: the
+    rows below k + b are zero in column k, and a pivot row reaches at most
+    column k + 2b.  The diagonal is left holding the pivots; below it ``a``
+    holds stale values."""
     n = a.shape[1] - 1
     for k in range(n):
-        if k < n - 1:                 # at k = n - 1 row n - 1 is the only candidate
-            p = np.abs(a[:, k:n, k]).argmax(1)
-            if np.count_nonzero(p):
+        below = k + b + 1 if k + b < n else n + 1   # rows k..below-1, border included
+        reach = k + 2 * b + 1 if k + 2 * b < n else n + 1
+        last = below if below <= n else n           # pivot candidates k..last-1
+        if last - k > 1:
+            p = np.abs(a[:, k:last, k]).argmax(1)
+            if not np.count_nonzero(p):
+                pass
+            elif p.size == 1 or (p == p[0]).all():   # one pivot row: slicing swaps it
+                i = k + int(p[0])
+                top = a[:, i, k:reach].copy()
+                a[:, i, k:reach] = a[:, k, k:reach]
+                a[:, k, k:reach] = top
+            else:
                 rows = np.arange(a.shape[0])
-                tail = a[:, k:]
+                tail = a[:, k:last, k:reach]
                 top = tail[rows, p]
                 tail[rows, p] = tail[:, 0]
                 tail[:, 0] = top
-        factors = a[:, k + 1:, k:k + 1] / a[:, k:k + 1, k:k + 1]
-        rest = a[:, k + 1:, k + 1:]
-        rest -= factors * a[:, k:k + 1, k + 1:]
+        factors = a[:, k + 1:below, k:k + 1] / a[:, k:k + 1, k:k + 1]
+        rest = a[:, k + 1:below, k + 1:reach]
+        rest -= factors * a[:, k:k + 1, k + 1:reach]
 
 
 def driving_point_impedance(netlist: Netlist, f: float) -> complex:
     """Impedance seen between the probe nodes: unit AC current in, voltage out."""
     if not 0 < f < math.inf:
         raise ValueError("frequency must be positive and finite")
+    _check_work(netlist, 1)
     corner, singular = _solve(stamp(netlist), np.array([TWO_PI * f]))
     if singular[0]:
         raise SingularCircuitError("singular MNA system (lossless resonance?)")
@@ -393,8 +542,12 @@ def ac_sweep(netlist: Netlist) -> ComplexResponse:
     """Probe impedance over the .ac grid; singular points become NaN gaps."""
     if netlist.ac is None:
         raise ValueError("netlist has no .ac directive")
-    grid = _ac_grid(netlist.ac)
+    grid = netlist._grid
+    if grid is None:
+        grid = _ac_grid(netlist.ac)
+        object.__setattr__(netlist, "_grid", grid)
+    _check_work(netlist, grid.size)
     corner, singular = _solve(stamp(netlist), TWO_PI * grid)
     values = -corner
     values[singular] = complex(math.nan, math.nan)
-    return ComplexResponse(grid, values)
+    return ComplexResponse(grid.copy(), values)

@@ -44,6 +44,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "ac", "--in", str(tmp_path / "nope.cir"))
         assert code == 1
 
+    def test_overflowing_network_is_an_input_error(self, tmp_path, capsys):
+        p = tmp_path / "net.txt"
+        p.write_text("l0 = 1e200\nq_l0 = 8\nf_ref = 30g\n")
+        code, out, err = run(capsys, "noise", "rft30g", "--network", str(p))
+        assert (code, out) == (1, "")
+        assert err == "error: tank values overflow the zero-phase polynomial\n"
+
     def test_design_failure_is_2(self, tmp_path, capsys):
         p = tmp_path / "spec.txt"
         # 1 nH grid with a 2-unit bank cannot align anything

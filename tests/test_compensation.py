@@ -174,6 +174,23 @@ class TestTankImpedance:
             with pytest.raises(ValueError, match=f"f(_0)? = {f!r} Hz"):
                 call()
 
+    @pytest.mark.parametrize("f", [1e-306, 1e-310])
+    def test_arrays_name_their_first_unresolvable_frequency(self, rft, comp_q8, f):
+        # the array path raises what one frequency raises, and warns nothing
+        grid = np.array([3e10, f, 1e-320])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (impedance, lambda r, g: tank_impedance(r, comp_q8, g)):
+                with pytest.raises(ValueError, match=f"^impedance is not finite at f = {f!r} Hz$"):
+                    call(rft, grid)
+                assert np.isfinite(call(rft, grid[:1])).all()
+
+    def test_huge_inductor_is_a_value_error(self, rft):
+        # squaring w*l_0 overflows: a ValueError, not OverflowError
+        comp = CompensationNetwork(l_0=1e200, q_l0=8.0, f_ref=30e9)
+        with pytest.raises(ValueError, match="overflow the zero-phase polynomial"):
+            find_operating_point(rft, comp)
+
     @pytest.mark.parametrize("name", sorted(BUILTIN_RESONATORS))
     def test_float_path_equals_array_path_on_a_grid(self, name):
         # includes f_s itself, where the motional reactance is exactly zero

@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -19,6 +21,7 @@ from memsosc import (
     lint_netlist,
     parse_netlist,
 )
+from memsosc import mna
 from memsosc.fixtures import get_resonator
 from memsosc.mna import (
     E_ARITY,
@@ -271,17 +274,20 @@ class TestSolving:
         nl = parse_netlist(load("good_shunt_tank.cir"))
         st = stamp(nl)
         n = len(st.index)
-        assert st.planes.shape == (3, n + 1, n + 1)
-        for plane in st.planes:          # G, C and Gamma, probe-bordered
+        planes = st.dense()
+        assert planes.shape == (3, n + 1, n + 1)
+        for plane in planes:             # G, C and Gamma, probe-bordered
             assert np.array_equal(plane, plane.T)
-        # the stamped planes rebuild the per-frequency admittance matrix
+        # the stamped planes rebuild the per-frequency admittance matrix,
+        # whose rows the reference orders by node name
         y, rhs, index = build_system(nl, 30e9)
+        assert st.index.keys() == index.keys()
+        rows = [st.index[node] for node in index]
         jw = 2j * math.pi * 30e9
-        g, c, gamma = st.planes[:, :n, :n]
+        g, c, gamma = planes[:, rows][:, :, rows]
         scale = np.abs(g) + np.abs(jw * c) + np.abs(gamma / jw)
         assert np.all(np.abs(g + jw * c + gamma / jw - y) <= 4e-16 * scale)
-        assert np.array_equal(st.planes[0, :n, n], rhs.real)
-        assert st.index == index
+        assert np.array_equal(planes[0, rows, n], rhs.real)
 
     def test_aligned_tank_sweep_single_dominant_region(self):
         nl = parse_netlist(load("good_shunt_tank.cir"))
@@ -426,3 +432,141 @@ class TestBounds:
             tracemalloc.stop()
         assert len(resp) == 20000 and not np.isnan(resp.values).any()
         assert peak < 64 * 2 ** 20
+
+
+def ladder(nodes: int, ac: str, *, rlc: bool = True, seed: int = 0) -> str:
+    """Series R (RC) or L (RLC) between nodes "1".."nodes", shunt C (and R)
+    to ground at each, probed at "1".  The names sort out of order ("1",
+    "10", "11", ..., "2"), so sorted rows would give a bandwidth near n."""
+    rng = random.Random(seed)
+    lines = []
+    for k in range(1, nodes + 1):
+        lines.append(f"C{k} {k} 0 {10 ** rng.uniform(-13, -11)!r}")
+        if rlc or k == nodes:
+            lines.append(f"RS{k} {k} 0 {10 ** rng.uniform(2, 4)!r}")
+        if k < nodes:
+            value = 10 ** rng.uniform(-9, -7) if rlc else 10 ** rng.uniform(1, 3)
+            lines.append(f"{'L' if rlc else 'R'}{k} {k} {k + 1} {value!r}")
+    return "\n".join(lines + [ac, ".probe 1 0"]) + "\n"
+
+
+# a lossless 2**-34 H || 2**-34 F trap on its own node: at w = 2**34 its
+# admittance cancels to an exact zero and the system is singular
+TRAP_W = 2.0 ** 34
+TRAP = "LT x 0 5.820766091346741e-11\nCT x 0 5.820766091346741e-11\n"
+
+
+class TestBanded:
+    def test_reverse_cuthill_mckee_order(self):
+        nl = parse_netlist(ladder(12, ".ac log 5 1meg 1g"))
+        stamped = stamp(nl)
+        # the search runs border, "1", "2", ..., "12"; reversed, "12" leads
+        assert list(stamped.index) == [str(k) for k in range(12, 0, -1)]
+        assert stamped.bandwidth == 1
+        # a node with no path to the border goes first
+        text = "L1 a 0 1\nC1 a 0 1\nR1 b 0 50\nR2 b c 10\nC2 c 0 1\n.probe b 0\n"
+        stamped = stamp(parse_netlist(text))
+        assert list(stamped.index) == ["a", "c", "b"]
+        assert stamped.bandwidth == 1
+
+    @pytest.mark.parametrize("nodes", [12, 25])
+    @pytest.mark.parametrize("rlc", [False, True])
+    def test_out_of_order_ladder_matches_reference(self, nodes, rlc):
+        f_trap = TRAP_W / (2.0 * math.pi)
+        assert 2.0 * math.pi * f_trap == TRAP_W   # construction premise
+        ac = f".ac lin 40 {f_trap / 100!r} {f_trap!r}"
+        nl = parse_netlist(ladder(nodes, ac, rlc=rlc, seed=nodes) + TRAP)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resp = ac_sweep(nl)
+        ref = reference_sweep(nl, resp.frequencies)
+        assert np.isnan(resp.values).tolist() == [False] * 39 + [True]
+        assert np.array_equal(np.isnan(resp.values), np.isnan(ref))
+        for f, z in zip(resp.frequencies[:-1], resp.values[:-1]):
+            assert _agrees(z, f, nl)
+        assert stamp(nl).bandwidth == 1
+
+    def test_long_ladder_sweeps_in_bounded_time(self):
+        # the dense LU took about 3 s for this
+        nl = parse_netlist(ladder(200, ".ac log 200 10meg 10g"))
+        start = time.perf_counter()
+        resp = ac_sweep(nl)
+        assert time.perf_counter() - start < 1.0
+        assert not np.isnan(resp.values).any()
+        for i in (0, 100, 199):
+            assert _agrees(resp.values[i], resp.frequencies[i], nl)
+
+    def test_long_ladder_memory_is_bounded(self):
+        nl = parse_netlist(ladder(200, ".ac log 20000 1meg 10g", rlc=False))
+        tracemalloc.start()
+        try:
+            resp = ac_sweep(nl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(resp) == 20000 and not np.isnan(resp.values).any()
+        assert peak < 64 * 2 ** 20
+
+    def test_over_budget_netlist_is_diagnosed(self):
+        text = ladder(1000, f".ac log {MAX_AC_POINTS} 1meg 1g")
+        ac_line = text.splitlines().index(f".ac log {MAX_AC_POINTS} 1meg 1g") + 1
+        # 1000 nodes * (10**6 points * (1 + 1)**2 + 62,500 blocks of 16 points
+        # * 300 per step) = 2.275e10
+        message = ("1000000 points on 1000 nodes of bandwidth 1 need 2.28e+10 "
+                   "band operations, over the limit of 1e+09")
+        diags = lint_netlist(text)
+        assert [(d.code, d.line, d.column, d.message) for d in diags] == [
+            (E_DIRECTIVE, ac_line, 1, message)]
+        with pytest.raises(NetlistError):
+            parse_netlist(text)
+        # built by hand, the same netlist is refused before any solving
+        nl = parse_netlist(ladder(1000, ".ac log 200 1meg 1g"))
+        with pytest.raises(ValueError) as err:
+            ac_sweep(replace(nl, ac=(MAX_AC_POINTS, 1e6, 1e9, "log")))
+        assert str(err.value) == message
+
+    def test_work_limit_without_ac_is_reported_at_the_probe(self, monkeypatch):
+        text = "R1 1 0 50\nR2 1 2 50\nR3 2 0 50\n  .probe 1 0\n"
+        nl = parse_netlist(text)
+        monkeypatch.setattr(mna, "MAX_SOLVE_WORK", 600)
+        message = ("1 points on 2 nodes of bandwidth 1 need 608 band operations, "
+                   "over the limit of 600")
+        assert [(d.code, d.line, d.column, d.message) for d in lint_netlist(text)] == [
+            (E_DIRECTIVE, 4, 3, message)]
+        with pytest.raises(ValueError) as err:
+            driving_point_impedance(nl, 1e3)
+        assert str(err.value) == message
+
+    def test_large_ladders_are_inside_the_limit(self):
+        assert lint_netlist(ladder(1000, ".ac log 200 1meg 1g")) == []
+        assert lint_netlist(ladder(200, ".ac log 20000 1meg 10g")) == []
+
+    def test_grid_and_ordering_are_built_once(self, monkeypatch):
+        counts = {"grid": 0, "ordering": 0}
+        real_grid, real_ordering = mna._ac_grid, mna._Ordering
+
+        def grid(ac):
+            counts["grid"] += 1
+            return real_grid(ac)
+
+        def ordering(*args):
+            counts["ordering"] += 1
+            return real_ordering(*args)
+
+        monkeypatch.setattr(mna, "_ac_grid", grid)
+        monkeypatch.setattr(mna, "_Ordering", ordering)
+        nl = parse_netlist(ladder(5, ".ac log 20 1meg 1g"))
+        first = ac_sweep(nl)
+        driving_point_impedance(nl, 1e8)
+        again = ac_sweep(nl)
+        assert counts == {"grid": 1, "ordering": 1}
+        assert np.array_equal(first.values, again.values)
+        # the response owns its grid: writing to it leaves the netlist's alone
+        first.frequencies[0] = 1.0
+        assert ac_sweep(nl).frequencies[0] == 1e6
+        # replace() derives afresh, and equality and hashing ignore the caches
+        moved = replace(nl, ac=(3, 1e3, 1e4, "lin"))
+        assert ac_sweep(moved).frequencies.tolist() == [1e3, 5.5e3, 1e4]
+        assert counts == {"grid": 2, "ordering": 2}
+        assert parse_netlist(format_netlist(nl)) == nl
+        assert hash(parse_netlist(format_netlist(nl))) == hash(nl)
