@@ -33,7 +33,10 @@ eliminated together: each of the n steps of the partial-pivot LU (largest
 the border row never a pivot) acts on every frequency of the block at
 once and only inside the band, so a sweep costs O(F n b^2) rather than
 O(F n^3).  Blocks hold at most a fixed number of band entries, so memory
-stays bounded on any grid; a dense matrix is the case b = n.
+stays bounded on any grid; a dense matrix is the case b = n.  A single
+frequency of a narrow band (b <= 3) is eliminated in Python complex
+arithmetic instead, with the same pivots and singular rule: there numpy's
+fixed cost per call outweighs the few updates of each step.
 
 Bounds.  `.ac` takes at most 10**6 points, and a solve at most
 MAX_SOLVE_WORK band operations, about F n (b + 1)^2 for F frequencies
@@ -286,6 +289,11 @@ _BLOCK_ELEMENTS = 1 << 16
 MAX_SOLVE_WORK = 10**9
 _STEP_WORK = 300
 
+# A single frequency whose band is at most this wide is eliminated in
+# Python complex arithmetic: numpy's fixed cost per call, several per
+# elimination step, outweighs the few updates of such a step.
+_POINT_BANDWIDTH = 3
+
 
 class _Ordering(NamedTuple):
     index: dict[str, int]
@@ -433,7 +441,10 @@ def _solve(st: Stamp, omega: np.ndarray):
     no back substitution is needed.  A point is singular when any pivot
     falls below 1e-12 of its largest |Y| row sum (floored at 1e-300).  Its
     elimination runs on into zero pivots, infinities and NaNs, so
-    floating-point errors are silenced and its value is meaningless.
+    floating-point errors are silenced and its value is meaningless.  A
+    single frequency of a band at most _POINT_BANDWIDTH wide goes to
+    `_eliminate_point`, unless its row sums overflow: such a point stays
+    with `_eliminate`, so infinities and NaNs follow numpy's rules.
     """
     planes, b = st.planes, st.bandwidth
     n = len(st.index)
@@ -465,6 +476,11 @@ def _solve(st: Stamp, omega: np.ndarray):
             if n:
                 row_sum = np.add.reduceat(np.abs(a), segments, 1)[:, 0::2]
                 threshold = 1e-12 * np.maximum.reduce(row_sum, 1, initial=1e-300)
+                if omega.size == 1 and b <= _POINT_BANDWIDTH and threshold[0] < math.inf:
+                    value = _eliminate_point(a[0].tolist(), n, b, stride, float(threshold[0]))
+                    singular[0] = value is None
+                    corner[0] = complex(math.nan, math.nan) if value is None else value
+                    continue
                 _eliminate(matrix, b)
                 pivots = np.abs(matrix.diagonal(0, 1, 2)[:, :n])
                 singular[lo:lo + step] = np.fmin.reduce(pivots, 1) < threshold
@@ -489,7 +505,7 @@ def _eliminate(a: np.ndarray, b: int) -> None:
             p = np.abs(a[:, k:last, k]).argmax(1)
             if not np.count_nonzero(p):
                 pass
-            elif p.size == 1 or (p == p[0]).all():   # one pivot row: slicing swaps it
+            elif (p == p[0]).all():       # one pivot row for the block: slicing swaps it
                 i = k + int(p[0])
                 top = a[:, i, k:reach].copy()
                 a[:, i, k:reach] = a[:, k, k:reach]
@@ -503,6 +519,40 @@ def _eliminate(a: np.ndarray, b: int) -> None:
         factors = a[:, k + 1:below, k:k + 1] / a[:, k:k + 1, k:k + 1]
         rest = a[:, k + 1:below, k + 1:reach]
         rest -= factors * a[:, k:k + 1, k + 1:reach]
+
+
+def _eliminate_point(a: list, n: int, b: int, stride: int,
+                     threshold: float) -> complex | None:
+    """`_eliminate` for one frequency, in Python complex arithmetic on the
+    band as a list (entry (i, j) at i * stride + j): the same pivot window,
+    row swaps and border row.  Returns the corner, or None as soon as a
+    pivot falls below ``threshold``.  Values can differ from `_eliminate`'s
+    in the last bits, as numpy rounds complex division differently."""
+    hypot = math.hypot
+    for k in range(n):
+        below = k + b + 1 if k + b < n else n + 1
+        reach = k + 2 * b + 1 if k + 2 * b < n else n + 1
+        last = below if below <= n else n
+        top = k * stride
+        p, best = k, hypot(a[top + k].real, a[top + k].imag)
+        for i in range(k + 1, last):
+            z = a[i * stride + k]
+            m = hypot(z.real, z.imag)
+            if m > best or m != m and best == best:    # numpy's argmax: NaN wins
+                p, best = i, m
+        if p != k:
+            row = p * stride
+            a[top + k:top + reach], a[row + k:row + reach] = (a[row + k:row + reach],
+                                                              a[top + k:top + reach])
+        if best < threshold:
+            return None
+        pivot = a[top + k]
+        for i in range(k + 1, below):
+            row = i * stride
+            factor = a[row + k] / pivot
+            for j in range(k + 1, reach):
+                a[row + j] -= factor * a[top + j]
+    return a[n * stride + n]
 
 
 def driving_point_impedance(netlist: Netlist, f: float) -> complex:

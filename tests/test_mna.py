@@ -570,3 +570,46 @@ class TestBanded:
         assert counts == {"grid": 2, "ordering": 2}
         assert parse_netlist(format_netlist(nl)) == nl
         assert hash(parse_netlist(format_netlist(nl))) == hash(nl)
+
+    def test_wide_band_point_matches_reference(self):
+        # every node joined to every other: bandwidth 5, past the Python
+        # route, so one frequency goes through the batched LU
+        lines = [f"R{i} {i} 0 {10 * i}" for i in range(1, 7)]
+        lines += [f"C{i}{j} {i} {j} {i * j}p" for i in range(1, 7) for j in range(i + 1, 7)]
+        nl = parse_netlist("\n".join(lines) + "\n.probe 1 0\n")
+        assert stamp(nl).bandwidth > mna._POINT_BANDWIDTH
+        for f in (1e6, 1e8, 1e10):
+            assert _agrees(driving_point_impedance(nl, f), f, nl)
+
+    def test_point_with_overflowing_rows_matches_sweep(self):
+        # at w = 2**20 node b's trap cancels to an exact zero pivot, and at
+        # node a w C overflows against an infinite 1/L, so a's row sum and
+        # the threshold are NaN: no point is singular by the rule and the
+        # batched LU runs on into NaN.  One frequency stays with it instead
+        # of dividing by the zero pivot in Python.
+        w = 2.0 ** 20
+        f = w / (2.0 * math.pi)
+        assert 2.0 * math.pi * f == w   # construction premise
+        nl = parse_netlist(f"C1 a 0 1e305\nL1 a 0 1e-320\nL2 b 0 {2.0 ** -20!r}\n"
+                           f"C2 b 0 {2.0 ** -20!r}\n.ac lin 2 {f!r} {2 * f!r}\n.probe a 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(ac_sweep(nl).values).all()
+            assert cmath.isnan(driving_point_impedance(nl, f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_rlc(), st.floats(min_value=1e3, max_value=1e11))
+def test_property_point_route_matches_batched(nl, f):
+    """One frequency of a narrow band is eliminated in Python complex
+    arithmetic: it finds the batched LU's singular points and agrees with
+    it to rounding elsewhere."""
+    stamped = stamp(nl)
+    assert stamped.bandwidth <= mna._POINT_BANDWIDTH
+    w = 2.0 * math.pi * f
+    (one,), (one_singular,) = mna._solve(stamped, np.array([w]))
+    batched, singular = mna._solve(stamped, np.array([w, w]))
+    assert one_singular == singular[0]
+    if not one_singular:
+        _, y, v = reference_solution(nl, f)
+        assert abs(one - batched[0]) <= max(1e-12 * abs(batched[0]), rounding_bound(y, v))
