@@ -31,14 +31,16 @@ come from the closed form (see `_real_cubic_roots`), refined by Newton
 steps on the cubic.  Each one is then bracketed, first tightly around its
 estimate and otherwise between its neighbours, skipped when Im Y keeps
 its sign across the bracket (a tangential root), and polished on Im Y
-itself with Brent's method (Brent 1973) until the bracket is 1e-15 of the
-frequency wide.
+itself: Newton steps from the estimate, with the slope from the same
+exact Y' that gives the loaded Q, and a bisection step whenever a Newton
+step would leave the bracket or stall (see `_rtsafe`), until a step is
+below 1e-15 of the frequency.
 
 One frequency at a time is a Python float.  The admittance is plain
 arithmetic, so a float gives a complex and an array gives an array, with
 the same bits: `bvd.reciprocal` divides an array the way Python divides
 a complex.  The public entry points check the frequency once; from there
-the bracket edges, sign tests and Brent polish run in Python floats, and
+the bracket edges, sign tests and Newton polish run in Python floats, and
 the loaded Q is a closed form in them (see `phase_slope_q`).  One cubic
 solve serves each operating point, only the roots a rule asks about get
 polished, and none of it needs numpy.
@@ -153,7 +155,11 @@ def shunt_inductor_for(c_total: float, f_0: float) -> float:
     if not c_total > 0 or not f_0 > 0:
         raise ValueError("c_total and f_0 must be positive")
     w = TWO_PI * f_0
-    return 1.0 / (w * w * c_total)
+    wwc = w * w * c_total
+    if not 0 < wwc < math.inf or 1.0 / wwc == math.inf:
+        raise ValueError(f"no finite inductance resonates c_total = {c_total!r} F "
+                         f"at f_0 = {f_0!r} Hz")
+    return 1.0 / wwc
 
 
 def _tank_admittance(res: Resonator, comp: CompensationNetwork, f):
@@ -165,6 +171,25 @@ def _tank_admittance(res: Resonator, comp: CompensationNetwork, f):
     return (motional_admittance(res, f)
             + 1j * w * comp.branch_capacitance(res)
             + reciprocal(comp.r_l0 + 1j * w * comp.l_0))
+
+
+def _admittance_and_slope(res: Resonator, comp: CompensationNetwork, f: float):
+    """Tank admittance Y at a checked Python float f, with the bits of
+    `_tank_admittance`, and its derivative
+
+        dY/dw = j*[C - (l_m + 1/(w^2*c_m))/Z_m^2 - l_0/Z_L^2],
+
+    with Z_m = r_m + j*X_m and Z_L = r_l0 + j*w*l_0.  X_m comes from the
+    detuning, as in the admittance, and l_m + 1/(w^2*c_m) is taken as
+    2*l_m - X_m/w.  ZeroDivisionError where w*c_m underflows.
+    """
+    w = TWO_PI * f
+    x_m = motional_detuning(res, f) / (w * res.c_m)
+    z_m = res.r_m + 1j * x_m
+    z_l = comp.r_l0 + 1j * w * comp.l_0
+    c = comp.branch_capacitance(res)
+    return (1.0 / z_m + 1j * w * c + 1.0 / z_l,
+            1j * (c - (2.0 * res.l_m - x_m / w) / (z_m * z_m) - comp.l_0 / (z_l * z_l)))
 
 
 def _impedance(res: Resonator, comp: CompensationNetwork, f):
@@ -188,11 +213,6 @@ def tank_resonance(res: Resonator, comp: CompensationNetwork,
     return 1.0 / (TWO_PI * math.sqrt(comp.l_0 * c))
 
 
-def _effective_parallel_resistance(res: Resonator, comp: CompensationNetwork) -> float:
-    q2r = comp.q_l0 * comp.q_l0 * comp.r_l0
-    return res.r_m * q2r / (res.r_m + q2r)
-
-
 def motional_mode_capacitance_margin(res: Resonator) -> float:
     """Capacitive misalignment beyond which the high-Q motional mode is lost.
 
@@ -204,53 +224,32 @@ def motional_mode_capacitance_margin(res: Resonator) -> float:
 
 # --- operating points ----------------------------------------------------
 
-# Relative width at which a bracketed root counts as polished.
+# Relative step below which a polished root counts as converged.
 _XTOL_REL = 1e-15
 
 
-def _brent(fn, a: float, b: float) -> float:
-    """Root of fn in [a, b], where fn(a) and fn(b) differ in sign.
+def _rtsafe(fn, a: float, b: float, fa: float, x: float) -> float:
+    """Root of g in [a, b], where g(a) = fa and g(b) differ in sign, from x.
 
-    Brent's method (Brent 1973, ch. 4): inverse quadratic or secant steps,
-    with a bisection step whenever those would not shrink the bracket fast
-    enough.  Returns once the bracket is _XTOL_REL * |root| wide.
+    fn(x) gives g(x) and g'(x).  Newton steps start at x inside the
+    bracket, which every evaluation shrinks; a step that would leave it, or
+    would not halve the step before last, bisects instead (rtsafe,
+    Numerical Recipes 3rd ed., section 9.4).  Returns on an exact zero or
+    once a step is below _XTOL_REL * |root|.
     """
-    fa, fb = fn(a), fn(b)
-    if fa * fb > 0:
-        raise ValueError("root is not bracketed")
-    c, fc = a, fa
-    d = e = b - a
+    step = last = b - a
     while True:
-        if (fb > 0) == (fc > 0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 0.5 * _XTOL_REL * abs(b)
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0:
-            return b
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = fn(b)
+        g, slope = fn(x)
+        if g == 0:
+            return x
+        a, b = (x, b) if (g < 0) == (fa < 0) else (a, x)
+        newton = x - g / slope if slope else math.nan
+        if not (a <= newton <= b and abs(x - newton) < 0.5 * abs(last)):
+            newton = 0.5 * (a + b)
+        last, step = step, x - newton
+        if abs(step) <= _XTOL_REL * abs(x) or newton == x:
+            return newton
+        x = newton
 
 
 def _real_cubic_roots(c3: float, c2: float, c1: float, c0: float):
@@ -345,8 +344,8 @@ def _zero_phase_roots(res: Resonator, comp: CompensationNetwork):
     # beyond the outermost ones, so any margin over the estimates' error
     # closes them (the lower one keeps w > 0).  The Newton-refined estimates
     # are good to a few units in the last place of x, so a 1e-9 bracket
-    # around each is tried first: Brent then needs about 5 evaluations
-    # instead of up to 20.
+    # around each is tried first, and the polish from the estimate inside it
+    # mostly stops after one evaluation of Y and Y'.
     margin = 1e-3 * size
     edges = ([max(v - margin, 0.5 * (v - 1.0)) for v in x[:1]]
              + [0.5 * (b + a) for a, b in zip(x, x[1:])] + [v + margin for v in x[-1:]])
@@ -355,14 +354,20 @@ def _zero_phase_roots(res: Resonator, comp: CompensationNetwork):
     def susceptance(f):
         return _tank_admittance(res, comp, f).imag
 
+    def susceptance_and_slope(f):
+        y, dy = _admittance_and_slope(res, comp, f)
+        return y.imag, TWO_PI * dy.imag  # d(Im Y)/df
+
     def polish(i):
         a = max(f_wide[i], f_est[i] * (1.0 - 1e-9))
         b = min(f_wide[i + 1], f_est[i] * (1.0 + 1e-9))
-        if not _opposite(susceptance(a), susceptance(b)):
+        fa = susceptance(a)
+        if not _opposite(fa, susceptance(b)):
             a, b = f_wide[i], f_wide[i + 1]
-            if not _opposite(susceptance(a), susceptance(b)):
+            fa = susceptance(a)
+            if not _opposite(fa, susceptance(b)):
                 return None  # tangential root: the phase touches zero without crossing
-        return _brent(susceptance, a, b)
+        return _rtsafe(susceptance_and_slope, a, b, fa, f_est[i])
 
     return f_est, polish
 
@@ -428,26 +433,14 @@ def find_operating_point(res: Resonator, comp: CompensationNetwork):
 def phase_slope_q(res: Resonator, comp: CompensationNetwork, f_0: float) -> float:
     """Q of the tank impedance at f_0 from its phase slope: (w/2)*|dphi/dw|.
 
-    Exact, from the tank admittance Y = 1/Z_m + j*w*C + 1/Z_L and its
-    derivative
-
-        Y' = j*[C - (l_m + 1/(w^2*c_m))/Z_m^2 - l_0/Z_L^2],
-
-    with Z_m = r_m + j*X_m and Z_L = r_l0 + j*w*l_0.  The phase of Z = 1/Y
-    has slope -Im(Y'/Y), so Q = (w/2)*|Im(Y'/Y)|.  X_m comes from the
-    detuning, as in the tank admittance, and l_m + 1/(w^2*c_m) is taken as
-    2*l_m - X_m/w.  ValueError unless f_0 is positive and finite and the
-    slope is finite there.
+    Exact: the phase of Z = 1/Y has slope -Im(Y'/Y), so Q = (w/2)*|Im(Y'/Y)|,
+    with Y and Y' = dY/dw from `_admittance_and_slope`.  ValueError unless
+    f_0 is positive and finite and the slope is finite there.
     """
     f_0 = check_frequency(f_0)
-    w = TWO_PI * f_0
     try:
-        x_m = motional_detuning(res, f_0) / (w * res.c_m)
-        z_m = res.r_m + 1j * x_m
-        z_l = comp.r_l0 + 1j * w * comp.l_0
-        dy = 1j * (comp.branch_capacitance(res) - (2.0 * res.l_m - x_m / w) / (z_m * z_m)
-                   - comp.l_0 / (z_l * z_l))
-        q = 0.5 * w * abs((dy / _tank_admittance(res, comp, f_0)).imag)
+        y, dy = _admittance_and_slope(res, comp, f_0)
+        q = 0.5 * TWO_PI * f_0 * abs((dy / y).imag)
     except ZeroDivisionError:  # w*c_m underflows at the lowest frequencies
         q = math.nan
     if not math.isfinite(q):
@@ -476,8 +469,13 @@ def loaded_q(res: Resonator, comp: CompensationNetwork,
 # --- tank-level summaries ------------------------------------------------
 
 def effective_resistance(res: Resonator, comp: CompensationNetwork) -> TankAnalysis:
-    """Resistance-division summary: r_res = r_m || (q_l0^2 * r_l0) and beta."""
-    r_res = _effective_parallel_resistance(res, comp)
+    """Resistance-division summary: r_res = r_m || (q_l0^2 * r_l0) and beta;
+    ValueError when r_res is out of floating-point range."""
+    q2r = comp.q_l0 * comp.q_l0 * comp.r_l0
+    r_res = res.r_m * q2r / (res.r_m + q2r)
+    if not 0 < r_res < math.inf:
+        raise ValueError(f"r_res = r_m || q_l0^2*r_l0 is out of floating-point range "
+                         f"for q_l0 = {comp.q_l0!r} and l_0 = {comp.l_0!r} H")
     fs = series_resonance(res)
     ft = tank_resonance(res, comp)
     aligned = abs(ft - fs) <= 0.5 * motional_bandwidth(res)

@@ -14,7 +14,9 @@ import numpy as np
 
 from memsosc import NoResonanceError, find_operating_point, phase_slope_q
 from memsosc.bvd import check_frequency
-from memsosc.compensation import _brent, _impedance
+from memsosc.compensation import _impedance
+
+from brent_reference import _brent
 
 
 def step_halving_q(res, comp, f_0):

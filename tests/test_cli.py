@@ -95,6 +95,52 @@ class TestExitCodes:
         assert code == 1
 
 
+# Inputs whose derived quantities over- or underflow: each ends in an error
+# line that names the input, where the noise chain once raised
+# ZeroDivisionError, OverflowError, "math domain error" or a NaN p_dc.
+NOISE_CHAIN_REFUSALS = {
+    "compensate fbar2g4 --f0 1e-300":
+        "no finite inductance resonates c_total = 1.29e-12 F at f_0 = 1e-300 Hz",
+    "noise fbar2g4 --q-l0 0.3 --vosc 1e-310":
+        "v_osc = 1e-310 V puts the signal power v_osc^2/(2*r_res) out of "
+        "floating-point range",
+    "noise saw400m --network l0_250p_q8 --vosc 1e200 --offset 1e-310 --temp 1e30 "
+    "--gmbias 1e300":
+        "v_osc = 1e+200 V puts the signal power v_osc^2/(2*r_res) out of "
+        "floating-point range",
+    "noise rft30g --network l0_250p_q8 --vosc 1e200":
+        "v_osc = 1e+200 V puts the signal power v_osc^2/(2*r_res) out of "
+        "floating-point range",
+    "noise quartz45m --q-l0 1e300 --gamma 1e3 --temp 5e9":
+        "r_res = r_m || q_l0^2*r_l0 is out of floating-point range for "
+        "q_l0 = 1e+300 and l_0 = 3.1845e-06 H",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(NOISE_CHAIN_REFUSALS))
+def test_noise_chain_refusal_names_the_input(argv, capsys):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (1, f"error: {NOISE_CHAIN_REFUSALS[argv]}\n")
+    assert out == "" or argv.startswith("compensate")
+
+
+def test_noise_factor_overflow_names_gamma_and_gmbias(capsys):
+    code, out, err = run(capsys, "noise", "saw400m", "--network", "l0_250p_q8",
+                         "--gamma", "1e300", "--gmbias", "5e9")
+    assert (code, out) == (1, "")
+    assert err == ("error: the noise factor is not finite for gamma = 1e+300 "
+                   "and g_mbias = 5000000000.0 S\n")
+
+
+def test_tiny_offset_gives_finite_figures(capsys):
+    # f_0/delta_f overflows as a ratio but not as a difference of logs
+    code, out, _ = run(capsys, "noise", "rft30g", "--offset", "1e-310")
+    assert code == 0
+    figures = [float(line.split(":")[1].split()[0]) for line in out.splitlines()
+               if line.startswith(("PN @", "FoM"))]
+    assert len(figures) == 4 and all(map(math.isfinite, figures))
+
+
 class TestResonatorReport:
     def test_rft_ratio_near_unity(self, capsys):
         code, out, _ = run(capsys, "resonator", "rft30g")

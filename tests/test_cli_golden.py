@@ -6,12 +6,15 @@ They were first recorded before the noise/FoM chain moved into
 crossing counted), and re-recorded when the loaded Q became the exact
 phase slope, which moved only the Q-derived numbers: Q_L, phase noise and
 FoM.  The line layout must match exactly; numbers must agree to 1e-12
-relative, not to the last digit: each crossing is polished from its
-root estimate until the bracket is 1e-15 of the frequency wide, so where
-the susceptance changes sign over a few units in the last place the
-polished frequency depends on the starting estimate's last bits.  The
-file was recorded with np.roots estimates; the in-house cubic solve that
-replaced it moves `sweep_lc_beyond_window`'s last digits.
+relative, not to the last digit: each crossing is polished by Newton
+steps on the susceptance, kept inside a sign-change bracket by bisection,
+from its root estimate until a step is below 1e-15 of the frequency, so
+where the susceptance is flat to rounding over a few units in the last
+place the polished frequency depends on the estimate's last bits and on
+the polish.  The file was recorded with np.roots estimates, a Brent
+polish and phase noise and FoM as logs of linear products; the in-house
+cubic solve, the Newton polish and the sums of logs that replaced them
+move the last digits of some numbers.
 
 After a deliberate change to a report, regenerate the file with
 

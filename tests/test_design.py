@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,14 @@ def rft_spec(res, **overrides):
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("v_osc", [1e-300, 1e300])
+    def test_signal_power_out_of_range_names_v_osc(self, rft, v_osc):
+        # v_osc^2 under- or overflows; once a ZeroDivisionError or a "math
+        # domain error" from the noise chain
+        with pytest.raises(ValueError, match=re.escape(f"v_osc = {v_osc!r} V puts the "
+                                                       f"signal power")):
+            run_design(rft_spec(rft, v_osc_target=v_osc))
+
     def test_rejects_unreachable_target(self, rft):
         with pytest.raises(ValueError):
             rft_spec(rft, target_f0=10e9)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -93,6 +94,19 @@ class TestLeeson:
         with pytest.raises(ValueError):
             leeson_phase_noise(rft, 0.0, base_op())
 
+    @pytest.mark.parametrize("v_osc", [1e-310, 1e200])
+    def test_signal_amplitude_in_db_algebra(self, rft, v_osc):
+        # v_osc^2 under- or overflows, its log does not
+        pn = leeson_phase_noise(rft, 1e4, base_op(v_osc=v_osc))
+        want = (leeson_phase_noise(rft, 1e4, base_op())
+                - 20.0 * (math.log10(v_osc) - math.log10(0.3)))
+        assert pn == pytest.approx(want, rel=1e-13)
+
+    def test_rejects_infinite_noise_factor(self, rft):
+        with pytest.raises(ValueError, match="noise_factor must be positive and finite, "
+                                             "got inf"):
+            leeson_phase_noise(rft, 1e4, base_op(), noise_factor=math.inf)
+
 
 class TestNoiseFactor:
     def test_worked_example(self):
@@ -119,6 +133,11 @@ class TestNoiseFactor:
         expected = noise_factor_from(tank.beta, comp_q8.r_l0, rft.r_m,
                                      1.0, 2.0 / tank.r_res)
         assert b.f_min == pytest.approx(expected.f_min, rel=1e-12)
+
+    def test_overflow_names_gamma_and_gmbias(self):
+        with pytest.raises(ValueError, match=r"the noise factor is not finite for "
+                                             r"gamma = 1e\+300 and g_mbias = 1e\+300 S"):
+            noise_factor_from(0.6, 4.8, 332.0, 1e300, 1e300)
 
     def test_strictly_increasing_components(self):
         ref = noise_factor_from(0.5, 4.0, 332.0, 1.0, 0.01).f_min
@@ -164,6 +183,17 @@ class TestFomForms:
     def test_rejects_bad_eta(self):
         with pytest.raises(ValueError):
             fom_physical(1e4, 0.6, 1.5, 2.0)
+
+    def test_physical_in_db_algebra(self):
+        # Q_L^2 overflows and eta * beta underflows as a product; their logs
+        # do not
+        got = fom_physical(1e200, 1e-200, 1e-200, 1.0)
+        assert got == pytest.approx(fom_physical(1.0, 1.0, 1.0, 1.0), rel=1e-13)
+
+    def test_from_measurement_in_db_algebra(self):
+        # f_0/delta_f overflows as a ratio
+        got = fom_from_measurement(-132.0, 1e300, 1e-100, 1e300)
+        assert got == pytest.approx(132.0 + 20.0 * 400.0 - 10.0 * 303.0, rel=1e-13)
 
 
 @settings(max_examples=200, deadline=None)
@@ -213,6 +243,19 @@ class TestEvaluate:
         with pytest.raises(AttributeError):
             ev.pn = 0.0
 
+    def test_signal_power_out_of_range_names_v_osc(self, rft, comp_q8):
+        f_op, _, _ = find_operating_point(rft, comp_q8)
+        for v_osc in (1e-310, 1e200):
+            with pytest.raises(ValueError, match=re.escape(f"v_osc = {v_osc!r} V puts "
+                                                           f"the signal power")):
+                evaluate(rft, comp_q8, base_op(f_0=f_op, v_osc=v_osc, p_dc=1e-3))
+
+    def test_r_res_out_of_range_names_q_l0(self, quartz):
+        comp = bare_c0_network(quartz, q_l0=1e300)
+        with pytest.raises(ValueError, match=r"r_res = r_m \|\| q_l0\^2\*r_l0 is out of "
+                                             r"floating-point range for q_l0 = 1e\+300"):
+            effective_resistance(quartz, comp)
+
     def test_sensitivity_rows_are_evaluations(self, rft, comp_q8):
         # the last delta leaves only the LC-branch point
         deltas = [-6e-15, 0.0, 6e-15, 3.0 * motional_mode_capacitance_margin(rft)]
@@ -224,6 +267,33 @@ class TestEvaluate:
             modes.append(mode)
             assert (dc, pn) == (delta, evaluate(rft, shifted, base_op(f_0=f_op)).pn)
         assert modes == ["motional"] * 3 + ["lc_tank"]
+
+    def test_sweep_rows_bit_for_bit_at_the_mode_edge(self, rft, comp_q8):
+        # the last delta at which the motional mode still governs, found by
+        # bisection, between one well inside it and one beyond it
+        margin = motional_mode_capacitance_margin(rft)
+
+        def mode(delta):
+            return find_operating_point(rft, replace(comp_q8, c_fix=comp_q8.c_fix + delta))[2]
+
+        inside, beyond = 0.0, 3.0 * margin
+        for _ in range(60):
+            mid = 0.5 * (inside + beyond)
+            if mode(mid) == "motional":
+                inside = mid
+            else:
+                beyond = mid
+        deltas = [0.0, inside, 3.0 * margin]
+        assert [mode(d) for d in deltas] == ["motional", "motional", "lc_tank"]
+        op = base_op(p_dc=2e-3)
+        for dc, pn in sensitivity_sweep(rft, comp_q8, op, deltas):
+            shifted = replace(comp_q8, c_fix=comp_q8.c_fix + dc)
+            f_op, _, _ = find_operating_point(rft, shifted)
+            assert pn == evaluate(rft, shifted, replace(op, f_0=f_op)).pn
+
+    def test_sweep_keeps_the_network_validation(self, rft, comp_q8):
+        with pytest.raises(ValueError, match="capacitances must be non-negative and finite"):
+            sensitivity_sweep(rft, comp_q8, base_op(), [0.0, -2.0 * comp_q8.c_fix])
 
 
 class TestSensitivity:

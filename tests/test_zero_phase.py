@@ -1,7 +1,10 @@
-"""Closed-form zero-phase crossings against the grid search they replaced."""
+"""Closed-form zero-phase crossings against the grid search they replaced,
+and their Newton polish against the Brent polish it replaced."""
 
+import contextlib
 import math
 import random
+import statistics
 from dataclasses import replace
 from unittest import mock
 
@@ -23,11 +26,13 @@ from memsosc import (
     tank_impedance,
     tank_resonance,
 )
-from memsosc import compensation
-from memsosc.compensation import _brent, _real_cubic_roots, _zero_phase_roots
+from memsosc import compensation, design
+from memsosc.bvd import TWO_PI
+from memsosc.compensation import _real_cubic_roots, _rtsafe, _zero_phase_roots
 from memsosc.fixtures import BUILTIN_RESONATORS, get_resonator
 
 from conftest import bare_c0_network
+from brent_reference import _brent, brent_polish
 from roots_reference import reference_roots
 from grid_oracle import (
     grid_lc_crossings,
@@ -93,6 +98,166 @@ def test_brent_polishes_to_float_resolution():
     assert _brent(lambda x: x - 3.0, 3.0, 5.0) == 3.0
     with pytest.raises(ValueError):
         _brent(lambda x: x * x + 1.0, 0.0, 1.0)
+
+
+def test_rtsafe_polishes_to_float_resolution():
+    def square(x):
+        return x * x - 2.0, 2.0 * x
+
+    root = _rtsafe(square, 1.0, 2.0, -1.0, 1.9)
+    assert abs(root - math.sqrt(2.0)) <= 1e-15 * math.sqrt(2.0)
+    assert _rtsafe(lambda x: (x - 3.0, 1.0), 2.0, 5.0, -1.0, 3.0) == 3.0
+    # where the slope is zero, or a Newton step would leave the bracket or
+    # not shrink, a bisection step takes its place, and the root is found
+    calls = []
+
+    def bisected(fn, x):
+        calls.clear()
+        root = _rtsafe(lambda x: calls.append(x) or fn(x), 2.0, 5.0, -1.0, x)
+        assert root == pytest.approx(3.0, rel=2e-15)
+        return len(calls)
+
+    assert bisected(lambda x: (x - 3.0, 0.0), 4.0) <= 54
+    assert bisected(lambda x: (math.atan(x - 3.0), 1.0 / (1.0 + (x - 3.0) ** 2)), 4.9) <= 8
+
+    def cube_root(x):  # each Newton step overshoots to twice the distance
+        d = x - 3.0
+        slope = abs(d) ** (-2.0 / 3.0) / 3.0 if d else math.inf
+        return math.copysign(abs(d) ** (1.0 / 3.0), d), slope
+
+    assert bisected(cube_root, 3.1) <= 64
+
+
+def design_space_network(res, rng):
+    """A tank drawn as the design_space benchmark draws its sweeps: c_fix
+    0.5-8 c_0 and q_l0 2-20 (both log-uniform), then shifted by up to +-3
+    motional-mode margins (c_fix clipped at zero)."""
+    fs = series_resonance(res)
+    c_fix = res.c_0 * 0.5 * 16.0 ** rng.random()
+    return CompensationNetwork(
+        l_0=shunt_inductor_for(res.c_0 + c_fix, fs), q_l0=2.0 * 10.0 ** rng.random(),
+        f_ref=fs, c_fix=max(c_fix + rng.uniform(-3.0, 3.0)
+                            * motional_mode_capacitance_margin(res), 0.0))
+
+
+def polished(res, comp):
+    """Every root estimate polished (None when tangential), and the
+    governing mode or the refusal's message."""
+    f_est, polish = _zero_phase_roots(res, comp)
+    try:
+        mode = find_operating_point(res, comp)[2]
+    except NoResonanceError as exc:
+        mode = str(exc)
+    return [polish(i) for i in range(len(f_est))], mode
+
+
+def on_a_sign_change(res, comp, f, ulps=4):
+    """Im Y is zero at f, or is <= 0 and >= 0 within ulps units in the last
+    place of f."""
+    def susceptance(x):
+        return compensation._tank_admittance(res, comp, x).imag
+
+    values = [susceptance(f)]
+    lo = hi = f
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+        values += [susceptance(lo), susceptance(hi)]
+    return values[0] == 0 or min(values) <= 0.0 <= max(values)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_RESONATORS))
+def test_newton_polish_against_brent(name):
+    # Same crossings, tangential decisions, modes and refusals as the Brent
+    # polish; each root on a sign change of Im Y.  The roots themselves may
+    # differ where Im Y is flat to rounding over several ulp.
+    res = get_resonator(name)
+    rng = random.Random(name)
+    roots = 0
+    for _ in range(1000):
+        comp = design_space_network(res, rng)
+        newton, mode = polished(res, comp)
+        with mock.patch.object(compensation, "_rtsafe", brent_polish):
+            brent, brent_mode = polished(res, comp)
+        assert [f is None for f in newton] == [f is None for f in brent], comp
+        assert mode == brent_mode, comp
+        for f in filter(None, newton):
+            roots += 1
+            assert on_a_sign_change(res, comp, f), (comp, f)
+    assert roots > 1000
+
+
+def design_space_spec(res, rng):
+    """A design spec drawn as the design_space benchmark draws them."""
+    fs = series_resonance(res)
+    parasitic = res.c_0 * 0.5 * 16.0 ** rng.random()
+    c_base = res.c_0 + parasitic + 10e-15
+    grid_frac = 10.0 ** (-1.0 - 3.0 * rng.random())
+    level = 13.0 * rng.random() - 1.0
+    bank_size = 0 if level < 0 else round(2.0 ** level)
+    return design.DesignSpec(
+        resonator=res, target_f0=fs * rng.uniform(0.99, 1.01), v_osc_target=0.3,
+        parasitic_c=parasitic, q_l0_available=2.0 * 10.0 ** rng.random(),
+        bank_unit=c_base * grid_frac * 0.3 * (4.0 / 0.3) ** rng.random()
+        / max(bank_size, 1),
+        bank_size=bank_size, l0_grid_step=grid_frac / ((TWO_PI * fs) ** 2 * c_base))
+
+
+def design_outcome(spec):
+    try:
+        return design.run_design(spec).bank_code
+    except design.DesignError as exc:
+        return str(exc)
+
+
+def test_newton_polish_refuses_the_designs_brent_refused():
+    refusals = set()
+    for name in sorted(BUILTIN_RESONATORS):
+        rng = random.Random(name)
+        res = get_resonator(name)
+        for _ in range(300):
+            spec = design_space_spec(res, rng)
+            got = design_outcome(spec)
+            with mock.patch.object(compensation, "_rtsafe", brent_polish):
+                assert got == design_outcome(spec), spec
+            if isinstance(got, str):
+                refusals.add(got.split(":")[0])
+    # the draws reach the refusal that depends on the polish
+    assert "high-Q motional operating point not found after tuning" in refusals
+
+
+# The most evaluations one polished crossing took on the draws below: two
+# or four for the sign tests, the rest Newton or bisection steps (Brent's
+# polish took up to 11).
+MAX_EVALUATIONS_PER_CROSSING = 7
+
+
+def test_polish_work_is_bounded(monkeypatch):
+    # Admittance evaluations (Y alone, or Y with Y') per operating point and
+    # per polished crossing.  Brent's polish took 7.9 per operating point on
+    # these draws, Newton 4.3: from the cubic estimate it mostly needs one Y
+    # and Y' after the two sign tests.
+    calls = []
+    for helper in ("_tank_admittance", "_admittance_and_slope"):
+        wrapped = getattr(compensation, helper)
+        monkeypatch.setattr(compensation, helper,
+                            lambda *args, wrapped=wrapped: calls.append(1) or wrapped(*args))
+    per_point, per_crossing = [], []
+    for name in sorted(BUILTIN_RESONATORS):
+        rng = random.Random(name)
+        res = get_resonator(name)
+        for _ in range(250):
+            comp = design_space_network(res, rng)
+            calls.clear()
+            with contextlib.suppress(NoResonanceError):
+                find_operating_point(res, comp)
+            per_point.append(len(calls))
+            f_est, polish = _zero_phase_roots(res, comp)
+            for i in range(len(f_est)):
+                calls.clear()
+                polish(i)
+                per_crossing.append(len(calls))
+    assert statistics.mean(per_point) <= 6.0
+    assert max(per_crossing) <= MAX_EVALUATIONS_PER_CROSSING
 
 
 @settings(max_examples=200, deadline=None)
