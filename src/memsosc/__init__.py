@@ -24,10 +24,7 @@ from .compensation import (
     TankAnalysis,
     analyze_tank,
     effective_resistance,
-    find_lc_operating_point,
-    find_motional_operating_point,
     find_operating_point,
-    loaded_q,
     motional_mode_capacitance_margin,
     phase_slope_q,
     shunt_inductor_for,
@@ -46,7 +43,6 @@ from .noise import (
     fom_max,
     fom_physical,
     leeson_phase_noise,
-    noise_factor_components,
     noise_factor_from,
     sensitivity_sweep,
 )

@@ -11,11 +11,14 @@ oscillation.  The tuned high-Q crossing sits at the motional series
 resonance (an impedance notch of depth r_res with a steep phase slope);
 the broad LC-branch structure carries its own low-Q crossing.  The
 motional crossing exists only while the capacitive misalignment stays
-below 1/(2*r_m*w_s).  One root solve finds every crossing at any
-frequency, and one rule picks among them: the motional point is the
-crossing nearest f_s within +-2 motional bandwidths of it (capped to the
-octave around f_s); without one, the LC point, the crossing with the
-largest |Z|, governs.  NoResonanceError means no crossing exists at all.
+below 1/(2*r_m*w_s).  `find_operating_point` is the one route to an
+operating point: one root solve finds every crossing at any frequency,
+and one rule picks among them.  The motional point is the crossing
+nearest f_s within +-2 motional bandwidths of it (capped to the octave
+around f_s); without one, the LC point, the crossing with the largest
+|Z|, governs.  NoResonanceError means no crossing exists at all.
+`phase_slope_q` gives the loaded Q at the chosen frequency, and
+`noise.evaluate` carries both on to the noise budget, phase noise and FoM.
 
 The crossings are found in closed form.  The tank admittance is always
 conductive, so the phase is zero exactly where Im Y = 0.  With
@@ -377,55 +380,35 @@ def _opposite(a: float, b: float) -> bool:
     return a < 0 < b or b < 0 < a
 
 
-def _motional_point(res, comp, f_est, polish):
+def find_operating_point(res: Resonator, comp: CompensationNetwork):
+    """Governing operating point: (frequency, impedance, mode).
+
+    One root solve gives every crossing, and one rule picks among them.
+    The tuned high-Q motional crossing governs whenever it exists (it is
+    what the bank tuning targets): the crossing nearest f_s among those
+    within +-2 motional bandwidths of it, capped to the octave around f_s.
+    Otherwise the LC crossing governs: the one with the largest |Z| at any
+    frequency, the broad LC-branch structure's (the motional crossing is a
+    low notch).  NoResonanceError only when the tank has no crossing at all.
+    """
+    f_est, polish = _zero_phase_roots(res, comp)
     fs = series_resonance(res)
     bw = motional_bandwidth(res)
     # cap: for very low motional Q the bandwidth exceeds the octave around f_s
     lo = max(fs - 2.0 * bw, 0.5 * fs)
     hi = min(fs + 2.0 * bw, 1.5 * fs)
-    crossings = [f for i, est in enumerate(f_est) if lo <= est <= hi
-                 and (f := polish(i)) is not None and lo <= f <= hi]
-    if not crossings:
-        return None
-    f = min(crossings, key=lambda x: abs(x - fs))
-    return f, _impedance(res, comp, f)
-
-
-def _lc_point(res, comp, f_est, polish):
+    motional = [f for i, est in enumerate(f_est) if lo <= est <= hi
+                and (f := polish(i)) is not None and lo <= f <= hi]
+    if motional:
+        f = min(motional, key=lambda x: abs(x - fs))
+        return f, _impedance(res, comp, f), "motional"
     points = [(f, _impedance(res, comp, f)) for f in map(polish, range(len(f_est)))
               if f is not None]
     if not points:
         raise NoResonanceError(f"no zero-phase crossing at any frequency "
                                f"(f_tank = {tank_resonance(res, comp)!r} Hz)")
-    return max(points, key=lambda point: abs(point[1]))
-
-
-def find_motional_operating_point(res: Resonator, comp: CompensationNetwork):
-    """Zero-phase crossing nearest f_s among those within +-2 motional
-    bandwidths of it (capped to the octave), or None once that mode has
-    vanished.  The crossing lies within one bandwidth when it exists."""
-    return _motional_point(res, comp, *_zero_phase_roots(res, comp))
-
-
-def find_lc_operating_point(res: Resonator, comp: CompensationNetwork):
-    """Zero-phase crossing with the largest impedance at any frequency: the
-    broad LC-branch structure's (the motional crossing is a low notch).
-    NoResonanceError only when the tank has no crossing at all."""
-    return _lc_point(res, comp, *_zero_phase_roots(res, comp))
-
-
-def find_operating_point(res: Resonator, comp: CompensationNetwork):
-    """Governing operating point: (frequency, impedance, mode).
-
-    The tuned high-Q motional crossing governs whenever it exists (it is
-    what the bank tuning targets); otherwise the LC crossing does.  Both
-    rules pick from one root solve.
-    """
-    roots = _zero_phase_roots(res, comp)
-    motional = _motional_point(res, comp, *roots)
-    if motional is not None:
-        return (*motional, "motional")
-    return (*_lc_point(res, comp, *roots), "lc_tank")
+    f, z = max(points, key=lambda point: abs(point[1]))
+    return f, z, "lc_tank"
 
 
 # --- loaded quality factor ----------------------------------------------
@@ -446,24 +429,6 @@ def phase_slope_q(res: Resonator, comp: CompensationNetwork, f_0: float) -> floa
     if not math.isfinite(q):
         raise ValueError(f"phase slope is not finite at f_0 = {f_0!r} Hz")
     return q
-
-
-def loaded_q(res: Resonator, comp: CompensationNetwork,
-             mode: str = "dominant") -> float:
-    """Loaded Q of the composite tank by the phase-slope method.
-
-    Evaluated at a zero-phase operating point: "dominant" (the governing
-    one), "motional" (nearest f_s within +-2 motional bandwidths; raises
-    once that mode has vanished) or "lc_tank" (largest |Z| at any
-    frequency).
-    """
-    if mode not in ("dominant", "motional", "lc_tank"):
-        raise ValueError(f"unknown mode {mode!r}")
-    roots = _zero_phase_roots(res, comp)
-    point = None if mode == "lc_tank" else _motional_point(res, comp, *roots)
-    if point is None and mode == "motional":
-        raise NoResonanceError("no motional-mode resonance found")
-    return phase_slope_q(res, comp, (point or _lc_point(res, comp, *roots))[0])
 
 
 # --- tank-level summaries ------------------------------------------------

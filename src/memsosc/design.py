@@ -23,8 +23,9 @@ from .bvd import (
 from .compensation import (
     AlignmentWarning,
     CompensationNetwork,
+    NoResonanceError,
     effective_resistance,
-    find_motional_operating_point,
+    find_operating_point,
     first_true,
     motional_mode_capacitance_margin,
     tank_resonance,
@@ -194,14 +195,17 @@ def run_design(spec: DesignSpec) -> DesignReport:
             f"motional bandwidth; bank unit is coarse relative to the "
             f"resonator linewidth")
 
-    point = find_motional_operating_point(res, comp)
-    if point is None:
+    try:
+        f_osc, _, mode = find_operating_point(res, comp)
+    except NoResonanceError:  # no crossing at all, so no motional one either
+        mode = None
+    if mode != "motional":
         raise DesignError("high-Q motional operating point not found after tuning")
 
     r_res = effective_resistance(res, comp).r_res
     g_m, i_bias, w_over_l = size_active(r_res, spec.v_osc_target, spec.mu_cox)
     ev = evaluate(res, comp, OscillatorOperatingPoint(
-        v_osc=spec.v_osc_target, f_0=point[0], delta_f=spec.pn_offset,
+        v_osc=spec.v_osc_target, f_0=f_osc, delta_f=spec.pn_offset,
         temperature=spec.temperature, gamma=spec.gamma, g_mbias=g_m,
         p_dc=SUPPLY_BRANCH_FACTOR * spec.supply * i_bias))
     q_loaded = ev.q_loaded

@@ -92,41 +92,39 @@ def network_from_document(doc: dict[str, str]) -> CompensationNetwork:
     )
 
 
+def _resolve(kind: str, name_or_path: str, builtins: dict, suffix: str, load):
+    """A built-in fixture, else the first file among the path itself and,
+    under $MEMSOSC_FIXTURE_DIR, the name and the name plus suffix."""
+    if name_or_path in builtins:
+        return builtins[name_or_path]
+    candidates = [Path(name_or_path)]
+    fixture_dir = os.environ.get(FIXTURE_DIR_ENV)
+    if fixture_dir:
+        candidates.append(Path(fixture_dir) / name_or_path)
+        candidates.append(Path(fixture_dir) / f"{name_or_path}{suffix}")
+    for path in candidates:
+        if path.is_file():
+            return load(path)
+    raise DocumentError(
+        f"unknown {kind} {name_or_path!r}: not a built-in fixture "
+        f"({', '.join(sorted(builtins))}) and no such file")
+
+
 def resolve_resonator(name_or_path: str) -> Resonator:
     """A built-in fixture name, a file path, or a name in $MEMSOSC_FIXTURE_DIR."""
     from .fixtures import BUILTIN_RESONATORS
 
-    if name_or_path in BUILTIN_RESONATORS:
-        return BUILTIN_RESONATORS[name_or_path]
-    candidates = [Path(name_or_path)]
-    fixture_dir = os.environ.get(FIXTURE_DIR_ENV)
-    if fixture_dir:
-        candidates.append(Path(fixture_dir) / name_or_path)
-        candidates.append(Path(fixture_dir) / f"{name_or_path}.dev")
-    for path in candidates:
-        if path.is_file():
-            return resonator_from_document(load_document(path), label=path.stem)
-    raise DocumentError(
-        f"unknown resonator {name_or_path!r}: not a built-in fixture "
-        f"({', '.join(sorted(BUILTIN_RESONATORS))}) and no such file")
+    return _resolve("resonator", name_or_path, BUILTIN_RESONATORS, ".dev",
+                    lambda path: resonator_from_document(load_document(path),
+                                                         label=path.stem))
 
 
 def resolve_network(name_or_path: str) -> CompensationNetwork:
+    """A built-in fixture name, a file path, or a name in $MEMSOSC_FIXTURE_DIR."""
     from .fixtures import BUILTIN_NETWORKS
 
-    if name_or_path in BUILTIN_NETWORKS:
-        return BUILTIN_NETWORKS[name_or_path]
-    candidates = [Path(name_or_path)]
-    fixture_dir = os.environ.get(FIXTURE_DIR_ENV)
-    if fixture_dir:
-        candidates.append(Path(fixture_dir) / name_or_path)
-        candidates.append(Path(fixture_dir) / f"{name_or_path}.net")
-    for path in candidates:
-        if path.is_file():
-            return network_from_document(load_document(path))
-    raise DocumentError(
-        f"unknown network {name_or_path!r}: not a built-in fixture "
-        f"({', '.join(sorted(BUILTIN_NETWORKS))}) and no such file")
+    return _resolve("network", name_or_path, BUILTIN_NETWORKS, ".net",
+                    lambda path: network_from_document(load_document(path)))
 
 
 def designspec_from_document(doc: dict[str, str]) -> DesignSpec:

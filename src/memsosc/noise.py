@@ -115,20 +115,6 @@ def noise_factor_from(beta: float, r_l0: float, r_m: float,
                        f_min=f_min, beta=beta)
 
 
-def _budget(res: Resonator, comp: CompensationNetwork,
-            op: OscillatorOperatingPoint, tank: TankAnalysis) -> NoiseBudget:
-    g_mbias = op.g_mbias
-    if g_mbias is None:
-        g_mbias = 2.0 / tank.r_res  # minimum-g_m sizing rule
-    return noise_factor_from(tank.beta, comp.r_l0, res.r_m, op.gamma, g_mbias)
-
-
-def noise_factor_components(res: Resonator, comp: CompensationNetwork,
-                            op: OscillatorOperatingPoint) -> NoiseBudget:
-    """Noise budget of the compensated oscillator at its operating point."""
-    return _budget(res, comp, op, effective_resistance(res, comp))
-
-
 def fom_from_measurement(phase_noise_dbchz: float, f_0: float,
                          delta_f: float, p_dc: float) -> float:
     """Figure of merit from a measured/predicted phase-noise number.
@@ -176,12 +162,14 @@ def evaluate(res: Resonator, comp: CompensationNetwork,
     """Loaded Q, noise budget, phase noise and (given op.p_dc) FoM at op.f_0.
 
     op.f_0 is the operating frequency: the caller picks the zero-phase point
-    (find_operating_point, find_motional_operating_point) once.  ValueError
-    when the signal power v_osc^2/(2*r_res) is out of floating-point range.
+    once, with find_operating_point.  Without op.g_mbias the budget sizes
+    the pair by the minimum-g_m rule, 2/r_res.  ValueError when the signal
+    power v_osc^2/(2*r_res) is out of floating-point range.
     """
     tank = effective_resistance(res, comp)
     q_loaded = phase_slope_q(res, comp, op.f_0)
-    budget = _budget(res, comp, op, tank)
+    g_mbias = 2.0 / tank.r_res if op.g_mbias is None else op.g_mbias
+    budget = noise_factor_from(tank.beta, comp.r_l0, res.r_m, op.gamma, g_mbias)
     pn = leeson_phase_noise(res, q_loaded, op, budget.f_min)
     if op.p_dc is None:
         return Evaluation(op, tank, q_loaded, budget, pn)

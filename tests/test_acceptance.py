@@ -20,6 +20,8 @@ from memsosc import (
     Resonator,
     driving_point_impedance,
     effective_resistance,
+    evaluate,
+    find_operating_point,
     fom_from_measurement,
     fom_max,
     fom_physical,
@@ -27,10 +29,9 @@ from memsosc import (
     impedance,
     leeson_phase_noise,
     lint_netlist,
-    loaded_q,
-    noise_factor_components,
     parse_netlist,
     phase,
+    phase_slope_q,
     quality_factor,
     run_design,
     sensitivity_sweep,
@@ -193,7 +194,9 @@ def test_08_loaded_q_tracks_resonator_q(verdict):
         for q_rft in (500.0, 1000.0, 2000.0, 5000.0, 10000.0, 20000.0):
             res = rescale_motional_q(RFT, q_rft)
             comp = bare_c0_network(res, q_l0)
-            q_l = loaded_q(res, comp, mode="motional")
+            f_op, _, mode = find_operating_point(res, comp)
+            ok &= mode == "motional"
+            q_l = phase_slope_q(res, comp, f_op)
             q_ls.append(q_l)
             if q_rft >= 2000.0:
                 ok &= q_l / q_rft >= 0.8
@@ -256,7 +259,7 @@ def test_11_db_identities(verdict):
     ok &= abs((f2 - f1) - 10.0 * math.log10(2.0)) < 1e-9
 
     tank = effective_resistance(RFT, COMP_Q8)
-    budget = noise_factor_components(RFT, COMP_Q8, OP)
+    budget = evaluate(RFT, COMP_Q8, OP).budget
     q_l, eta = 5188.0, 0.25
     pn = leeson_phase_noise(RFT, q_l, OP, budget.f_min)
     p_dc = OP.v_osc ** 2 / (2.0 * tank.r_res) / eta

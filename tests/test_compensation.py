@@ -10,16 +10,12 @@ from hypothesis import strategies as st
 from memsosc import (
     AlignmentWarning,
     CompensationNetwork,
-    NoResonanceError,
     NoSolutionError,
     Resonator,
     analyze_tank,
     effective_resistance,
-    find_lc_operating_point,
-    find_motional_operating_point,
     find_operating_point,
     impedance,
-    loaded_q,
     motional_mode_capacitance_margin,
     phase,
     phase_slope_q,
@@ -36,6 +32,12 @@ from memsosc.fixtures import BUILTIN_RESONATORS, get_resonator
 
 from conftest import bare_c0_network, rescale_motional_q
 from slope_reference import loaded_q_3db
+
+
+def governing_q(res, comp):
+    """Phase-slope Q at the governing operating point."""
+    f_op, _, _ = find_operating_point(res, comp)
+    return phase_slope_q(res, comp, f_op)
 
 
 def exactly_aligned_network(res, q_l0=8.0, l_0=250e-12):
@@ -125,7 +127,8 @@ class TestShuntInductorFor:
 class TestTankImpedance:
     def test_aligned_operating_point_reads_r_res(self, rft):
         comp = exactly_aligned_network(rft)
-        f_op, z = find_motional_operating_point(rft, comp)
+        f_op, z, mode = find_operating_point(rft, comp)
+        assert mode == "motional"
         # the Rm || q_l0^2*r_l0 reduction is the 1/q_l0^2-order
         # approximation of the exact crossing impedance
         assert abs(z) == pytest.approx(effective_resistance(rft, comp).r_res,
@@ -269,44 +272,40 @@ class TestEffectiveResistance:
 class TestLoadedQ:
     def test_high_q_rft_aligned(self, rft):
         comp = bare_c0_network(rft, q_l0=10.0)
-        q_l = loaded_q(rft, comp)
+        q_l = governing_q(rft, comp)
         assert q_l >= 0.8 * quality_factor(rft)
         assert q_l <= quality_factor(rft) * 1.05
 
     def test_low_q_rft_loaded(self, rft):
         res = rescale_motional_q(rft, 500.0)
         comp = bare_c0_network(res, q_l0=10.0)
-        q_l = loaded_q(res, comp)
+        q_l = governing_q(res, comp)
         assert q_l < 0.95 * quality_factor(res)
 
     def test_motional_removed_reads_tank_q(self, rft, comp_q10):
         dead = replace(rft, r_m=1e9)
-        assert loaded_q(dead, comp_q10) == pytest.approx(comp_q10.q_l0, rel=0.05)
+        assert governing_q(dead, comp_q10) == pytest.approx(comp_q10.q_l0, rel=0.05)
 
     def test_monotone_in_q_rft(self, rft):
         comp = bare_c0_network(rft, q_l0=10.0)
-        values = [loaded_q(rescale_motional_q(rft, q), comp)
+        values = [governing_q(rescale_motional_q(rft, q), comp)
                   for q in (100, 300, 1e3, 2e3, 5e3, 1e4)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_mode_selection(self, rft, comp_q8):
-        assert loaded_q(rft, comp_q8, mode="motional") > 1000
-        assert loaded_q(rft, comp_q8, mode="lc_tank") < 1000
-        with pytest.raises(ValueError):
-            loaded_q(rft, comp_q8, mode="bogus")
-
-    def test_motional_mode_gone_raises(self, rft, comp_q8):
         margin = motional_mode_capacitance_margin(rft)
         detuned = replace(comp_q8, c_fix=comp_q8.c_fix + 3.0 * margin)
-        with pytest.raises(NoResonanceError):
-            loaded_q(rft, detuned, mode="motional")
+        for comp, mode, high in ((comp_q8, "motional", True), (detuned, "lc_tank", False)):
+            f_op, _, got = find_operating_point(rft, comp)
+            assert got == mode
+            assert (phase_slope_q(rft, comp, f_op) > 1000) == high
 
     def test_3db_agreement_lightly_loaded(self, rft, fbar):
         # the magnitude estimator converges to the phase-slope value as the
         # tank conductance loading vanishes
         for res, q_l0 in ((fbar, 15.0), (rft, 500.0)):
             comp = bare_c0_network(res, q_l0=q_l0)
-            qp = loaded_q(res, comp)
+            qp = governing_q(res, comp)
             q3 = loaded_q_3db(res, comp)
             assert q3 == pytest.approx(qp, rel=0.05)
 
@@ -317,25 +316,20 @@ class TestLoadedQ:
             tank = analyze_tank(rft, comp)
             assert tank.dominant_mode == mode
             assert tank.q_loaded == phase_slope_q(rft, comp, f_op)
-            assert tank.q_loaded == loaded_q(rft, comp)
 
     def test_3db_on_bare_tank(self, rft, comp_q10):
         dead = replace(rft, r_m=1e9)
         assert loaded_q_3db(dead, comp_q10) == pytest.approx(
-            loaded_q(dead, comp_q10), rel=0.05)
+            governing_q(dead, comp_q10), rel=0.05)
 
 
 class TestOperatingPoints:
     def test_motional_point_near_fs(self, rft, comp_q8):
-        f_op, z = find_motional_operating_point(rft, comp_q8)
+        f_op, z, mode = find_operating_point(rft, comp_q8)
         fs = series_resonance(rft)
+        assert mode == "motional"
         assert abs(f_op - fs) < motional_bandwidth(rft)
         assert abs(np.angle(z)) < 1e-9
-
-    def test_motional_point_vanishes(self, rft, comp_q8):
-        margin = motional_mode_capacitance_margin(rft)
-        detuned = replace(comp_q8, c_fix=comp_q8.c_fix + 3.0 * margin)
-        assert find_motional_operating_point(rft, detuned) is None
 
     def test_margin_value(self, rft):
         # 1/(2*r_m*w_s) for the 332 ohm device is about 8 fF
@@ -350,7 +344,8 @@ class TestOperatingPoints:
 
     def test_lc_point_tracks_tank(self, rft, comp_q8):
         big = replace(comp_q8, c_fix=comp_q8.c_fix + 40e-15)
-        f_lc, _ = find_lc_operating_point(rft, big)
+        f_lc, _, mode = find_operating_point(rft, big)
+        assert mode == "lc_tank"
         assert f_lc == pytest.approx(tank_resonance(rft, big), rel=0.02)
 
 

@@ -150,6 +150,16 @@ def test_mna_names_resolve_lazily():
         memsosc.no_such_name
 
 
+def test_one_route_to_an_operating_point():
+    # one public way each to the operating point, its Q and the noise
+    # budget; the parent also exported motional-only and LC-only searches,
+    # a Q with a mode switch and a budget that reduced the tank again
+    names = {name for name in dir(memsosc) if "operating_point" in name
+             or name.endswith("_q") or name.startswith("noise_factor")}
+    assert names == {"find_operating_point", "phase_slope_q", "noise_factor_from"}
+    assert "evaluate" in dir(memsosc)
+
+
 def private_names_crossing_modules(source: str) -> list[str]:
     """`_`-prefixed names one module takes from another package module:
     `from .x import _y`, `from . import _x`, or `x._y` on an imported module."""

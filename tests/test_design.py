@@ -10,17 +10,22 @@ from memsosc import (
     DesignError,
     DesignReport,
     DesignSpec,
+    NoResonanceError,
     OscillatorOperatingPoint,
     evaluate,
-    find_motional_operating_point,
+    find_operating_point,
     fom_physical,
     run_design,
     series_resonance,
     size_active,
 )
+from memsosc import design
+from memsosc.cli import main
 from memsosc.design import SUPPLY_BRANCH_FACTOR
 
 from conftest import rescale_motional_q
+
+REFUSAL = "high-Q motional operating point not found after tuning"
 
 
 def rft_spec(res, **overrides):
@@ -137,7 +142,7 @@ class TestRunDesign:
         comp = CompensationNetwork(l_0=rep.l_0, q_l0=rep.q_l0, f_ref=spec.target_f0,
                                    c_fix=rep.c_fix, bank_unit=spec.bank_unit,
                                    bank_size=rep.bank_size, bank_code=rep.bank_code)
-        assert rep.f_osc == find_motional_operating_point(rft, comp)[0]
+        assert find_operating_point(rft, comp)[::2] == (rep.f_osc, "motional")
         ev = evaluate(rft, comp, OscillatorOperatingPoint(
             v_osc=spec.v_osc_target, f_0=rep.f_osc, delta_f=spec.pn_offset,
             gamma=spec.gamma, g_mbias=rep.g_m, p_dc=rep.p_dc_estimate))
@@ -168,6 +173,30 @@ class TestRunDesign:
         # grid too coarse: no inductor lands anywhere near the needed value
         with pytest.raises(DesignError):
             run_design(rft_spec(rft, l0_grid_step=1e-9, bank_size=2))
+
+    def test_refuses_when_tuning_loses_the_motional_mode(self, rft, tmp_path, capsys):
+        # the tuned tank's residual lies inside the capacitance margin, yet
+        # only an LC crossing exists (at 28.29 GHz)
+        spec = rft_spec(rft, target_f0=29.9e9, parasitic_c=87e-15, q_l0_available=3.0,
+                        bank_unit=8.4e-18, bank_size=104, l0_grid_step=1.1e-12)
+        with pytest.raises(DesignError) as info:
+            run_design(spec)
+        assert str(info.value) == REFUSAL
+        p = tmp_path / "spec.txt"
+        p.write_text("resonator = rft30g\ntarget_f0 = 29.9g\nv_osc = 300m\n"
+                     "parasitic_c = 87f\nq_l0 = 3\nbank_unit = 8.4e-18\n"
+                     "bank_size = 104\nl0_grid = 1.1p\n")
+        assert main(["design", "--in", str(p)]) == 2
+        assert capsys.readouterr().err == f"design failed: {REFUSAL}\n"
+
+    def test_no_crossing_at_all_is_the_same_refusal(self, rft, monkeypatch):
+        def no_crossing(res, comp):
+            raise NoResonanceError("no zero-phase crossing at any frequency")
+
+        monkeypatch.setattr(design, "find_operating_point", no_crossing)
+        with pytest.raises(DesignError) as info:
+            run_design(rft_spec(rft))
+        assert str(info.value) == REFUSAL
 
     def test_report_is_frozen(self, rft):
         report = run_design(rft_spec(rft))

@@ -106,10 +106,28 @@ class TestResolvers:
         assert resolve_resonator("mydev").r_m == 332.0
 
     def test_unknown_raises(self):
-        with pytest.raises(DocumentError):
+        with pytest.raises(DocumentError) as info:
             resolve_resonator("no_such_device")
-        with pytest.raises(DocumentError):
+        assert str(info.value) == (
+            "unknown resonator 'no_such_device': not a built-in fixture "
+            "(fbar2g4, quartz45m, rft30g, saw400m) and no such file")
+        with pytest.raises(DocumentError) as info:
             resolve_network("no_such_network")
+        assert str(info.value) == (
+            "unknown network 'no_such_network': not a built-in fixture "
+            "(l0_250p_q10, l0_250p_q8) and no such file")
+
+    def test_network_fixture_dir_env(self, tmp_path, monkeypatch):
+        # the name alone, then with the .net suffix; a .dev file is no network
+        (tmp_path / "mynet.net").write_text("l0 = 250p\nq_l0 = 8\nf_ref = 30g\n")
+        (tmp_path / "mydev.dev").write_text(RFT_DOC)
+        monkeypatch.setenv(FIXTURE_DIR_ENV, str(tmp_path))
+        assert resolve_network("mynet").l_0 == 250e-12
+        assert resolve_network("mynet.net").q_l0 == 8.0
+        with pytest.raises(DocumentError, match="unknown network 'mydev'"):
+            resolve_network("mydev")
+        with pytest.raises(DocumentError, match="unknown resonator 'mynet'"):
+            resolve_resonator("mynet")
 
 
 class TestEmission:

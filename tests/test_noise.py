@@ -20,9 +20,8 @@ from memsosc import (
     fom_max,
     fom_physical,
     leeson_phase_noise,
-    loaded_q,
     motional_mode_capacitance_margin,
-    noise_factor_components,
+    phase_slope_q,
     sensitivity_sweep,
     tune_bank,
 )
@@ -129,7 +128,7 @@ class TestNoiseFactor:
 
     def test_components_defaults_gmbias(self, rft, comp_q8):
         tank = effective_resistance(rft, comp_q8)
-        b = noise_factor_components(rft, comp_q8, base_op())
+        b = evaluate(rft, comp_q8, base_op()).budget
         expected = noise_factor_from(tank.beta, comp_q8.r_l0, rft.r_m,
                                      1.0, 2.0 / tank.r_res)
         assert b.f_min == pytest.approx(expected.f_min, rel=1e-12)
@@ -212,7 +211,7 @@ class TestDbIdentities:
         q_l = 5188.0
         eta = 0.25
         op = base_op()
-        budget = noise_factor_components(rft, comp_q8, op)
+        budget = evaluate(rft, comp_q8, op).budget
         pn = leeson_phase_noise(rft, q_l, op, budget.f_min)
         p_out = op.v_osc ** 2 / (2.0 * tank.r_res)
         p_dc = p_out / eta
@@ -229,8 +228,9 @@ class TestEvaluate:
         ev = evaluate(rft, comp_q8, op)
         assert ev.op == op
         assert ev.tank == effective_resistance(rft, comp_q8)
-        assert ev.q_loaded == loaded_q(rft, comp_q8)
-        assert ev.budget == noise_factor_components(rft, comp_q8, op)
+        assert ev.q_loaded == phase_slope_q(rft, comp_q8, f_op)
+        assert ev.budget == noise_factor_from(ev.tank.beta, comp_q8.r_l0, rft.r_m,
+                                              op.gamma, 2.0 / ev.tank.r_res)
         assert ev.pn == leeson_phase_noise(rft, ev.q_loaded, op, ev.budget.f_min)
         assert ev.eta is None and ev.fom is None
 

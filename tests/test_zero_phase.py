@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 from memsosc import (
     CompensationNetwork,
     NoResonanceError,
-    find_lc_operating_point,
-    find_motional_operating_point,
+    Resonator,
     find_operating_point,
-    loaded_q,
     motional_mode_capacitance_margin,
+    phase_slope_q,
     series_resonance,
     shunt_inductor_for,
     tank_impedance,
@@ -85,11 +84,8 @@ def test_lc_root_beside_the_motional_notch():
     mags = [abs(tank_impedance(res, comp, f)) for f in roots]
     assert mags == pytest.approx([108.1, 12.39, 213.6], rel=1e-3)
     assert grid_lc_crossings(res, comp) == pytest.approx([roots[0]], rel=1e-10)
-
-    f_lc, z_lc = find_lc_operating_point(res, comp)
-    assert f_lc == roots[2]
-    assert abs(z_lc) == pytest.approx(mags[2], rel=1e-12)
-    assert find_operating_point(res, comp)[2] == "motional"
+    # the motional notch governs, though a crossing of higher |Z| exists
+    assert find_operating_point(res, comp)[::2] == (roots[1], "motional")
 
 
 def test_brent_polishes_to_float_resolution():
@@ -342,10 +338,35 @@ def test_lc_crossing_beyond_the_old_window(c_fix, ratio, refused_before):
     assert refused_before or repr(old) == repr((f, z, mode))
     assert mode == "lc_tank"
     assert f / series_resonance(res) == pytest.approx(ratio, abs=5e-4)
-    assert (f, z) == find_lc_operating_point(res, comp)
-    assert find_motional_operating_point(res, comp) is None
+    assert every_crossing(res, comp) == [f]
     assert abs(np.angle(z)) < 1e-9
-    assert loaded_q(res, comp) == loaded_q(res, comp, mode="lc_tank") > 0
+    assert phase_slope_q(res, comp, f) > 0
+
+
+def test_lc_rule_picks_the_largest_impedance():
+    # Two crossings and no motional one.  Beyond half a motional bandwidth
+    # from f_s, Im Y / w rises with frequency on both sides, so crossings
+    # on both sides of a +-2 bandwidth window would bracket one inside it:
+    # no fixture tank reaches this case.  A motional Q of 0.3 caps the
+    # window to the octave around f_s, whose top lies below the motional
+    # branch's broad susceptance extremum at 2.1 f_s.  An inductor of Q
+    # 0.01 with l_0/r_l0^2 = C - 0.05 c_m keeps the rest of Im Y / w
+    # nearly flat, and the motional branch pulls it below zero between
+    # 1.6 and 2.8 f_s.
+    fs = 1e9
+    ws = TWO_PI * fs
+    c_m = 1e-12
+    l_m = 1.0 / (ws * ws * c_m)
+    res = Resonator(r_m=ws * l_m / 0.3, l_m=l_m, c_m=c_m, c_0=2.0 * c_m)
+    comp = CompensationNetwork(l_0=0.01 * 0.01 / (ws * ws * (res.c_0 - 0.05 * c_m)),
+                               q_l0=0.01, f_ref=fs)
+    roots = every_crossing(res, comp)
+    assert [f / fs for f in roots] == pytest.approx([1.5992, 2.7635], rel=1e-4)
+    mags = [abs(tank_impedance(res, comp, f)) for f in roots]
+    assert mags == pytest.approx([0.8152, 0.8160], rel=1e-4)
+    f, z, mode = find_operating_point(res, comp)
+    assert (f, mode) == (roots[1], "lc_tank")
+    assert abs(z) == pytest.approx(mags[1], rel=1e-12)
 
 
 def test_no_crossing_at_any_frequency():
@@ -357,11 +378,9 @@ def test_no_crossing_at_any_frequency():
     assert every_crossing(res, comp) == []
     message = (f"no zero-phase crossing at any frequency "
                f"(f_tank = {tank_resonance(res, comp)!r} Hz)")
-    for find in (find_operating_point, find_lc_operating_point):
-        with pytest.raises(NoResonanceError) as info:
-            find(res, comp)
-        assert str(info.value) == message
-    assert find_motional_operating_point(res, comp) is None
+    with pytest.raises(NoResonanceError) as info:
+        find_operating_point(res, comp)
+    assert str(info.value) == message
 
 
 def susceptance_cubic(res, comp):
