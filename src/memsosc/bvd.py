@@ -16,6 +16,9 @@ import sys
 from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
+# the most points one sweep may take: a netlist's .ac grid, bvd.sweep and
+# the CLI's --points all stop here, so time and memory stay bounded
+MAX_AC_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -220,11 +223,12 @@ def motional_bandwidth(res: Resonator) -> float:
 
 def sweep(res: Resonator, f_start: float, f_stop: float, points: int,
           log: bool = False) -> ComplexResponse:
-    """Impedance sweep over a linear or geometric grid."""
+    """Impedance sweep over a linear or geometric grid of 2 to
+    MAX_AC_POINTS points."""
     if not 0 < f_start < f_stop:
         raise ValueError("need 0 < f_start < f_stop")
-    if points < 2:
-        raise ValueError("need at least 2 points")
+    if not 2 <= points <= MAX_AC_POINTS:
+        raise ValueError(f"need 2 to {MAX_AC_POINTS} points, got {points}")
     import numpy as np
 
     if log:

@@ -58,11 +58,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bvd import TWO_PI, ComplexResponse, check_frequency
+from .bvd import MAX_AC_POINTS, TWO_PI, ComplexResponse, check_frequency
 from .engnotation import EngNotationError, parse_eng
 
 _KINDS = ("R", "L", "C")
-MAX_AC_POINTS = 10**6
 
 # Diagnostic codes
 E_KIND = "E_KIND"              # unknown element kind letter

@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+from memsosc import bvd, cli, mna
 from memsosc.cli import main
 from memsosc.iodoc import RESPONSE_CSV_HEADER
 
@@ -170,6 +172,42 @@ class TestResonatorReport:
         code, _, err = run(capsys, "resonator", "rft30g", "--out", "-")
         assert code == 1
 
+    @pytest.mark.parametrize("window, expected", [
+        ("--from=29g --to=31g --points 1", "--points must lie between 2 and 1000000, got 1"),
+        ("--from=29g --to=31g --points -5", "--points must lie between 2 and 1000000, got -5"),
+        ("--from=31g --to=29g --points 5", "need 0 < f_start < f_stop"),
+    ])
+    def test_bad_sweep_refused_before_the_report(self, window, expected, capsys):
+        code, out, err = run(capsys, "resonator", "rft30g", *window.split(), "--out", "-")
+        assert (code, out, err) == (1, "", f"error: {expected}\n")
+
+    # the upper bound is tested at a small patched value: a regression
+    # must not start a real 10**6-point sweep
+    def test_points_bound_is_inclusive(self, monkeypatch, capsys):
+        monkeypatch.setattr(bvd, "MAX_AC_POINTS", 3)
+        code, out, _ = run(capsys, "resonator", "rft30g", "--from=29g", "--to=31g",
+                           "--points", "3", "--out", "-")
+        assert code == 0
+        assert len(out.split(RESPONSE_CSV_HEADER + "\n")[1].splitlines()) == 3
+        code, out, err = run(capsys, "resonator", "rft30g", "--from=29g", "--to=31g",
+                             "--points", "4", "--out", "-")
+        assert (code, out, err) == (1, "", "error: --points must lie between 2 and 3, "
+                                           "got 4\n")
+
+
+def test_library_sweep_bounds_its_points(monkeypatch):
+    res = bvd.Resonator(r_m=50.0, l_m=1e-3, c_m=1e-15, c_0=1e-12)
+    with pytest.raises(ValueError, match="need 2 to 1000000 points, got 1"):
+        bvd.sweep(res, 1e6, 2e6, 1)
+    monkeypatch.setattr(bvd, "MAX_AC_POINTS", 4)
+    assert len(bvd.sweep(res, 1e6, 2e6, 4)) == 4
+    with pytest.raises(ValueError, match="need 2 to 4 points, got 5"):
+        bvd.sweep(res, 1e6, 2e6, 5)
+
+
+def test_one_points_bound_for_sweeps_and_netlists():
+    assert mna.MAX_AC_POINTS is bvd.MAX_AC_POINTS == 10**6
+
 
 class TestCompensate:
     def test_zero_phase_value(self, capsys):
@@ -214,6 +252,44 @@ class TestNoiseAndSweep:
         assert q_l == pytest.approx(q_noise, abs=1e-6)
         assert 0.0 < beta < 1.0
 
+    @pytest.mark.parametrize("points", ["0", "-5"])
+    def test_points_out_of_bounds_is_1(self, points, capsys):
+        code, out, err = run(capsys, "sweep", "rft30g", "--var", "q_l0", "--from=2",
+                             "--to=20", "--points", points, "--out", "-")
+        assert (code, out) == (1, "")
+        assert err == f"error: --points must lie between 1 and 1000000, got {points}\n"
+
+    def test_points_bound_is_inclusive(self, monkeypatch, capsys):
+        monkeypatch.setattr(bvd, "MAX_AC_POINTS", 2)
+        argv = ("sweep", "rft30g", "--var", "q_l0", "--from=2", "--to=20", "--out", "-")
+        code, out, _ = run(capsys, *argv, "--points", "2")
+        assert code == 0 and len(out.splitlines()) == 3
+        code, out, err = run(capsys, *argv, "--points", "3")
+        assert (code, out, err) == (1, "", "error: --points must lie between 1 and 2, "
+                                           "got 3\n")
+
+    @pytest.mark.parametrize("var, lo, hi", [("q_rft", "5k", "20k"),
+                                             ("delta_c", "-3f", "3f"),
+                                             ("q_l0", "2", "20"),
+                                             ("l_0", "249p", "251p")])
+    def test_sweep_points_are_python_floats(self, var, lo, hi, monkeypatch, capsys):
+        seen = []
+        evaluate = cli._evaluate
+
+        def recording(res, comp, args, offset):
+            seen.extend(map(type, (res.l_m, res.c_m, comp.l_0, comp.q_l0, comp.c_fix)))
+            return evaluate(res, comp, args, offset)
+
+        monkeypatch.setattr(cli, "_evaluate", recording)
+        argv = ["sweep", "rft30g", "--network", "l0_250p_q8", "--var", var,
+                f"--from={lo}", f"--to={hi}", "--points", "3", "--out", "-"]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        if var != "delta_c":            # geomspace needs positive endpoints
+            code, _, _ = run(capsys, *argv, "--log")
+            assert code == 0
+        assert set(seen) == {float}
+
     def test_sweep_delta_c_bathtub(self, tmp_path, capsys):
         dest = tmp_path / "bath.csv"
         code, _, _ = run(capsys, "sweep", "rft30g", "--network", "l0_250p_q8",
@@ -224,6 +300,36 @@ class TestNoiseAndSweep:
                 in dest.read_text().strip().split("\n")[1:]]
         assert len(rows) == 7
         assert all(float(r[3]) < -120.0 for r in rows)
+
+
+def _figures(out: str) -> dict[str, str]:
+    """Report label -> the repr that follows its colon."""
+    return {label.strip(): value.split()[0] for label, value
+            in (line.split(":", 1) for line in out.splitlines()
+                if ":" in line and not line.startswith("#"))}
+
+
+def test_sweep_rows_match_noise_and_compensate(capsys):
+    """A one-point sweep row has the bits of the single-point reports."""
+    rng = random.Random(1307)
+    for k in range(320):
+        fixture = ("rft30g", "quartz45m", "fbar2g4", "saw400m")[k % 4]
+        q = repr(10.0 ** rng.uniform(0.3, 1.7))
+        code, out, _ = run(capsys, "sweep", fixture, "--var", "q_l0", f"--from={q}",
+                           f"--to={q}", "--points", "1", "--out", "-")
+        assert code == 0
+        header, row = out.splitlines()
+        assert header == "q_l0,q_l,beta,pn_dbchz,fom_dbchz"
+        _, q_l, beta, pn, fom = row.split(",")
+        code, out, _ = run(capsys, "noise", fixture, "--q-l0", q, "--offset", "1meg")
+        assert code == 0
+        noise = _figures(out)
+        assert (noise["Q_L"], noise["beta"], noise["PN @ 1megHz"],
+                noise["FoM (physical)"]) == (q_l, beta, pn, fom), (fixture, q)
+        code, out, _ = run(capsys, "compensate", fixture, "--q-l0", q)
+        assert code == 0
+        tank = _figures(out)
+        assert (tank["Q_L (phase slope)"], tank["beta"]) == (q_l, beta), (fixture, q)
 
 
 class TestDesignCommand:

@@ -30,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from memsosc import cli
 from memsosc.cli import main
 
 HERE = Path(__file__).parent
@@ -126,6 +127,34 @@ def test_report_matches_golden(name, golden, tmp_path):
     code, out = run_case(name, tmp_path)
     assert code == golden[name]["code"]
     assert_same_report(out, golden[name]["stdout"])
+
+
+def test_one_parser_serves_every_case_in_any_order(golden, tmp_path, monkeypatch,
+                                                   capsys):
+    """`main` builds its argparse tree once and parsing leaves it as it was."""
+    builds = []
+    build_parser = cli.build_parser
+
+    def counted():
+        builds.append(None)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    try:
+        first = {name: run_case(name, tmp_path) for name in sorted(CASES)}
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "rft30g", "--var", "no_such_var", "--from=1", "--to=2"])
+        assert exc.value.code == 2
+        assert main(["resonator", "no_such_device"]) == 1
+        again = {name: run_case(name, tmp_path) for name in sorted(CASES, reverse=True)}
+    finally:
+        cli._parser.cache_clear()
+    assert again == first
+    assert len(builds) == 1
+    for name, (code, out) in first.items():
+        assert code == golden[name]["code"]
+        assert_same_report(out, golden[name]["stdout"])
 
 
 def test_number_comparison_is_tight():
