@@ -4,6 +4,15 @@ Before the batched solver, every frequency rebuilt the complex admittance
 matrix element by element and ran its own partial-pivot LU.  This module
 keeps that path so tests can check that the batched solver finds the same
 singular points and agrees on the values.
+
+The dense matrix numbers its nodes as the solver does (`stamp(...).index`,
+reverse Cuthill-McKee).  Pivots depend on the elimination order, so a
+reference that eliminated in another order would apply the same 1e-12
+rule to other pivots and disagree with the solver at points near the
+threshold.  A node hung on a 0.42 uF capacitor and nothing else, next to
+a series LC near resonance, leaves a last pivot of 2.91318e-9 under a
+threshold of 2.91327e-9 when eliminated last, but no pivot below 3.5e-7
+when eliminated first, as the solver does.
 """
 
 import math
@@ -11,7 +20,7 @@ import math
 import numpy as np
 
 from memsosc.bvd import TWO_PI
-from memsosc.mna import Netlist, SingularCircuitError
+from memsosc.mna import Netlist, SingularCircuitError, stamp
 
 
 def solve_lu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -46,11 +55,10 @@ def admittance(el, w: float) -> complex:
 
 
 def build_system(netlist: Netlist, f: float):
-    """Admittance matrix, source vector and node index map at frequency f."""
-    nodes = sorted({n for el in netlist.elements for n in (el.node_a, el.node_b)}
-                   - {"0"})
-    index = {n: i for i, n in enumerate(nodes)}
-    n = len(nodes)
+    """Admittance matrix, source vector and node index map at frequency f,
+    the nodes in the solver's order."""
+    index = stamp(netlist).index
+    n = len(index)
     w = TWO_PI * f
     y = np.zeros((n, n), dtype=complex)
     for el in netlist.elements:

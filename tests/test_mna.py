@@ -278,8 +278,8 @@ class TestSolving:
         assert planes.shape == (3, n + 1, n + 1)
         for plane in planes:             # G, C and Gamma, probe-bordered
             assert np.array_equal(plane, plane.T)
-        # the stamped planes rebuild the per-frequency admittance matrix,
-        # whose rows the reference orders by node name
+        # the stamped planes rebuild the per-frequency admittance matrix
+        # that the reference builds element by element
         y, rhs, index = build_system(nl, 30e9)
         assert st.index.keys() == index.keys()
         rows = [st.index[node] for node in index]
