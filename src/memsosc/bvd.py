@@ -19,6 +19,8 @@ TWO_PI = 2.0 * math.pi
 # the most points one sweep may take: a netlist's .ac grid, bvd.sweep and
 # the CLI's --points all stop here, so time and memory stay bounded
 MAX_AC_POINTS = 10**6
+# the fewest points sweep() takes: its grid runs from f_start to f_stop
+MIN_SWEEP_POINTS = 2
 
 
 @dataclass(frozen=True)
@@ -223,12 +225,13 @@ def motional_bandwidth(res: Resonator) -> float:
 
 def sweep(res: Resonator, f_start: float, f_stop: float, points: int,
           log: bool = False) -> ComplexResponse:
-    """Impedance sweep over a linear or geometric grid of 2 to
-    MAX_AC_POINTS points."""
+    """Impedance sweep over a linear or geometric grid of
+    MIN_SWEEP_POINTS to MAX_AC_POINTS points."""
     if not 0 < f_start < f_stop:
         raise ValueError("need 0 < f_start < f_stop")
-    if not 2 <= points <= MAX_AC_POINTS:
-        raise ValueError(f"need 2 to {MAX_AC_POINTS} points, got {points}")
+    if not MIN_SWEEP_POINTS <= points <= MAX_AC_POINTS:
+        raise ValueError(f"need {MIN_SWEEP_POINTS} to {MAX_AC_POINTS} points, "
+                         f"got {points}")
     import numpy as np
 
     if log:

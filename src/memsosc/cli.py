@@ -101,7 +101,7 @@ def cmd_resonator(args) -> int:
         # the whole sweep is checked and computed before the report prints
         if args.f_from is None or args.f_to is None:
             raise UserError("--out needs a frequency range (--from/--to)")
-        _check_points(args, 2)
+        _check_points(args, bvd.MIN_SWEEP_POINTS)
         resp = bvd.sweep(res, args.f_from, args.f_to, args.points, log=args.log)
     fs = bvd.series_resonance(res)
     fp = bvd.parallel_resonance(res)
@@ -230,36 +230,38 @@ def cmd_sweep(args) -> int:
     res = _load_resonator(args)
     comp = _load_network(args, res)
     offset = args.offsets[0] if args.offsets else 1e6
-    grid = np.geomspace if args.log else np.linspace
     # Python floats: numpy scalars would round the chain's complex
     # divisions differently from `noise` at the same parameters
-    values = grid(args.f_from, args.f_to, args.points).tolist()
+    if args.log:
+        values = np.geomspace(args.f_from, args.f_to, args.points).tolist()
+    else:
+        values = np.linspace(args.f_from, args.f_to, args.points).tolist()
 
     fs = bvd.series_resonance(res)
-    lines = [f"{args.var},q_l,beta,pn_dbchz,fom_dbchz"]
+    rows = []
     for v in values:
-        # field by field, at half the cost of dataclasses.replace
-        res_i, comp_i = res, comp
         if args.var == "q_rft":
             l_m = v * res.r_m / (2.0 * math.pi * fs)
             c_m = 1.0 / ((2.0 * math.pi * fs) ** 2 * l_m)
-            res_i = bvd.Resonator(res.r_m, l_m, c_m, res.c_0, res.label)
+            res_i = replace(res, l_m=l_m, c_m=c_m)
+            comp_i = comp
         elif args.var == "delta_c":
-            comp_i = compensation.CompensationNetwork(
-                comp.l_0, comp.q_l0, comp.f_ref, comp.c_fix + v,
-                comp.bank_unit, comp.bank_size, comp.bank_code)
+            res_i = res
+            comp_i = replace(comp, c_fix=comp.c_fix + v)
         elif args.var == "q_l0":
-            comp_i = compensation.CompensationNetwork(
-                comp.l_0, v, comp.f_ref, comp.c_fix,
-                comp.bank_unit, comp.bank_size, comp.bank_code)
+            res_i = res
+            comp_i = replace(comp, q_l0=v)
         elif args.var == "l_0":
-            comp_i = compensation.CompensationNetwork(
-                v, comp.q_l0, comp.f_ref, comp.c_fix,
-                comp.bank_unit, comp.bank_size, comp.bank_code)
+            res_i = res
+            comp_i = replace(comp, l_0=v)
         else:
             raise UserError(f"unknown sweep variable {args.var!r}")
         ev = _evaluate(res_i, comp_i, args, offset)
-        lines.append(",".join(map(repr, (v, ev.q_loaded, ev.tank.beta, ev.pn, ev.fom))))
+        rows.append((v, ev.q_loaded, ev.tank.beta, ev.pn, ev.fom))
+
+    lines = [f"{args.var},q_l,beta,pn_dbchz,fom_dbchz"]
+    for row in rows:
+        lines.append(",".join(repr(float(x)) for x in row))
     _emit(args.out, "\n".join(lines) + "\n")
     return 0
 

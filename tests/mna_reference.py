@@ -57,14 +57,18 @@ def admittance(el, w: float) -> complex:
 def build_system(netlist: Netlist, f: float):
     """Admittance matrix, source vector and node index map at frequency f,
     the nodes in the solver's order."""
-    index = stamp(netlist).index
+    nodes = {n for el in netlist.elements for n in (el.node_a, el.node_b)} - {"0"}
+    solver_index = stamp(netlist).index
+    assert nodes == set(solver_index), (sorted(nodes), sorted(solver_index))
+    index = {node: i for i, node in
+             enumerate(sorted(nodes, key=solver_index.__getitem__))}
     n = len(index)
     w = TWO_PI * f
     y = np.zeros((n, n), dtype=complex)
     for el in netlist.elements:
         adm = admittance(el, w)
-        ia = index.get(el.node_a)
-        ib = index.get(el.node_b)
+        ia = None if el.node_a == "0" else index[el.node_a]
+        ib = None if el.node_b == "0" else index[el.node_b]
         if ia is not None:
             y[ia, ia] += adm
         if ib is not None:
