@@ -4,15 +4,16 @@ A resonator is the series motional branch (r_m, l_m, c_m) shunted by the
 static transducer capacitance c_0.  All values are SI base units; the
 document loader handles engineering suffixes.
 
-One frequency is a Python float and runs in plain arithmetic, so this
-module imports numpy only inside the functions that build or take arrays
-(`ComplexResponse`, `phase`, `sweep` and the array branches).
+Every impedance is evaluated one frequency at a time in Python floats;
+an array of frequencies is a loop over that path, so this module imports
+numpy only where an array is built or returned.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-import sys
+import numbers
 from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
@@ -35,9 +36,11 @@ class Resonator:
 
     def __post_init__(self):
         for name in ("r_m", "l_m", "c_m", "c_0"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {getattr(self, name)}")
+            value = getattr(self, name)
+            if type(value) is not float and isinstance(value, numbers.Real):
+                object.__setattr__(self, name, value := float(value))
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not self.c_m / self.c_0 < 1:
             raise ValueError("coupling coefficient c_m/c_0 must be below unity")
         if not 0 < self.l_m * self.c_m < math.inf:
@@ -103,7 +106,8 @@ def check_frequency(f) -> float | np.ndarray:
 
 
 def finite_impedance(admittance, f):
-    """1/admittance(f) for a checked frequency f, one or an array.
+    """1/admittance(f) for a checked frequency f, one or an array; an
+    array is evaluated one Python float at a time.
 
     At a frequency so low that w*c_m underflows (below about 1e-290 Hz for
     real resonators) the motional reactance divides by zero or overflows;
@@ -113,14 +117,10 @@ def finite_impedance(admittance, f):
     if not isinstance(f, float):
         import numpy as np
 
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            z = reciprocal(admittance(f))
-        bad = np.isnan(z)
-        if bad.any():
-            raise ValueError(f"impedance is not finite at f = {float(f[bad][0])!r} Hz")
-        return z
+        return np.array([finite_impedance(admittance, x) for x in f.ravel().tolist()],
+                        dtype=complex).reshape(f.shape)
     try:
-        z = reciprocal(admittance(f))
+        z = 1.0 / admittance(f)
     except ZeroDivisionError:
         z = None
     if z is None or z != z:
@@ -160,38 +160,11 @@ def motional_detuning(res: Resonator, f) -> float | np.ndarray:
     return (f - fs) * (f + fs) / (fs * fs)
 
 
-def reciprocal(z):
-    """1/z for a complex or a complex array, rounded as Python rounds it.
-
-    Both divide by Smith's method, but numpy multiplies by the reciprocal
-    of the denominator where Python divides by it, which differs in the
-    last bit about a quarter of the time.  Arrays take Python's steps here,
-    and a numpy scalar is divided as a Python complex, so one frequency
-    gets the bits of the matching array entry.  A Python complex, one
-    frequency's case, is divided at once; no array exists before numpy is
-    loaded, so no scalar imports it.
-    """
-    if type(z) is complex:
-        return 1.0 / z
-    np = sys.modules.get("numpy")
-    if np is None or not isinstance(z, np.ndarray):
-        return 1.0 / complex(z)
-    r, x = z.real, z.imag
-    wide = abs(r) >= abs(x)  # Smith divides through by the larger part
-    big, small = np.where(wide, r, x), np.where(wide, x, r)
-    ratio = small / big
-    denom = big + small * ratio
-    out = np.empty_like(z)  # numerators of 1 + 0j in Python's two branches
-    out.real = np.where(wide, 1.0, ratio + 0.0) / denom
-    out.imag = np.where(wide, 0.0 - ratio, -1.0) / denom
-    return out
-
-
 def motional_admittance(res: Resonator, f):
-    """Admittance of the series r_m-l_m-c_m branch alone; f is a checked
-    Python float (giving a complex) or float array."""
+    """Admittance of the series r_m-l_m-c_m branch alone at a checked
+    Python float f."""
     x_m = motional_detuning(res, f) / (TWO_PI * f * res.c_m)
-    return reciprocal(res.r_m + 1j * x_m)
+    return 1.0 / (res.r_m + 1j * x_m)
 
 
 def impedance(res: Resonator, f) -> complex | np.ndarray:
@@ -207,10 +180,12 @@ def phase(res: Resonator, f) -> float | np.ndarray:
     Computed as the principal argument of the complex impedance; the
     two-arctangent closed form has quadrant ambiguities.
     """
+    z = impedance(res, f)
+    if isinstance(z, complex):
+        return math.degrees(cmath.phase(z))
     import numpy as np
 
-    p = np.degrees(np.angle(impedance(res, f)))
-    return float(p) if np.ndim(f) == 0 else p
+    return np.degrees(np.angle(z))
 
 
 def static_reactance(res: Resonator, f) -> float | np.ndarray:

@@ -6,10 +6,11 @@ Exit codes: 0 success, 1 user/input error, 2 design failure.
 
 numpy is imported only by the subcommands that build arrays: `ac`,
 `sweep` and `resonator --out`.  Every subcommand but `ac` evaluates one
-frequency at a time in Python floats; `sweep` turns its grid into floats
-first, so each row has the bits `noise` and `compensate` print for the
-same parameters.  `--points` is bounded by `bvd.MAX_AC_POINTS`, and a
-count outside the bounds is refused before anything is printed.
+frequency at a time in Python floats; `sweep`'s grid points become
+Python floats where they enter the resonator and network, so each row
+has the bits `noise` and `compensate` print for the same parameters.
+`--points` is bounded by `bvd.MAX_AC_POINTS`, and a count outside the
+bounds is refused before anything is printed.
 
 The argparse tree is built once per process and reused: parsing reads
 it and does not change it.
@@ -230,12 +231,13 @@ def cmd_sweep(args) -> int:
     res = _load_resonator(args)
     comp = _load_network(args, res)
     offset = args.offsets[0] if args.offsets else 1e6
-    # Python floats: numpy scalars would round the chain's complex
-    # divisions differently from `noise` at the same parameters
     if args.log:
-        values = np.geomspace(args.f_from, args.f_to, args.points).tolist()
+        if not (args.f_from > 0 and args.f_to > 0):
+            raise UserError(f"--log needs positive endpoints, got --from="
+                            f"{format_eng(args.f_from)} and --to={format_eng(args.f_to)}")
+        values = np.geomspace(args.f_from, args.f_to, args.points)
     else:
-        values = np.linspace(args.f_from, args.f_to, args.points).tolist()
+        values = np.linspace(args.f_from, args.f_to, args.points)
 
     fs = bvd.series_resonance(res)
     rows = []

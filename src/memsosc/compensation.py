@@ -39,14 +39,14 @@ exact Y' that gives the loaded Q, and a bisection step whenever a Newton
 step would leave the bracket or stall (see `_rtsafe`), until a step is
 below 1e-15 of the frequency.
 
-One frequency at a time is a Python float.  The admittance is plain
-arithmetic, so a float gives a complex and an array gives an array, with
-the same bits: `bvd.reciprocal` divides an array the way Python divides
-a complex.  The public entry points check the frequency once; from there
-the bracket edges, sign tests and Newton polish run in Python floats, and
-the loaded Q is a closed form in them (see `phase_slope_q`).  One cubic
-solve serves each operating point, only the roots a rule asks about get
-polished, and none of it needs numpy.
+One frequency at a time is a Python float, and `Resonator` and
+`CompensationNetwork` store Python numbers, so the admittance is Python
+complex arithmetic; an array of frequencies is a loop over it (see
+`bvd.finite_impedance`).  The public entry points check the frequency
+once; from there the bracket edges, sign tests and Newton polish run in
+Python floats, and the loaded Q is a closed form in them (see
+`phase_slope_q`).  One cubic solve serves each operating point, only the
+roots a rule asks about get polished, and none of it needs numpy.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from .bvd import (
     motional_admittance,
     motional_bandwidth,
     motional_detuning,
-    reciprocal,
     series_resonance,
 )
 
@@ -98,6 +97,10 @@ class CompensationNetwork:
     bank_code: int = 0
 
     def __post_init__(self):
+        for name in ("l_0", "q_l0", "f_ref", "c_fix", "bank_unit"):
+            value = getattr(self, name)
+            if type(value) is not float and isinstance(value, numbers.Real):
+                object.__setattr__(self, name, float(value))
         for name in ("l_0", "q_l0", "f_ref"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, "
@@ -108,6 +111,8 @@ class CompensationNetwork:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            if type(value) is not int:
+                object.__setattr__(self, name, int(value))
         if self.bank_size < 0:
             raise ValueError("bank_size must be non-negative")
         if not 0 <= self.bank_code <= self.bank_size:
@@ -144,7 +149,7 @@ def zero_phase_c0(res: Resonator, f: float) -> float:
     """
     f = float(check_frequency(f))
     w = TWO_PI * f
-    d = float(motional_detuning(res, f))  # omega^2*l_m*c_m - 1
+    d = motional_detuning(res, f)  # omega^2*l_m*c_m - 1
     if d <= 0:
         raise NoSolutionError(
             f"no physical solution: {f} Hz is not above the series resonance "
@@ -168,12 +173,12 @@ def shunt_inductor_for(c_total: float, f_0: float) -> float:
 def _tank_admittance(res: Resonator, comp: CompensationNetwork, f):
     """Admittance of motional branch || C branch || lossy inductor.
 
-    f is a checked Python float or float array.
+    f is a checked Python float.
     """
     w = TWO_PI * f
     return (motional_admittance(res, f)
             + 1j * w * comp.branch_capacitance(res)
-            + reciprocal(comp.r_l0 + 1j * w * comp.l_0))
+            + 1.0 / (comp.r_l0 + 1j * w * comp.l_0))
 
 
 def _admittance_and_slope(res: Resonator, comp: CompensationNetwork, f: float):
@@ -196,7 +201,7 @@ def _admittance_and_slope(res: Resonator, comp: CompensationNetwork, f: float):
 
 
 def _impedance(res: Resonator, comp: CompensationNetwork, f):
-    return reciprocal(_tank_admittance(res, comp, f))
+    return 1.0 / _tank_admittance(res, comp, f)
 
 
 def tank_impedance(res: Resonator, comp: CompensationNetwork, f):

@@ -65,6 +65,12 @@ class DesignSpec:
     l0_grid_step: float = 25e-12
 
     def __post_init__(self):
+        for name in ("target_f0", "v_osc_target", "parasitic_c", "q_l0_available",
+                     "bank_unit", "c_fix", "mu_cox", "gamma", "temperature", "supply",
+                     "pn_offset", "l0_grid_step"):
+            value = getattr(self, name)
+            if type(value) is not float and isinstance(value, numbers.Real):
+                object.__setattr__(self, name, float(value))
         for name in ("target_f0", "v_osc_target", "q_l0_available", "mu_cox",
                      "gamma", "temperature", "supply", "pn_offset",
                      "l0_grid_step"):
@@ -78,6 +84,7 @@ class DesignSpec:
         if isinstance(self.bank_size, bool) or not isinstance(self.bank_size,
                                                                numbers.Integral):
             raise ValueError(f"bank_size must be an integer, got {self.bank_size!r}")
+        object.__setattr__(self, "bank_size", int(self.bank_size))
         fs = series_resonance(self.resonator)
         if not 0.5 * fs <= self.target_f0 <= 1.5 * fs:
             raise ValueError("target_f0 must lie within [0.5, 1.5] of the "

@@ -16,6 +16,7 @@ and the CLI all read its record.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .bvd import Resonator
@@ -57,6 +58,10 @@ class OscillatorOperatingPoint:
     p_dc: float | None = None  # None: no efficiency or FoM
 
     def __post_init__(self):
+        for name in ("v_osc", "f_0", "delta_f", "temperature", "gamma", "g_mbias", "p_dc"):
+            value = getattr(self, name)
+            if type(value) not in (float, type(None)) and isinstance(value, numbers.Real):
+                object.__setattr__(self, name, float(value))
         for name in ("v_osc", "f_0", "delta_f", "temperature"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, "

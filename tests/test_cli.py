@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import pytest
 
@@ -267,6 +268,21 @@ class TestNoiseAndSweep:
         code, out, err = run(capsys, *argv, "--points", "3")
         assert (code, out, err) == (1, "", "error: --points must lie between 1 and 2, "
                                            "got 3\n")
+
+    @pytest.mark.parametrize("lo, hi, window", [
+        ("-1f", "1f", "--from=-1f and --to=1f"),
+        ("0", "3f", "--from=0 and --to=3f"),
+        ("2f", "-2f", "--from=2f and --to=-2f"),
+    ])
+    def test_log_window_needs_positive_endpoints(self, lo, hi, window, capsys):
+        # refused before the grid is built: geomspace would warn and give NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "sweep", "rft30g", "--var", "delta_c",
+                                 f"--from={lo}", f"--to={hi}", "--points", "3", "--log",
+                                 "--out", "-")
+        assert (code, out) == (1, "")
+        assert err == f"error: --log needs positive endpoints, got {window}\n"
 
     @pytest.mark.parametrize("var, lo, hi", [("q_rft", "5k", "20k"),
                                              ("delta_c", "-3f", "3f"),

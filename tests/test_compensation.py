@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from memsosc import (
     AlignmentWarning,
     CompensationNetwork,
+    NoResonanceError,
     NoSolutionError,
+    OscillatorOperatingPoint,
     Resonator,
     analyze_tank,
     effective_resistance,
+    evaluate,
     find_operating_point,
     impedance,
     motional_mode_capacitance_margin,
@@ -218,22 +221,66 @@ def test_property_float_path_equals_array_path(name, q_l0, shift, where, numpy_f
     """One frequency as a Python float gives the bits of a one-entry array.
 
     numpy_fields holds q_l0 and l_0 as np.float64, as a sweep over
-    np.linspace values sets them.
+    np.linspace values sets them.  The network stores them as Python
+    floats, so the operating point, its Q and the evaluation have the bits
+    and types of the Python-float network's.
     """
     res = get_resonator(name)
     fs = series_resonance(res)
     c_fix = 2.0 * res.c_0
     l_0 = shunt_inductor_for(res.c_0 + c_fix, fs)
+    c_fix = max(c_fix + shift * motional_mode_capacitance_margin(res), 0.0)
+    twin = CompensationNetwork(l_0=l_0, q_l0=q_l0, f_ref=fs, c_fix=c_fix)
     if numpy_fields:
         q_l0, l_0 = np.float64(q_l0), np.float64(l_0)
-    comp = CompensationNetwork(
-        l_0=l_0, q_l0=q_l0, f_ref=fs,
-        c_fix=max(c_fix + shift * motional_mode_capacitance_margin(res), 0.0))
+    comp = CompensationNetwork(l_0=l_0, q_l0=q_l0, f_ref=fs, c_fix=c_fix)
     kind, v = where
     f = fs * (1.0 + v) if kind == "rel" else fs + v * motional_bandwidth(res)
     z = tank_impedance(res, comp, f)
     assert type(z) is complex
     assert z == tank_impedance(res, comp, np.array([f]))[0]
+
+    outcomes = []
+    for network in (comp, twin):
+        try:
+            f_op, z_op, mode = find_operating_point(res, network)
+        except NoResonanceError as exc:
+            outcomes.append(str(exc))
+            continue
+        op = OscillatorOperatingPoint(v_osc=0.3, f_0=f_op, delta_f=1e-3 * f_op, p_dc=1.0)
+        outcomes.append(typed((astuple(network), f_op, z_op, mode,
+                               phase_slope_q(res, network, f_op),
+                               astuple(evaluate(res, network, op)))))
+    assert outcomes[0] == outcomes[1]
+
+
+def typed(values):
+    """(type, repr) of every entry of a nested tuple: equal lists mean the
+    same bits and the same Python types."""
+    if isinstance(values, tuple):
+        return [entry for v in values for entry in typed(v)]
+    return [(type(values), repr(values))]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Resonator(r_m="1", l_m=17.59e-6, c_m=1.60006e-18, c_0=16e-15),
+    lambda: Resonator(r_m=332.0, l_m=None, c_m=1.60006e-18, c_0=16e-15),
+    lambda: CompensationNetwork(l_0=None, q_l0=8.0, f_ref=30e9),
+    lambda: CompensationNetwork(l_0=250e-12, q_l0="8", f_ref=30e9),
+    lambda: CompensationNetwork(l_0=250e-12, q_l0=8.0, f_ref=30e9, c_fix="1f"),
+    lambda: CompensationNetwork(l_0=250e-12, q_l0=8.0, f_ref=30e9, bank_size=np.float64(8)),
+    lambda: OscillatorOperatingPoint(v_osc="0.3", f_0=30e9, delta_f=1e6),
+])
+def test_only_real_numbers_become_floats(make):
+    # the fields are converted to Python numbers, but a string is not a
+    # number and a float is not a bank count
+    with pytest.raises((TypeError, ValueError)):
+        make()
+
+
+def test_empty_frequency_array_gives_an_empty_complex_array(rft, comp_q8):
+    for z in (tank_impedance(rft, comp_q8, np.array([])), impedance(rft, np.array([]))):
+        assert z.dtype == complex and z.shape == (0,)
 
 
 class TestEffectiveResistance:

@@ -3,8 +3,9 @@
 It imports and runs with scipy unimportable.  `import memsosc` loads no
 numpy, and the subcommands that work one frequency at a time (resonator
 without --out, compensate, noise, design) print the same report with
-numpy unimportable.  Inside the package, no module takes another
-module's `_`-prefixed name."""
+numpy unimportable; the library calls behind them give the same values.
+Inside the package, no module takes another module's `_`-prefixed
+name."""
 
 import ast
 import contextlib
@@ -23,7 +24,7 @@ from memsosc.cli import main
 # Makes the named packages unimportable, then runs each argv of
 # sys.argv[1] (JSON) through the CLI entry point and prints one JSON list
 # of [exit code, stdout] and whether numpy got loaded.
-BLOCKED_RUN = """
+BLOCKER = """
 import contextlib, io, json, sys
 
 BLOCKED = {blocked!r}
@@ -35,6 +36,9 @@ class Blocker:
         return None
 
 sys.meta_path.insert(0, Blocker())
+"""
+
+BLOCKED_RUN = BLOCKER + """
 import memsosc.cli
 
 results = []
@@ -74,6 +78,24 @@ SCALAR_CASES = {
     "infeasible_design": (["design", "--in", "@infeasible"], 2),
     "bad_choice": (["design", "--in", "@spec", "--format", "xml"], 2),
 }
+
+
+# The library's one-frequency API on Python floats, down to a design report.
+SCALAR_API = """
+from memsosc import bvd, compensation, design, fixtures, noise
+
+res = fixtures.get_resonator("rft30g")
+comp = fixtures.get_network("l0_250p_q8")
+f_op, z_op, mode = compensation.find_operating_point(res, comp)
+op = noise.OscillatorOperatingPoint(v_osc=0.3, f_0=f_op, delta_f=1e6, p_dc=2.7e-3)
+spec = design.DesignSpec(resonator=res, target_f0=30e9, v_osc_target=0.3,
+                         parasitic_c=86.58e-15, q_l0_available=8.0,
+                         bank_unit=1e-15, bank_size=8)
+values = [bvd.impedance(res, 3e10), compensation.tank_impedance(res, comp, 3e10),
+          bvd.phase(res, 3e10), bvd.static_reactance(res, 3e10), f_op, z_op, mode,
+          compensation.phase_slope_q(res, comp, f_op), noise.evaluate(res, comp, op),
+          design.run_design(spec)]
+"""
 
 
 def run_python(code, *args):
@@ -135,6 +157,17 @@ def test_scalar_subcommands_run_with_numpy_blocked(scalar_argvs):
         assert (code, unblocked) == (want_code, want_code), case
         assert out == stdout.getvalue(), case
     assert results[0][1].startswith("# defaults")  # reports were really printed
+
+
+def test_scalar_api_runs_with_numpy_blocked():
+    proc = run_python(BLOCKER.format(blocked=("numpy", "scipy")) + SCALAR_API
+                      + "print(json.dumps([repr(values), 'numpy' in sys.modules]))")
+    assert proc.returncode == 0, proc.stderr
+    blocked, numpy_loaded = json.loads(proc.stdout)
+    assert not numpy_loaded
+    scope = {}
+    exec(SCALAR_API, scope)
+    assert blocked == repr(scope["values"])
 
 
 def test_mna_names_resolve_lazily():

@@ -1,5 +1,7 @@
 import math
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 from memsosc import Resonator, run_design
@@ -157,6 +159,22 @@ class TestEmission:
         assert float(doc["q_loaded"]) == report.q_loaded
         assert float(doc["pn_dbchz"]) == report.predicted_pn
         assert int(doc["bank_code"]) == report.bank_code
+
+    def test_report_document_of_numpy_numbers(self, rft):
+        # numpy scalars become Python numbers where they enter the spec and
+        # the resonator, so the report has the bits and the reprs of the
+        # Python-number twin's
+        from memsosc import DesignSpec
+
+        spec = DesignSpec(resonator=rft, target_f0=30e9, v_osc_target=0.3,
+                          parasitic_c=86.58e-15, q_l0_available=8.0,
+                          bank_unit=1e-15, bank_size=8, c_fix=10e-15)
+        numpy_res = Resonator(*map(np.float64, (rft.r_m, rft.l_m, rft.c_m, rft.c_0)))
+        numpy_spec = DesignSpec(numpy_res, *(
+            np.int64(v) if type(v) is int else np.float64(v) for v in astuple(spec)[1:]))
+        report, numpy_report = run_design(spec), run_design(numpy_spec)
+        assert report_document(numpy_report) == report_document(report)
+        assert list(map(type, astuple(numpy_report))) == list(map(type, astuple(report)))
 
 
 class TestDesignSpecDocument:
