@@ -31,6 +31,7 @@ from .compensation import (
     tank_impedance,
     tank_resonance,
     tune_bank,
+    window_fraction,
     zero_phase_c0,
 )
 from .design import DesignError, DesignReport, DesignSpec, run_design, size_active

@@ -24,6 +24,17 @@ MAX_AC_POINTS = 10**6
 MIN_SWEEP_POINTS = 2
 
 
+def as_float(name: str, value):
+    """A real number as a Python float, anything else as it is; ValueError
+    naming the field for a number beyond the float range (the int 10**400)."""
+    if type(value) is float or not isinstance(value, numbers.Real):
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got a number beyond the float range") from None
+
+
 @dataclass(frozen=True)
 class Resonator:
     """BVD parameter set: the electrical identity of a mechanical resonator."""
@@ -36,9 +47,8 @@ class Resonator:
 
     def __post_init__(self):
         for name in ("r_m", "l_m", "c_m", "c_0"):
-            value = getattr(self, name)
-            if type(value) is not float and isinstance(value, numbers.Real):
-                object.__setattr__(self, name, value := float(value))
+            if type(value := getattr(self, name)) is not float:
+                object.__setattr__(self, name, value := as_float(name, value))
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not self.c_m / self.c_0 < 1:

@@ -139,7 +139,7 @@ def cmd_compensate(args) -> int:
     print(f"beta           : {tank.beta!r}")
     print(f"Q_L (phase slope): {tank.q_loaded!r}")
     print(f"f_tank         : {tank.f_tank!r} Hz")
-    print(f"aligned        : {tank.aligned}")
+    print(f"window         : {tank.window!r}")
     print(f"dominant mode  : {tank.dominant_mode}")
     return 0
 

@@ -10,8 +10,10 @@ i.e. the frequencies where a negative-conductance cell can sustain
 oscillation.  The tuned high-Q crossing sits at the motional series
 resonance (an impedance notch of depth r_res with a steep phase slope);
 the broad LC-branch structure carries its own low-Q crossing.  The
-motional crossing exists only while the capacitive misalignment stays
-below 1/(2*r_m*w_s).  `find_operating_point` is the one route to an
+motional crossing exists only while the rest of the tank's susceptance
+at w_s stays within the +-1/(2*r_m) the motional branch spans there;
+`window_fraction`, in units of that half-width, is the one measure of
+alignment.  `find_operating_point` is the one route to an
 operating point: one root solve finds every crossing at any frequency,
 and one rule picks among them.  The motional point is the crossing
 nearest f_s within +-2 motional bandwidths of it (capped to the octave
@@ -53,12 +55,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
 from .bvd import (
     TWO_PI,
     Resonator,
+    as_float,
     check_frequency,
     finite_impedance,
     motional_admittance,
@@ -77,7 +81,7 @@ class NoResonanceError(RuntimeError):
 
 
 class AlignmentWarning(UserWarning):
-    """Best achievable tuning still leaves the tank off the motional peak."""
+    """The best bank code leaves the tank outside the high-Q window."""
 
 
 @dataclass(frozen=True)
@@ -98,9 +102,8 @@ class CompensationNetwork:
 
     def __post_init__(self):
         for name in ("l_0", "q_l0", "f_ref", "c_fix", "bank_unit"):
-            value = getattr(self, name)
-            if type(value) is not float and isinstance(value, numbers.Real):
-                object.__setattr__(self, name, float(value))
+            if type(value := getattr(self, name)) is not float:
+                object.__setattr__(self, name, as_float(name, value))
         for name in ("l_0", "q_l0", "f_ref"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, "
@@ -113,8 +116,8 @@ class CompensationNetwork:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if type(value) is not int:
                 object.__setattr__(self, name, int(value))
-        if self.bank_size < 0:
-            raise ValueError("bank_size must be non-negative")
+        if not 0 <= self.bank_size <= sys.float_info.max:  # codes scale the unit in floats
+            raise ValueError("bank_size must be non-negative and within the float range")
         if not 0 <= self.bank_code <= self.bank_size:
             raise ValueError("bank_code must lie in [0, bank_size]")
 
@@ -137,7 +140,7 @@ class TankAnalysis:
     f_s: float
     r_res: float
     beta: float
-    aligned: bool
+    window: float
     q_loaded: float | None = None
     dominant_mode: str | None = None
 
@@ -228,6 +231,18 @@ def motional_mode_capacitance_margin(res: Resonator) -> float:
     susceptance; the equivalent capacitance offset is 1/(2*r_m*w_s).
     """
     return 1.0 / (2.0 * res.r_m * TWO_PI * series_resonance(res))
+
+
+def window_fraction(res: Resonator, comp: CompensationNetwork,
+                    bank_code: int | None = None) -> float:
+    """2*r_m*B, with B = w_s*c_branch + Im(1/(r_l0 + j*w_s*l_0)) the tank's
+    non-motional susceptance at w_s: 0 at the window centre, and the motional
+    crossing exists while it lies in [-1, 1].  The bank term comes last, so
+    neighbouring codes stay apart however small the unit."""
+    code = comp.bank_code if bank_code is None else bank_code
+    ws = TWO_PI * series_resonance(res)
+    b = ws * comp.branch_capacitance(res, 0) + (1.0 / (comp.r_l0 + 1j * ws * comp.l_0)).imag
+    return 2.0 * res.r_m * (b + ws * code * comp.bank_unit)
 
 
 # --- operating points ----------------------------------------------------
@@ -446,11 +461,8 @@ def effective_resistance(res: Resonator, comp: CompensationNetwork) -> TankAnaly
     if not 0 < r_res < math.inf:
         raise ValueError(f"r_res = r_m || q_l0^2*r_l0 is out of floating-point range "
                          f"for q_l0 = {comp.q_l0!r} and l_0 = {comp.l_0!r} H")
-    fs = series_resonance(res)
-    ft = tank_resonance(res, comp)
-    aligned = abs(ft - fs) <= 0.5 * motional_bandwidth(res)
-    return TankAnalysis(f_tank=ft, f_s=fs, r_res=r_res, beta=r_res / res.r_m,
-                        aligned=aligned)
+    return TankAnalysis(f_tank=tank_resonance(res, comp), f_s=series_resonance(res),
+                        r_res=r_res, beta=r_res / res.r_m, window=window_fraction(res, comp))
 
 
 def analyze_tank(res: Resonator, comp: CompensationNetwork) -> TankAnalysis:
@@ -460,71 +472,25 @@ def analyze_tank(res: Resonator, comp: CompensationNetwork) -> TankAnalysis:
                    q_loaded=phase_slope_q(res, comp, f_op))
 
 
-def first_true(pred, lo: int, hi, guess: int) -> int:
-    """Smallest integer k in [lo, hi] with pred(k), or hi + 1 when none has.
-
-    pred must be monotone on [lo, hi]: false up to some k, true from there
-    on.  The search gallops out from guess and then bisects, so a guess
-    that is d away costs about 2*log2(d + 1) + 2 calls of pred.  hi may be
-    math.inf when pred holds from some finite k on.
-    """
-    guess = min(max(guess, lo), hi)
-    step = 1
-    if pred(guess):
-        a, b = guess - 1, guess  # pred(b) holds; walk a down until it fails
-        while a >= lo and pred(a):
-            b, step = a, 2 * step
-            a = b - step
-        a = max(a, lo - 1)
-    else:
-        a, b = guess, guess + 1  # pred(a) fails; walk b up until it holds
-        while b <= hi and not pred(b):
-            a, step = b, 2 * step
-            b = a + step
-        b = min(b, hi + 1)
-    while b - a > 1:  # pred fails at a (or a < lo) and holds at b (or b > hi)
-        m = (a + b) // 2
-        if pred(m):
-            b = m
-        else:
-            a = m
-    return b
-
-
 def tune_bank(res: Resonator, comp: CompensationNetwork) -> int:
-    """Bank code minimizing |f_tank - f_s|; ties break toward the lower code.
+    """Bank code nearest the centre of the high-Q operating window.
 
-    f_tank falls with the code, in floating point too, so the offset falls
-    until f_tank reaches f_s and rises from there.  The search starts at
-    the closed-form code, the capacitance deficit 1/(w_s^2*l_0) - c_branch
-    over the bank unit, finds the first code at or below f_s and the
-    lowest code that ties the one before it: a handful of `tank_resonance`
-    calls, and O(log bank_size) at worst.  Warns when even the best code
-    leaves the tank more than a motional bandwidth off the series
-    resonance.
+    The window fraction rises by bank_unit/margin per code, so the best code
+    is the one nearest u = (c_centre - c_branch(0))/bank_unit, which is
+    -window_fraction(0)*margin/bank_unit, clamped to the bank; c_centre =
+    -Im(1/(r_l0 + j*w_s*l_0))/w_s cancels the lossy inductor at w_s.  A u
+    half-way between two codes, or a zero unit, takes the lower code.
+    Warns (AlignmentWarning) when even that code leaves the tank outside
+    the window, or when the bank has no tunable units.
     """
     if comp.bank_size < 1:
         warnings.warn("bank has no tunable units", AlignmentWarning)
         return 0
-    fs = series_resonance(res)
-    n = comp.bank_size
-
-    def offset(code):
-        return abs(tank_resonance(res, comp, code) - fs)
-
-    ws = TWO_PI * fs
-    deficit = 1.0 / (ws * ws * comp.l_0) - comp.branch_capacitance(res, 0)
-    units = deficit / comp.bank_unit if comp.bank_unit > 0 else 0.0
-    guess = math.ceil(min(max(units, 0.0), n))
-    best = first_true(lambda code: tank_resonance(res, comp, code) <= fs, 0, n, guess)
-    if best > 0:
-        low = offset(best - 1)
-        if best > n or low <= offset(best):
-            best = first_true(lambda code: offset(code) <= low, 0, best - 1, best - 1)
-    off = offset(best)
-    if off > motional_bandwidth(res):
-        warnings.warn(
-            f"best bank code {best} still leaves the tank "
-            f"{off:.4g} Hz off the series resonance",
-            AlignmentWarning)
-    return best
+    u = (-window_fraction(res, comp, 0) * motional_mode_capacitance_margin(res)
+         / comp.bank_unit if comp.bank_unit > 0 else 0.0)
+    code = comp.bank_size if u >= comp.bank_size else math.ceil(max(u, 0.0) - 0.5)
+    fraction = window_fraction(res, comp, code)
+    if abs(fraction) > 1.0:
+        warnings.warn(f"best bank code {code} still leaves the tank at window fraction "
+                      f"{fraction:+.4g}", AlignmentWarning)
+    return code

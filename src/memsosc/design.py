@@ -14,22 +14,17 @@ import sys
 import warnings
 from dataclasses import dataclass, replace
 
-from .bvd import (
-    Resonator,
-    motional_bandwidth,
-    quality_factor,
-    series_resonance,
-)
+from .bvd import Resonator, as_float, quality_factor, series_resonance
 from .compensation import (
     AlignmentWarning,
     CompensationNetwork,
     NoResonanceError,
     effective_resistance,
     find_operating_point,
-    first_true,
     motional_mode_capacitance_margin,
     tank_resonance,
     tune_bank,
+    window_fraction,
 )
 from .noise import DEFAULT_GAMMA, DEFAULT_TEMPERATURE, OscillatorOperatingPoint, evaluate
 
@@ -39,6 +34,9 @@ SUPPLY_BRANCH_FACTOR = 2.0
 
 # Conventional startup margin over the theoretical minimum g_m*r_res = 2.
 STARTUP_MARGIN = 2.5
+
+# |window fraction| beyond which a design reports its capacitance tolerance.
+WINDOW_WARNING = 0.5
 
 
 class DesignError(RuntimeError):
@@ -68,9 +66,8 @@ class DesignSpec:
         for name in ("target_f0", "v_osc_target", "parasitic_c", "q_l0_available",
                      "bank_unit", "c_fix", "mu_cox", "gamma", "temperature", "supply",
                      "pn_offset", "l0_grid_step"):
-            value = getattr(self, name)
-            if type(value) is not float and isinstance(value, numbers.Real):
-                object.__setattr__(self, name, float(value))
+            if type(value := getattr(self, name)) is not float:
+                object.__setattr__(self, name, as_float(name, value))
         for name in ("target_f0", "v_osc_target", "q_l0_available", "mu_cox",
                      "gamma", "temperature", "supply", "pn_offset",
                      "l0_grid_step"):
@@ -78,7 +75,7 @@ class DesignSpec:
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {getattr(self, name)}")
         for name in ("parasitic_c", "bank_unit", "c_fix", "bank_size"):
-            if not 0 <= getattr(self, name) < math.inf:
+            if not 0 <= as_float(name, getattr(self, name)) < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite, "
                                  f"got {getattr(self, name)}")
         if isinstance(self.bank_size, bool) or not isinstance(self.bank_size,
@@ -133,6 +130,33 @@ def size_active(r_res: float, v_osc: float, mu_cox: float):
     return g_m, i_bias, w_over_l
 
 
+def _first_true(pred, lo: int, guess: int) -> int:
+    """Smallest integer k >= lo with pred(k), where pred is false up to some
+    k and true from there on.  Gallops out from guess and bisects: a guess
+    d away costs about 2*log2(d + 1) + 2 calls of pred.
+    """
+    guess = max(guess, lo)
+    step = 1
+    if pred(guess):
+        a, b = guess - 1, guess  # pred(b) holds; walk a down until it fails
+        while a >= lo and pred(a):
+            b, step = a, 2 * step
+            a = b - step
+        a = max(a, lo - 1)
+    else:
+        a, b = guess, guess + 1  # pred(a) fails; walk b up until it holds
+        while not pred(b):
+            a, step = b, 2 * step
+            b = a + step
+    while b - a > 1:  # pred fails at a (or a < lo) and holds at b
+        m = (a + b) // 2
+        if pred(m):
+            b = m
+        else:
+            a = m
+    return b
+
+
 def _choose_inductor(spec: DesignSpec) -> float:
     """Smallest grid inductor whose bank range can align the tank to f_s.
 
@@ -142,7 +166,7 @@ def _choose_inductor(spec: DesignSpec) -> float:
     The required capacitance falls as L0 rises, so only the first grid
     point at or below the top of that window can be feasible.  Its index
     comes in closed form, ceil(L_lo/step) with L_lo = 1/(w_s^2*c_top),
-    corrected for rounding by `first_true`; the point is then checked
+    corrected for rounding by `_first_true`; the point is then checked
     against the bottom of the window and the largest sensible inductor.
     """
     res = spec.resonator
@@ -161,7 +185,7 @@ def _choose_inductor(spec: DesignSpec) -> float:
         return 1.0 / (ws * ws * (k * step))
 
     guess = math.ceil(min(1.0 / (ws * ws * c_top) / step, sys.float_info.max))
-    k = first_true(lambda k: c_needed(k) <= c_top, 1, math.inf, guess)
+    k = _first_true(lambda k: c_needed(k) <= c_top, 1, guess)
     if k * step <= l_max and c_base - slack <= c_needed(k):
         return k * step
     raise DesignError(
@@ -180,27 +204,24 @@ def run_design(spec: DesignSpec) -> DesignReport:
     comp = CompensationNetwork(
         l_0=l_0, q_l0=spec.q_l0_available, f_ref=spec.target_f0,
         c_fix=spec.parasitic_c + spec.c_fix,
-        bank_unit=spec.bank_unit, bank_size=spec.bank_size,
-        bank_code=spec.bank_size // 2)
+        bank_unit=spec.bank_unit, bank_size=spec.bank_size)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AlignmentWarning)
         code = tune_bank(res, comp)
     comp = replace(comp, bank_code=code)
 
-    f_tank = tank_resonance(res, comp)
-    ws = 2.0 * math.pi * fs
-    residual_c = abs(comp.branch_capacitance(res) - 1.0 / (ws * ws * l_0))
-    margin_c = motional_mode_capacitance_margin(res)
-    if residual_c > margin_c:
+    window = window_fraction(res, comp)
+    if abs(window) > 1.0:
         raise DesignError(
             f"no bank code keeps the tank within the high-Q operating window: "
-            f"residual {residual_c:.4g} F exceeds the {margin_c:.4g} F margin")
-    if abs(f_tank - fs) > motional_bandwidth(res):
+            f"code {code} leaves it at window fraction {window:+.4g}")
+    if abs(window) > WINDOW_WARNING:
+        margin_c = motional_mode_capacitance_margin(res)
         report_warnings.append(
-            f"residual tank offset {abs(f_tank - fs):.4g} Hz exceeds the "
-            f"motional bandwidth; bank unit is coarse relative to the "
-            f"resonator linewidth")
+            f"bank code {code} sits at window fraction {window:+.2f}; "
+            f"the motional mode survives {(1.0 - window) * margin_c:.3g} F more or "
+            f"{(1.0 + window) * margin_c:.3g} F less branch capacitance")
 
     try:
         f_osc, _, mode = find_operating_point(res, comp)
@@ -229,7 +250,7 @@ def run_design(spec: DesignSpec) -> DesignReport:
     return DesignReport(
         l_0=l_0, r_l0=comp.r_l0, q_l0=comp.q_l0, c_fix=comp.c_fix,
         bank_code=code, bank_size=spec.bank_size,
-        f_s=fs, f_tank=f_tank, f_osc=ev.op.f_0,
+        f_s=fs, f_tank=tank_resonance(res, comp), f_osc=ev.op.f_0,
         r_res=r_res, beta=ev.tank.beta,
         q_loaded=q_loaded, q_resonator=q_rft,
         noise_factor=ev.budget.f_min,

@@ -45,8 +45,9 @@ PUBLISHED_FREQUENCY = {
 
 # 250 pH shunt inductor at 30 GHz: the analysis variant (Q_L0 = 10,
 # R_L0 ~ 4.7 ohm) and the realizable variant (Q_L0 = 8).  c_fix absorbs
-# node parasitics and is trimmed so bank midscale (code 4) aligns the
-# 250 pH branch with the rft30g series resonance.
+# node parasitics and puts the lossless resonance at the rft30g f_s at
+# bank midscale (code 4); the lossy window centre lies c/(1 + q_l0^2)
+# lower, so `tune_bank` picks code 2 (Q_L0 = 8) or 3 (Q_L0 = 10).
 BUILTIN_NETWORKS = {
     "l0_250p_q10": CompensationNetwork(l_0=250e-12, q_l0=10.0, f_ref=30e9,
                                        c_fix=92.58e-15, bank_unit=1e-15,

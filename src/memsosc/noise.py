@@ -16,10 +16,9 @@ and the CLI all read its record.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
-from .bvd import Resonator
+from .bvd import Resonator, as_float
 from .compensation import (
     CompensationNetwork,
     NoResonanceError,
@@ -59,9 +58,8 @@ class OscillatorOperatingPoint:
 
     def __post_init__(self):
         for name in ("v_osc", "f_0", "delta_f", "temperature", "gamma", "g_mbias", "p_dc"):
-            value = getattr(self, name)
-            if type(value) not in (float, type(None)) and isinstance(value, numbers.Real):
-                object.__setattr__(self, name, float(value))
+            if type(value := getattr(self, name)) not in (float, type(None)):
+                object.__setattr__(self, name, as_float(name, value))
         for name in ("v_osc", "f_0", "delta_f", "temperature"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, "

@@ -1,37 +1,51 @@
 """The exhaustive bank scan and the linear L0 grid walk, kept as references.
 
-Before the closed forms, `tune_bank` evaluated every code and took the
-first minimum of |f_tank - f_s|, and `_choose_inductor` stepped up the L0
-grid one point at a time until the required capacitance fell inside the
-bank window.  Both are kept here, unchanged apart from their names, so
-tests can check that the closed forms pick the same code, the same
-inductor and the same refusal on any input small enough to scan.
+Before the closed forms, `_choose_inductor` stepped up the L0 grid one
+point at a time until the required capacitance fell inside the bank
+window; that walk is kept here, unchanged apart from its name.  The bank
+scan evaluates the window fraction at every code and keeps the smallest
+|fraction|, and the nearest code is also found in exact rational
+arithmetic; the closed-form `tune_bank` must match both.  Tests check
+that the closed forms pick the same code, the same inductor and the same
+refusal on any input small enough to scan.
 """
 
 import math
 import warnings
+from fractions import Fraction
 
-import numpy as np
+from memsosc import (
+    AlignmentWarning,
+    DesignError,
+    motional_mode_capacitance_margin,
+    series_resonance,
+    window_fraction,
+)
 
-from memsosc import AlignmentWarning, DesignError, series_resonance, tank_resonance
-from memsosc.bvd import motional_bandwidth
 
-
-def scan_tune_bank(res, comp):
-    """Bank code minimizing |f_tank - f_s| over every code; ties go low."""
+def scan_window_bank(res, comp):
+    """Bank code minimizing |window_fraction| over every code; ties go low."""
     if comp.bank_size < 1:
         warnings.warn("bank has no tunable units", AlignmentWarning)
         return 0
-    fs = series_resonance(res)
-    codes = np.arange(comp.bank_size + 1)
-    offsets = np.array([abs(tank_resonance(res, comp, int(c)) - fs) for c in codes])
-    best = int(np.argmin(offsets))  # argmin takes the first (lowest) code on ties
-    if offsets[best] > motional_bandwidth(res):
-        warnings.warn(
-            f"best bank code {best} still leaves the tank "
-            f"{offsets[best]:.4g} Hz off the series resonance",
-            AlignmentWarning)
+    fractions = [window_fraction(res, comp, code) for code in range(comp.bank_size + 1)]
+    best = min(range(len(fractions)), key=lambda code: abs(fractions[code]))  # first minimum
+    if abs(fractions[best]) > 1.0:
+        warnings.warn(f"best bank code {best} still leaves the tank at window "
+                      f"fraction {fractions[best]:+.4g}", AlignmentWarning)
     return best
+
+
+def exact_nearest_code(res, comp):
+    """Code nearest the zero of the window fraction, which rises by
+    bank_unit/margin per code from its float value at code 0, in exact
+    arithmetic, clamped to the bank; half-way, or a zero unit, goes low."""
+    if comp.bank_size < 1 or comp.bank_unit == 0:
+        return 0
+    u = (-Fraction(window_fraction(res, comp, 0))
+         * Fraction(motional_mode_capacitance_margin(res)) / Fraction(comp.bank_unit))
+    code = math.floor(u) + (u - math.floor(u) > Fraction(1, 2))
+    return min(max(code, 0), comp.bank_size)
 
 
 def walk_choose_inductor(spec):

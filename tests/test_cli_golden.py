@@ -14,7 +14,9 @@ place the polished frequency depends on the estimate's last bits and on
 the polish.  The file was recorded with np.roots estimates, a Brent
 polish and phase noise and FoM as logs of linear products; the in-house
 cubic solve, the Newton polish and the sums of logs that replaced them
-move the last digits of some numbers.
+move the last digits of some numbers.  When the `aligned` flag of
+`compensate` became the signed `window` fraction, only that line of the
+five `compensate*` cases was re-recorded.
 
 After a deliberate change to a report, regenerate the file with
 

@@ -1,10 +1,11 @@
-"""Closed-form bank code and L0 grid point against the scans they replaced,
-and bounded work on banks and grids far too large to scan."""
+"""Closed-form bank code and L0 grid point against exhaustive scans, and
+bounded work on banks and grids far too large to scan."""
 
 import random
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -15,24 +16,24 @@ from memsosc import (
     compensation,
     run_design,
     series_resonance,
-    tank_resonance,
     tune_bank,
+    window_fraction,
 )
 from memsosc.bvd import TWO_PI
 from memsosc.design import _choose_inductor
 from memsosc.fixtures import BUILTIN_RESONATORS, get_resonator
 
-from bank_reference import scan_tune_bank, walk_choose_inductor
+from bank_reference import exact_nearest_code, scan_window_bank, walk_choose_inductor
 
 FIXTURES = sorted(BUILTIN_RESONATORS)
 
 
 def bank_networks(seed, count):
-    """Seeded (resonator, network) pairs whose required capacitance lies
-    from below the bank to beyond its top, sometimes exactly on a code.
-    Units span 1e-19 to 1e-2 of the branch capacitance, half of them 1e-17
-    to 1e-15: there neighbouring codes round to the same f_tank, or to
-    offsets from f_s that tie."""
+    """Seeded (resonator, network) pairs whose window centre lies from below
+    the bank to beyond its top, sometimes exactly on a code.  With f_ref =
+    f_s the centre is 1/(w_s^2*l_0*(1 + 1/q_l0^2)).  Units span
+    1e-19 to 1e-2 of the branch capacitance, half of them 1e-17 to 1e-15:
+    there neighbouring codes round to the same branch capacitance."""
     rng = random.Random(seed)
     for _ in range(count):
         res = get_resonator(rng.choice(FIXTURES))
@@ -47,7 +48,8 @@ def bank_networks(seed, count):
             c_target = c_base + rng.randint(0, size) * unit
         else:
             c_target = c_base + unit * size * rng.uniform(-0.3, 1.3)
-        yield res, CompensationNetwork(l_0=1.0 / (ws * ws * c_target), q_l0=8.0,
+        l_0 = 1.0 / (ws * ws * c_target * (1.0 + 1.0 / 64.0))  # q_l0 = 8
+        yield res, CompensationNetwork(l_0=l_0, q_l0=8.0,
                                        f_ref=fs, c_fix=c_fix, bank_unit=unit,
                                        bank_size=size)
 
@@ -62,18 +64,20 @@ def outcome(fn, *args):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_tune_bank_matches_scan(seed):
-    plateaus = ties = 0
+    inside = plateaus = warned = 0
     for res, comp in bank_networks(seed, 200):
         code, messages = outcome(tune_bank, res, comp)
-        assert (code, messages) == outcome(scan_tune_bank, res, comp)
+        assert (code, messages) == outcome(scan_window_bank, res, comp)
+        assert code == exact_nearest_code(res, comp)
+        warned += bool(messages)
         if 0 < code < comp.bank_size:
-            fs = series_resonance(res)
-            f = [tank_resonance(res, comp, c) for c in (code - 1, code, code + 1)]
-            plateaus += f[1] == f[2]
-            ties += abs(f[1] - fs) == abs(f[2] - fs) and f[1] != f[2]
-    # the seeds reach both ways a lower code wins: a shared f_tank, and
-    # equal offsets on the two sides of f_s
-    assert plateaus > 0 and ties > 0
+            inside += 1
+            plateaus += (comp.branch_capacitance(res, code)
+                         == comp.branch_capacitance(res, code + 1))
+    # the seeds reach codes inside the bank, codes whose branch capacitance
+    # rounds to that of the next one (the window fraction still tells them
+    # apart), and banks that cannot reach the window
+    assert inside > 0 and plateaus > 0 and warned > 0
 
 
 @pytest.mark.parametrize("size", [0, 1])
@@ -82,7 +86,7 @@ def test_tune_bank_tiny_banks(rft, size):
         for c_fix in (50e-15, 96.58e-15, 150e-15):
             comp = CompensationNetwork(l_0=250e-12, q_l0=8.0, f_ref=30e9, c_fix=c_fix,
                                        bank_unit=unit, bank_size=size)
-            assert outcome(tune_bank, rft, comp) == outcome(scan_tune_bank, rft, comp)
+            assert outcome(tune_bank, rft, comp) == outcome(scan_window_bank, rft, comp)
 
 
 def inductor_specs(seed, count):
@@ -151,44 +155,48 @@ def bounded(fn, *args):
     return value
 
 
-def test_billion_code_bank_is_bounded(rft):
-    ws = TWO_PI * series_resonance(rft)
+def billion_code_bank(res):
+    """A 10^9-code bank of 1e-25 F units whose code 123,456,789 puts the
+    250 pH, q_l0 = 8 tank at the lossy window centre, l_0/|r_l0 + j*w_s*l_0|^2."""
+    ws = TWO_PI * series_resonance(res)
+    comp = CompensationNetwork(l_0=250e-12, q_l0=8.0, f_ref=30e9)
+    c_centre = comp.l_0 / (comp.r_l0 ** 2 + (ws * comp.l_0) ** 2)
     unit = 1e-25
-    c_fix = 1.0 / (ws * ws * 250e-12) - rft.c_0 - 123_456_789 * unit
-    comp = CompensationNetwork(l_0=250e-12, q_l0=8.0, f_ref=30e9, c_fix=c_fix,
-                               bank_unit=unit, bank_size=10 ** 9)
+    return replace(comp, c_fix=c_centre - res.c_0 - 123_456_789 * unit,
+                   bank_unit=unit, bank_size=10 ** 9)
+
+
+def test_billion_code_bank_is_bounded(rft):
+    comp = billion_code_bank(rft)
     code = bounded(tune_bank, rft, comp)
-    fs = series_resonance(rft)
-    offset = [abs(tank_resonance(rft, comp, c) - fs) for c in (code - 1, code, code + 1)]
+    fraction = [abs(window_fraction(rft, comp, c)) for c in (code - 1, code, code + 1)]
     assert abs(code - 123_456_789) <= 1
-    assert offset[0] > offset[1] <= offset[2]
+    assert fraction[0] > fraction[1] <= fraction[2]
+    assert code == exact_nearest_code(rft, comp)
 
 
 def test_closed_form_code_needs_few_evaluations(rft, monkeypatch):
-    # the deficit over the unit lands on the best code, so the search only
-    # confirms it: a scan from either end would need about 27 bisections
+    # one window fraction (one inductor admittance) at code 0 for the
+    # nearest code and one at that code; a scan from either end would need
+    # about 27 bisections
     calls = []
 
-    def counted(*args):
-        calls.append(args[2])
-        return tank_resonance(*args)
+    def counted(name):
+        wrapped = getattr(compensation, name)
+        return lambda *args: calls.append(name) or wrapped(*args)
 
-    monkeypatch.setattr(compensation, "tank_resonance", counted)
-    ws = TWO_PI * series_resonance(rft)
-    unit = 1e-25
-    c_fix = 1.0 / (ws * ws * 250e-12) - rft.c_0 - 123_456_789 * unit
-    comp = CompensationNetwork(l_0=250e-12, q_l0=8.0, f_ref=30e9, c_fix=c_fix,
-                               bank_unit=unit, bank_size=10 ** 9)
-    tune_bank(rft, comp)
-    assert len(calls) <= 8
-    assert all(abs(code - 123_456_789) <= 2 for code in calls)
+    for name in ("window_fraction", "tank_resonance"):
+        monkeypatch.setattr(compensation, name, counted(name))
+    tune_bank(rft, billion_code_bank(rft))
+    assert len(calls) <= 2 and set(calls) == {"window_fraction"}
 
 
 def test_billion_code_bank_of_equal_codes_is_bounded(rft):
-    # every code rounds to the same f_tank: all tie, and the lowest wins
+    # every code rounds to the same branch capacitance, and the window
+    # centre lies beyond the top code, which is the nearest one exactly
     comp = CompensationNetwork(l_0=250e-12, q_l0=8.0, f_ref=30e9, c_fix=50e-15,
                                bank_unit=1e-40, bank_size=10 ** 9)
-    assert bounded(tune_bank, rft, comp) == 0
+    assert bounded(tune_bank, rft, comp) == exact_nearest_code(rft, comp) == 10 ** 9
 
 
 def test_femtohenry_grid_is_bounded(rft):

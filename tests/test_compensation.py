@@ -28,6 +28,7 @@ from memsosc import (
     tank_impedance,
     tank_resonance,
     tune_bank,
+    window_fraction,
     zero_phase_c0,
 )
 from memsosc.bvd import TWO_PI, motional_bandwidth
@@ -49,6 +50,13 @@ def exactly_aligned_network(res, q_l0=8.0, l_0=250e-12):
     c_total = 1.0 / (ws * ws * l_0)
     return CompensationNetwork(l_0=l_0, q_l0=q_l0, f_ref=series_resonance(res),
                                c_fix=c_total - res.c_0)
+
+
+def centre_capacitance(res, comp):
+    """Branch capacitance cancelling the lossy inductor's susceptance at
+    w_s: l_0/|r_l0 + j*w_s*l_0|^2, the centre of the high-Q window."""
+    ws = TWO_PI * series_resonance(res)
+    return comp.l_0 / (comp.r_l0 ** 2 + (ws * comp.l_0) ** 2)
 
 
 class TestNetworkType:
@@ -398,15 +406,22 @@ class TestOperatingPoints:
 
 class TestClassifyAlignment:
     def test_exact_alignment(self, rft):
-        tank = analyze_tank(rft, exactly_aligned_network(rft))
-        assert tank.aligned
+        # the lossless resonance at f_s carries c/(1 + q_l0^2) more than the
+        # lossy window centre: 0.22 of the half-window here, still inside
+        comp = exactly_aligned_network(rft)
+        c = comp.branch_capacitance(rft)
+        tank = analyze_tank(rft, comp)
+        expected = c / (1.0 + 8.0 ** 2) / motional_mode_capacitance_margin(rft)
+        assert tank.window == pytest.approx(expected, rel=1e-9)
+        assert 0.2 < tank.window < 0.25
         assert tank.dominant_mode == "motional"
 
     def test_large_mismatch_goes_lc(self, rft, comp_q8):
         margin = motional_mode_capacitance_margin(rft)
         detuned = replace(comp_q8, c_fix=comp_q8.c_fix + 3.0 * margin)
         tank = analyze_tank(rft, detuned)
-        assert not tank.aligned
+        assert tank.window == pytest.approx(window_fraction(rft, comp_q8) + 3.0)
+        assert tank.window > 1.0
         assert tank.dominant_mode == "lc_tank"
 
     def test_f_tank_formula(self, rft, comp_q8):
@@ -426,13 +441,13 @@ class TestClassifyAlignment:
 
 class TestTuneBank:
     def test_constructed_code_12(self, rft):
-        # invert the f_tank formula so code 12 aligns exactly
-        ws = TWO_PI * series_resonance(rft)
+        # code 12 puts the branch at the lossy window centre
         unit = 1e-15
-        c_fix = 1.0 / (ws * ws * 250e-12) - rft.c_0 - 12 * unit
         comp = CompensationNetwork(l_0=250e-12, q_l0=8.0, f_ref=30e9,
-                                   c_fix=c_fix, bank_unit=unit, bank_size=16)
+                                   bank_unit=unit, bank_size=16)
+        comp = replace(comp, c_fix=centre_capacitance(rft, comp) - rft.c_0 - 12 * unit)
         assert tune_bank(rft, comp) == 12
+        assert abs(window_fraction(rft, comp, 12)) < 1e-9
 
     def test_zero_unit_ties_low(self, rft):
         comp = CompensationNetwork(l_0=250e-12, q_l0=8.0, f_ref=30e9,
@@ -454,10 +469,11 @@ class TestTuneBank:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AlignmentWarning)
             best = tune_bank(rft, comp_q8)
-        fs = series_resonance(rft)
-        offsets = [abs(tank_resonance(rft, comp_q8, c) - fs)
-                   for c in range(comp_q8.bank_size + 1)]
-        assert offsets[best] == min(offsets)
+        fractions = [abs(window_fraction(rft, comp_q8, c))
+                     for c in range(comp_q8.bank_size + 1)]
+        assert fractions[best] == min(fractions)
+        # the reference network: code 2, not the lossless resonance's code 4
+        assert best == 2
 
     def test_warns_when_coarse(self, rft):
         # tank parked far off with no useful range
@@ -465,6 +481,36 @@ class TestTuneBank:
                                    c_fix=140e-15, bank_unit=1e-15, bank_size=4)
         with pytest.warns(AlignmentWarning):
             tune_bank(rft, comp)
+
+
+class TestWindowEdges:
+    @pytest.mark.parametrize("q_l0", [2.0, 8.0, 20.0])
+    def test_motional_mode_is_lost_at_unit_window_fraction(self, rft, q_l0):
+        # bisect c_fix for the capacitance where find_operating_point stops
+        # choosing the motional crossing, on each side of the centre.  The
+        # edges sit 3e-4 to 7e-4 inside +-1, as the branch susceptance
+        # changes across the motional linewidth; measured from the lossless
+        # resonance instead, the upper edge of a 250 pH tank sat at 0.60,
+        # 0.97 and 0.995 of the margin.
+        l_0 = shunt_inductor_for(3.0 * rft.c_0, series_resonance(rft))
+        comp = CompensationNetwork(l_0=l_0, q_l0=q_l0, f_ref=series_resonance(rft))
+        centre = centre_capacitance(rft, comp) - rft.c_0
+        margin = motional_mode_capacitance_margin(rft)
+
+        def mode(c_fix):
+            return find_operating_point(rft, replace(comp, c_fix=c_fix))[2]
+
+        for side in (-1.0, 1.0):
+            inside, outside = centre, centre + 2.0 * side * margin
+            assert mode(inside) == "motional" and mode(outside) == "lc_tank"
+            for _ in range(40):
+                mid = 0.5 * (inside + outside)
+                if mode(mid) == "motional":
+                    inside = mid
+                else:
+                    outside = mid
+            edge = window_fraction(rft, replace(comp, c_fix=inside))
+            assert edge == pytest.approx(side, abs=1e-3)
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,6 +12,7 @@ from memsosc import (
     DesignSpec,
     NoResonanceError,
     OscillatorOperatingPoint,
+    Resonator,
     evaluate,
     find_operating_point,
     fom_physical,
@@ -26,6 +27,8 @@ from memsosc.design import SUPPLY_BRANCH_FACTOR
 from conftest import rescale_motional_q
 
 REFUSAL = "high-Q motional operating point not found after tuning"
+WINDOW_REFUSAL = ("no bank code keeps the tank within the high-Q operating window: "
+                  "code 0 leaves it at window fraction +1.325")
 
 
 def rft_spec(res, **overrides):
@@ -34,6 +37,35 @@ def rft_spec(res, **overrides):
               bank_unit=1e-15, bank_size=8, c_fix=10e-15)
     kw.update(overrides)
     return DesignSpec(**kw)
+
+
+def beyond_float(rft, field):
+    """The dataclass owning field, built with the int 10**400 there."""
+    big = 10 ** 400
+    if field == "r_m":
+        return Resonator(r_m=big, l_m=rft.l_m, c_m=rft.c_m, c_0=rft.c_0)
+    if field == "p_dc":
+        return OscillatorOperatingPoint(v_osc=0.3, f_0=30e9, delta_f=1e6, p_dc=big)
+    if field.startswith("spec."):
+        return rft_spec(rft, **{field[5:]: big})
+    return CompensationNetwork(**{"l_0": 250e-12, "q_l0": 8.0, "f_ref": 30e9,
+                                  "bank_size": 8, field: big})
+
+
+BEYOND_FLOAT = "must be finite, got a number beyond the float range"
+
+
+@pytest.mark.parametrize("field, message", [
+    ("r_m", BEYOND_FLOAT), ("q_l0", BEYOND_FLOAT),
+    ("bank_size", "must be non-negative and within the float range"),
+    ("bank_code", "must lie in [0, bank_size]"), ("spec.parasitic_c", BEYOND_FLOAT),
+    ("spec.bank_size", BEYOND_FLOAT), ("p_dc", BEYOND_FLOAT)])
+def test_number_beyond_float_range_names_the_field(rft, field, message):
+    # once an OverflowError from float(), at construction or, for a spec's
+    # bank_size, from run_design
+    name = field.removeprefix("spec.")
+    with pytest.raises(ValueError, match=f"^{re.escape(name + ' ' + message)}$"):
+        beyond_float(rft, field)
 
 
 class TestSpecValidation:
@@ -175,19 +207,21 @@ class TestRunDesign:
             run_design(rft_spec(rft, l0_grid_step=1e-9, bank_size=2))
 
     def test_refuses_when_tuning_loses_the_motional_mode(self, rft, tmp_path, capsys):
-        # the tuned tank's residual lies inside the capacitance margin, yet
-        # only an LC crossing exists (at 28.29 GHz)
+        # the lossless resonance at f_s is within the bank's reach, but at
+        # q_l0 = 3 the lossy window centre lies beyond it: even code 0 leaves
+        # the tank outside the window, where only an LC crossing exists (at
+        # 28.29 GHz)
         spec = rft_spec(rft, target_f0=29.9e9, parasitic_c=87e-15, q_l0_available=3.0,
                         bank_unit=8.4e-18, bank_size=104, l0_grid_step=1.1e-12)
         with pytest.raises(DesignError) as info:
             run_design(spec)
-        assert str(info.value) == REFUSAL
+        assert str(info.value) == WINDOW_REFUSAL
         p = tmp_path / "spec.txt"
         p.write_text("resonator = rft30g\ntarget_f0 = 29.9g\nv_osc = 300m\n"
                      "parasitic_c = 87f\nq_l0 = 3\nbank_unit = 8.4e-18\n"
                      "bank_size = 104\nl0_grid = 1.1p\n")
         assert main(["design", "--in", str(p)]) == 2
-        assert capsys.readouterr().err == f"design failed: {REFUSAL}\n"
+        assert capsys.readouterr().err == f"design failed: {WINDOW_REFUSAL}\n"
 
     def test_no_crossing_at_all_is_the_same_refusal(self, rft, monkeypatch):
         def no_crossing(res, comp):

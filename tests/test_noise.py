@@ -297,10 +297,10 @@ class TestEvaluate:
 
 
 class TestSensitivity:
-    # The lossy inductor's true susceptance null sits c_branch/q_l0^2
-    # (~1.8 fF for the 250 pH / Q=8 tank) below the lossless LC-formula
-    # alignment that tune_bank targets; the bathtub minimum carries the
-    # same small skew.
+    # The lossy inductor's true susceptance null, the window centre that
+    # tune_bank targets, sits c_branch/q_l0^2 (~1.8 fF for the 250 pH /
+    # Q=8 tank) below the lossless LC-formula alignment of the fixture's
+    # code 4; the bathtub minimum carries the same small skew.
     def test_minimum_near_alignment(self, rft, comp_q8):
         grid = np.linspace(-6e-15, 6e-15, 25)
         rows = sensitivity_sweep(rft, comp_q8, base_op(), grid)

@@ -217,8 +217,20 @@ def test_newton_polish_refuses_the_designs_brent_refused():
                 assert got == design_outcome(spec), spec
             if isinstance(got, str):
                 refusals.add(got.split(":")[0])
-    # the draws reach the refusal that depends on the polish
-    assert "high-Q motional operating point not found after tuning" in refusals
+    assert "no bank code keeps the tank within the high-Q operating window" in refusals
+    # With the bank aimed at the window centre, only a tank at the window's
+    # edge reaches the refusal that depends on the polish.  This spec, from
+    # seed 1 of the design_space benchmark plan, sits at window fraction
+    # +0.9997, where the motional crossing is already gone.
+    spec = design.DesignSpec(
+        resonator=get_resonator("rft30g"), target_f0=30059527920.48731, v_osc_target=0.3,
+        parasitic_c=2.184469578098256e-14, q_l0_available=2.233075092523897,
+        bank_unit=8.926532188051532e-21, bank_size=1318,
+        l0_grid_step=4.3252342480009393e-13)
+    refusal = "high-Q motional operating point not found after tuning"
+    assert design_outcome(spec) == refusal
+    with mock.patch.object(compensation, "_rtsafe", brent_polish):
+        assert design_outcome(spec) == refusal
 
 
 # The most evaluations one polished crossing took on the draws below: two
