@@ -1,20 +1,21 @@
 """End-to-end oscillator design automation.
 
 From a resonator model plus implementation constraints to a complete
-report: shunt inductor selection on a realizable grid, bank tuning,
-loaded-Q and noise-factor evaluation, active-device sizing and predicted
-phase noise / figure of merit.
+report: shunt inductor and bank code, loaded-Q and noise-factor
+evaluation, active-device sizing and predicted phase noise / figure of
+merit.  The inductor and the code are picked together on the lossy
+window centre (see `_choose_inductor`), and the window fraction of that
+choice is the one alignment rule: beyond +-1 the design is refused.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import sys
 import warnings
 from dataclasses import dataclass, replace
 
-from .bvd import Resonator, as_float, quality_factor, series_resonance
+from .bvd import TWO_PI, Resonator, as_float, quality_factor, series_resonance
 from .compensation import (
     AlignmentWarning,
     CompensationNetwork,
@@ -31,9 +32,6 @@ from .noise import DEFAULT_GAMMA, DEFAULT_TEMPERATURE, OscillatorOperatingPoint,
 # Both differential branches of the cross-coupled pair draw the tail
 # current through the supply.
 SUPPLY_BRANCH_FACTOR = 2.0
-
-# Conventional startup margin over the theoretical minimum g_m*r_res = 2.
-STARTUP_MARGIN = 2.5
 
 # |window fraction| beyond which a design reports its capacitance tolerance.
 WINDOW_WARNING = 0.5
@@ -130,67 +128,56 @@ def size_active(r_res: float, v_osc: float, mu_cox: float):
     return g_m, i_bias, w_over_l
 
 
-def _first_true(pred, lo: int, guess: int) -> int:
-    """Smallest integer k >= lo with pred(k), where pred is false up to some
-    k and true from there on.  Gallops out from guess and bisects: a guess
-    d away costs about 2*log2(d + 1) + 2 calls of pred.
-    """
-    guess = max(guess, lo)
-    step = 1
-    if pred(guess):
-        a, b = guess - 1, guess  # pred(b) holds; walk a down until it fails
-        while a >= lo and pred(a):
-            b, step = a, 2 * step
-            a = b - step
-        a = max(a, lo - 1)
-    else:
-        a, b = guess, guess + 1  # pred(a) fails; walk b up until it holds
-        while not pred(b):
-            a, step = b, 2 * step
-            b = a + step
-    while b - a > 1:  # pred fails at a (or a < lo) and holds at b
-        m = (a + b) // 2
-        if pred(m):
-            b = m
-        else:
-            a = m
-    return b
+def _choose_inductor(spec: DesignSpec) -> CompensationNetwork:
+    """Smallest grid inductor whose bank reaches the high-Q window centre,
+    with its bank tuned.
 
-
-def _choose_inductor(spec: DesignSpec) -> float:
-    """Smallest grid inductor whose bank range can align the tank to f_s.
-
-    Feasibility: the capacitance 1/(w_s^2*L0) required for alignment must
-    fall inside [c_base, c_base + bank span] with half a bank unit of
-    slack on both sides (midscale centering maximizes margin both ways).
-    The required capacitance falls as L0 rises, so only the first grid
-    point at or below the top of that window can be feasible.  Its index
-    comes in closed form, ceil(L_lo/step) with L_lo = 1/(w_s^2*c_top),
-    corrected for rounding by `_first_true`; the point is then checked
-    against the bottom of the window and the largest sensible inductor.
+    The lossy inductor cancels the branch capacitance at w_s when that is
+    the window centre 1/(L0*kappa), kappa = w_s^2 + (w_ref/q_l0)^2 with
+    q_l0 given at w_ref = 2*pi*target_f0, which falls as L0 rises.  The
+    top code reaches c_base + (bank_size + 1/2) bank units (c_base alone
+    without a bank), so the first grid index k whose centre lies within
+    reach comes in closed form, ceil(1/(kappa*reach*step)), corrected by
+    one step for rounding.  When even code 0 at k leaves the tank above
+    the centre, the grid point below, tuned, is taken if it lies strictly
+    nearer.  Whether the choice lies inside the window is `run_design`'s
+    one refusal.
     """
     res = spec.resonator
-    ws = 2.0 * math.pi * series_resonance(res)
-    c_base = res.c_0 + spec.parasitic_c + spec.c_fix
-    c_span = spec.bank_size * spec.bank_unit
-    # floor keeps bankless specs solvable: 0.1% capacitance = 0.05% in
-    # frequency, well inside the later mode-margin check for any high-Q part
-    slack = max(0.5 * spec.bank_unit, 1e-3 * c_base)
-    c_top = c_base + c_span + slack
-    # Upper bound: inductor resonating the bare base capacitance.
-    l_max = 1.0 / (ws * ws * c_base) * 1.25
+    ws = TWO_PI * series_resonance(res)
+    loss = TWO_PI * spec.target_f0 / spec.q_l0_available
+    kappa = ws * ws + loss * loss
+    reach = res.c_0 + spec.parasitic_c + spec.c_fix
+    if spec.bank_size:
+        reach += (spec.bank_size + 0.5) * spec.bank_unit
     step = spec.l0_grid_step
+    guess = 1.0 / (kappa * reach * step)
+    if not guess < math.inf:
+        raise DesignError(f"l0_grid_step {step!r} H is too fine to index the "
+                          f"inductor grid")
 
-    def c_needed(k):
-        return 1.0 / (ws * ws * (k * step))
+    def tuned(k):
+        comp = CompensationNetwork(
+            l_0=k * step, q_l0=spec.q_l0_available, f_ref=spec.target_f0,
+            c_fix=spec.parasitic_c + spec.c_fix, bank_unit=spec.bank_unit,
+            bank_size=spec.bank_size)
+        return replace(comp, bank_code=tune_bank(res, comp))
 
-    guess = math.ceil(min(1.0 / (ws * ws * c_top) / step, sys.float_info.max))
-    k = _first_true(lambda k: c_needed(k) <= c_top, 1, guess)
-    if k * step <= l_max and c_base - slack <= c_needed(k):
-        return k * step
-    raise DesignError(
-        f"no inductor on the {step:.3g} H grid can align the tank: base "
-        f"capacitance {c_base:.4g} F, bank span {c_span:.4g} F")
+    def within_reach(k):
+        return 1.0 / (kappa * (k * step)) <= reach
+
+    k = max(math.ceil(guess), 1)
+    if k > 1 and within_reach(k - 1):
+        k -= 1
+    elif not within_reach(k):
+        k += 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AlignmentWarning)
+        comp = tuned(k)
+        if k > 1 and comp.bank_code == 0 and window_fraction(res, comp) > 0:
+            # min keeps the first of equals: the neighbour must be strictly nearer
+            comp = min(comp, tuned(k - 1), key=lambda c: abs(window_fraction(res, c)))
+    return comp
 
 
 def run_design(spec: DesignSpec) -> DesignReport:
@@ -200,17 +187,8 @@ def run_design(spec: DesignSpec) -> DesignReport:
     q_rft = quality_factor(res)
     report_warnings: list[str] = []
 
-    l_0 = _choose_inductor(spec)
-    comp = CompensationNetwork(
-        l_0=l_0, q_l0=spec.q_l0_available, f_ref=spec.target_f0,
-        c_fix=spec.parasitic_c + spec.c_fix,
-        bank_unit=spec.bank_unit, bank_size=spec.bank_size)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AlignmentWarning)
-        code = tune_bank(res, comp)
-    comp = replace(comp, bank_code=code)
-
+    comp = _choose_inductor(spec)
+    code = comp.bank_code
     window = window_fraction(res, comp)
     if abs(window) > 1.0:
         raise DesignError(
@@ -242,13 +220,9 @@ def run_design(spec: DesignSpec) -> DesignReport:
         report_warnings.append(
             f"loaded Q is {q_loaded / q_rft:.2f} of the resonator Q; "
             f"compensation loading is significant")
-    if g_m * r_res < STARTUP_MARGIN:
-        report_warnings.append(
-            f"startup margin g_m*r_res = {g_m * r_res:.2f} is below "
-            f"{STARTUP_MARGIN}; size the pair up from the minimum g_m")
 
     return DesignReport(
-        l_0=l_0, r_l0=comp.r_l0, q_l0=comp.q_l0, c_fix=comp.c_fix,
+        l_0=comp.l_0, r_l0=comp.r_l0, q_l0=comp.q_l0, c_fix=comp.c_fix,
         bank_code=code, bank_size=spec.bank_size,
         f_s=fs, f_tank=tank_resonance(res, comp), f_osc=ev.op.f_0,
         r_res=r_res, beta=ev.tank.beta,

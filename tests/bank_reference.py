@@ -1,22 +1,22 @@
 """The exhaustive bank scan and the linear L0 grid walk, kept as references.
 
-Before the closed forms, `_choose_inductor` stepped up the L0 grid one
-point at a time until the required capacitance fell inside the bank
-window; that walk is kept here, unchanged apart from its name.  The bank
-scan evaluates the window fraction at every code and keeps the smallest
-|fraction|, and the nearest code is also found in exact rational
-arithmetic; the closed-form `tune_bank` must match both.  Tests check
-that the closed forms pick the same code, the same inductor and the same
-refusal on any input small enough to scan.
+The bank scan evaluates the window fraction at every code and keeps the
+smallest |fraction|, and the nearest code is also found in exact rational
+arithmetic; the closed-form `tune_bank` must match both.  The walk steps
+up the L0 grid one point at a time, as `_choose_inductor` did before its
+grid index came in closed form, and tunes each bank by the scan.  Tests
+check that the closed forms pick the same code and the same tuned
+inductor on any input small enough to scan.
 """
 
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 from memsosc import (
     AlignmentWarning,
-    DesignError,
+    CompensationNetwork,
     motional_mode_capacitance_margin,
     series_resonance,
     window_fraction,
@@ -49,21 +49,34 @@ def exact_nearest_code(res, comp):
 
 
 def walk_choose_inductor(spec):
-    """First grid inductor, ascending, whose bank window can align the tank."""
+    """The L0 rule one grid point at a time: step up from the smallest grid
+    inductor until the top code reaches the lossy window centre
+    1/(L0*(w_s^2 + (w_ref/q_l0)^2)), tune that inductor's bank by the scan,
+    and when code 0 still leaves the tank above the centre, take the grid
+    point below at its scanned code if that lies strictly nearer."""
     res = spec.resonator
     ws = 2.0 * math.pi * series_resonance(res)
-    c_base = res.c_0 + spec.parasitic_c + spec.c_fix
-    c_span = spec.bank_size * spec.bank_unit
-    slack = max(0.5 * spec.bank_unit, 1e-3 * c_base)
-    l_max = 1.0 / (ws * ws * c_base) * 1.25
-    step = spec.l0_grid_step
+    loss = 2.0 * math.pi * spec.target_f0 / spec.q_l0_available
+    kappa = ws * ws + loss * loss
+    reach = res.c_0 + spec.parasitic_c + spec.c_fix
+    if spec.bank_size:
+        reach += (spec.bank_size + 0.5) * spec.bank_unit
+
+    def tuned(k):
+        comp = CompensationNetwork(
+            l_0=k * spec.l0_grid_step, q_l0=spec.q_l0_available, f_ref=spec.target_f0,
+            c_fix=spec.parasitic_c + spec.c_fix, bank_unit=spec.bank_unit,
+            bank_size=spec.bank_size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AlignmentWarning)
+            return replace(comp, bank_code=scan_window_bank(res, comp))
+
     k = 1
-    while k * step <= l_max:
-        l_0 = k * step
-        c_needed = 1.0 / (ws * ws * l_0)
-        if c_base - slack <= c_needed <= c_base + c_span + slack:
-            return l_0
+    while 1.0 / (kappa * (k * spec.l0_grid_step)) > reach:
         k += 1
-    raise DesignError(
-        f"no inductor on the {step:.3g} H grid can align the tank: base "
-        f"capacitance {c_base:.4g} F, bank span {c_span:.4g} F")
+    comp = tuned(k)
+    if k > 1 and comp.bank_code == 0 and window_fraction(res, comp) > 0:
+        below = tuned(k - 1)
+        if abs(window_fraction(res, below)) < abs(window_fraction(res, comp)):
+            return below
+    return comp

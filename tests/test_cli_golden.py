@@ -16,7 +16,9 @@ polish and phase noise and FoM as logs of linear products; the in-house
 cubic solve, the Newton polish and the sums of logs that replaced them
 move the last digits of some numbers.  When the `aligned` flag of
 `compensate` became the signed `window` fraction, only that line of the
-five `compensate*` cases was re-recorded.
+five `compensate*` cases was re-recorded.  When the startup-margin
+warning, which every design carried, was deleted, only that line of the
+two `design*` cases was removed.
 
 After a deliberate change to a report, regenerate the file with
 

@@ -14,6 +14,7 @@ from memsosc import (
     DesignError,
     DesignSpec,
     compensation,
+    motional_mode_capacitance_margin,
     run_design,
     series_resonance,
     tune_bank,
@@ -91,8 +92,8 @@ def test_tune_bank_tiny_banks(rft, size):
 
 def inductor_specs(seed, count):
     """Seeded specs over every fixture: grids from 1e-4 of the needed L0 to
-    coarser than the largest inductor, some with the window's top exactly
-    on a grid point, banks 0-4096."""
+    coarser than the largest inductor, some with a grid point's window
+    centre exactly at the bank's reach, banks 0-4096."""
     rng = random.Random(seed)
     for _ in range(count):
         res = get_resonator(rng.choice(FIXTURES))
@@ -104,9 +105,8 @@ def inductor_specs(seed, count):
         unit = 0.0 if rng.random() < 0.1 else (
             c_base * 10.0 ** rng.uniform(-6.0, -1.0) / max(size, 1))
         if rng.random() < 0.2:
-            slack = max(0.5 * unit, 1e-3 * c_base)
-            c_top = c_base + size * unit + slack
-            step = 1.0 / (ws * ws * c_top) / rng.randint(1, 5000)
+            reach = c_base + (size + 0.5) * unit if size else c_base
+            step = 1.0 / (ws * ws * (1.0 + 1.0 / 64.0) * reach) / rng.randint(1, 5000)
         else:
             step = 10.0 ** rng.uniform(-4.0, 0.3) / (ws * ws * c_base)
         yield DesignSpec(resonator=res, target_f0=fs, v_osc_target=0.3,
@@ -114,21 +114,16 @@ def inductor_specs(seed, count):
                          bank_size=size, l0_grid_step=step)
 
 
-def inductor_or_refusal(fn, spec):
-    try:
-        return fn(spec)
-    except DesignError as exc:
-        return str(exc)
-
-
 @pytest.mark.parametrize("seed", [0, 1])
 def test_choose_inductor_matches_walk(seed):
+    # run_design refuses a choice outside the window, |fraction| > 1
     found = refused = 0
     for spec in inductor_specs(seed, 150):
-        got = inductor_or_refusal(_choose_inductor, spec)
-        assert got == inductor_or_refusal(walk_choose_inductor, spec)
-        found += isinstance(got, float)
-        refused += isinstance(got, str)
+        comp = _choose_inductor(spec)
+        assert comp == walk_choose_inductor(spec)
+        outside = abs(window_fraction(spec.resonator, comp)) > 1.0
+        found += not outside
+        refused += outside
     assert found > 0 and refused > 0
 
 
@@ -204,4 +199,30 @@ def test_femtohenry_grid_is_bounded(rft):
                       parasitic_c=86.58e-15, q_l0_available=8.0, bank_unit=1e-15,
                       bank_size=8, c_fix=10e-15, l0_grid_step=1e-15)
     report = bounded(run_design, spec)
-    assert report.l_0 == walk_choose_inductor(spec)
+    walked = walk_choose_inductor(spec)
+    assert (report.l_0, report.bank_code) == (walked.l_0, walked.bank_code)
+
+
+def test_grid_too_fine_to_walk_is_bounded(rft):
+    # about 2e90 grid points below the answer: the closed-form index is a
+    # Python int, and the window centre lands on the bank's reach, half a
+    # unit beyond the top code
+    spec = DesignSpec(resonator=rft, target_f0=30e9, v_osc_target=0.3,
+                      parasitic_c=86.58e-15, q_l0_available=8.0, bank_unit=1e-15,
+                      bank_size=8, c_fix=10e-15, l0_grid_step=1e-100)
+    report = bounded(run_design, spec)
+    comp = _choose_inductor(spec)
+    assert (report.l_0, report.bank_code) == (comp.l_0, comp.bank_code) == (comp.l_0, 8)
+    margin = motional_mode_capacitance_margin(rft)
+    assert window_fraction(rft, comp) == pytest.approx(-0.5 * spec.bank_unit / margin,
+                                                       rel=1e-6)
+
+
+def test_grid_too_fine_to_index_is_refused(rft):
+    # 1/(kappa*reach*step) overflows: a refusal naming the field, not an
+    # OverflowError from the index
+    spec = DesignSpec(resonator=rft, target_f0=30e9, v_osc_target=0.3,
+                      parasitic_c=86.58e-15, q_l0_available=8.0, bank_unit=1e-15,
+                      bank_size=8, c_fix=10e-15, l0_grid_step=5e-324)
+    with pytest.raises(DesignError, match="^l0_grid_step 5e-324 H is too fine"):
+        run_design(spec)

@@ -19,6 +19,7 @@ from memsosc import (
     run_design,
     series_resonance,
     size_active,
+    window_fraction,
 )
 from memsosc import design
 from memsosc.cli import main
@@ -28,7 +29,9 @@ from conftest import rescale_motional_q
 
 REFUSAL = "high-Q motional operating point not found after tuning"
 WINDOW_REFUSAL = ("no bank code keeps the tank within the high-Q operating window: "
-                  "code 0 leaves it at window fraction +1.325")
+                  "code 0 leaves it at window fraction +10.62")
+SPEC_TEXT = ("resonator = rft30g\ntarget_f0 = 30g\nv_osc = 300m\nparasitic_c = 86.58f\n"
+             "q_l0 = 8\nbank_unit = 1f\nbank_size = 8\n")
 
 
 def rft_spec(res, **overrides):
@@ -191,37 +194,87 @@ class TestRunDesign:
     def test_chosen_l0_is_grid_minimal(self, rft):
         spec = rft_spec(rft)
         report = run_design(spec)
-        # every smaller grid inductor needs more capacitance than the bank
-        # can supply
+        # every smaller grid inductor's lossy window centre, the branch
+        # capacitance that cancels it at w_s, lies beyond the bank's reach
         ws = 2.0 * math.pi * series_resonance(rft)
         c_base = rft.c_0 + spec.parasitic_c + spec.c_fix
         c_max = c_base + spec.bank_size * spec.bank_unit + 0.5 * spec.bank_unit
         k = 1
         while k * spec.l0_grid_step < report.l_0 - 1e-15:
-            assert 1.0 / (ws * ws * k * spec.l0_grid_step) > c_max
+            comp = CompensationNetwork(l_0=k * spec.l0_grid_step, q_l0=8.0, f_ref=30e9)
+            assert -(1.0 / (comp.r_l0 + 1j * ws * comp.l_0)).imag / ws > c_max
             k += 1
+        assert k == 10
 
     def test_fails_when_bank_cannot_align(self, rft):
-        # grid too coarse: no inductor lands anywhere near the needed value
-        with pytest.raises(DesignError):
+        # grid too coarse: code 0 of the 1 nH inductor sits far above the
+        # window centre, and nothing smaller is on the grid
+        with pytest.raises(DesignError) as info:
             run_design(rft_spec(rft, l0_grid_step=1e-9, bank_size=2))
+        assert str(info.value) == WINDOW_REFUSAL
 
-    def test_refuses_when_tuning_loses_the_motional_mode(self, rft, tmp_path, capsys):
-        # the lossless resonance at f_s is within the bank's reach, but at
-        # q_l0 = 3 the lossy window centre lies beyond it: even code 0 leaves
-        # the tank outside the window, where only an LC crossing exists (at
-        # 28.29 GHz)
+    def test_lossy_centre_answers_the_spec_the_lossless_window_refused(
+            self, rft, tmp_path, capsys):
+        # picking L0 on the lossless resonance gave 247.5 pH, but at
+        # q_l0 = 3 that inductor's lossy window centre lies below its bank:
+        # even code 0 left the tank outside the window, a refusal.  On the
+        # lossy centre the smaller 223.3 pH is chosen, and its bank reaches
         spec = rft_spec(rft, target_f0=29.9e9, parasitic_c=87e-15, q_l0_available=3.0,
                         bank_unit=8.4e-18, bank_size=104, l0_grid_step=1.1e-12)
-        with pytest.raises(DesignError) as info:
-            run_design(spec)
-        assert str(info.value) == WINDOW_REFUSAL
+        report = run_design(spec)
+        assert report.l_0 == pytest.approx(223.3e-12, rel=1e-12)
+        assert report.bank_code == 61
+        comp = CompensationNetwork(l_0=report.l_0, q_l0=3.0, f_ref=29.9e9,
+                                   c_fix=report.c_fix, bank_unit=8.4e-18,
+                                   bank_size=104, bank_code=61)
+        assert find_operating_point(rft, comp)[2] == "motional"
         p = tmp_path / "spec.txt"
         p.write_text("resonator = rft30g\ntarget_f0 = 29.9g\nv_osc = 300m\n"
                      "parasitic_c = 87f\nq_l0 = 3\nbank_unit = 8.4e-18\n"
                      "bank_size = 104\nl0_grid = 1.1p\n")
+        assert main(["design", "--in", str(p)]) == 0
+        assert "bank code      : 61 / 104\n" in capsys.readouterr().out
+
+    def test_grid_too_fine_to_index_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "spec.txt"
+        p.write_text(SPEC_TEXT + "l0_grid = 5e-324\n")
         assert main(["design", "--in", str(p)]) == 2
-        assert capsys.readouterr().err == f"design failed: {WINDOW_REFUSAL}\n"
+        assert capsys.readouterr().err == (
+            "design failed: l0_grid_step 5e-324 H is too fine to index the inductor grid\n")
+
+    def test_neighbour_below_wins_when_nearer_the_centre(self, rft):
+        # acceptance 6: 250 pH is the first grid point whose bank reaches the
+        # centre, but even code 0 leaves it above; 225 pH at its top code
+        # sits further below
+        spec = rft_spec(rft)
+        chosen = design._choose_inductor(spec)
+        assert (chosen.l_0, chosen.bank_code) == (250e-12, 0)
+        below = replace(chosen, l_0=225e-12, bank_code=8)
+        assert window_fraction(rft, chosen) == pytest.approx(0.2168, abs=1e-4)
+        assert window_fraction(rft, below) == pytest.approx(-0.3235, abs=1e-4)
+
+    def test_bankless_spec_gets_no_half_unit_of_reach(self, rft):
+        # design_space seed 1, design op 821: no bank, but a unit larger
+        # than the window.  Half a unit of reach would stop at 12 grid steps,
+        # at window fraction -1.008, a refusal; without it the first point
+        # within reach is 14 steps (+0.670), and 13 steps (-0.104) is nearer
+        spec = DesignSpec(resonator=rft, target_f0=30076291959.23461, v_osc_target=0.3,
+                          parasitic_c=5.977500181685862e-14,
+                          q_l0_available=2.402526331367982,
+                          bank_unit=1.7403322545252635e-14, bank_size=0,
+                          l0_grid_step=2.1290107727543437e-11)
+        report = run_design(spec)
+        assert report.l_0 == 13 * spec.l0_grid_step and report.bank_code == 0
+        assert window_fraction(rft, design._choose_inductor(spec)) == pytest.approx(
+            -0.1044, abs=1e-4)
+
+    def test_no_report_carries_a_startup_margin_warning(self, rft):
+        # size_active sets g_m = 2/r_res, so g_m*r_res is 2 on every design
+        for spec in (rft_spec(rft), rft_spec(rescale_motional_q(rft, 500.0)),
+                     rft_spec(rft, q_l0_available=3.0, l0_grid_step=1e-12)):
+            report = run_design(spec)
+            assert report.g_m * report.r_res == pytest.approx(2.0)
+            assert not any("startup" in w for w in report.warnings)
 
     def test_no_crossing_at_all_is_the_same_refusal(self, rft, monkeypatch):
         def no_crossing(res, comp):

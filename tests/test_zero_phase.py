@@ -206,7 +206,9 @@ def design_outcome(spec):
 
 
 def test_newton_polish_refuses_the_designs_brent_refused():
-    refusals = set()
+    # With L0 and the bank code picked on the lossy window centre, every
+    # draw is answered; both polishes must still give the same design
+    answered = 0
     for name in sorted(BUILTIN_RESONATORS):
         rng = random.Random(name)
         res = get_resonator(name)
@@ -215,18 +217,29 @@ def test_newton_polish_refuses_the_designs_brent_refused():
             got = design_outcome(spec)
             with mock.patch.object(compensation, "_rtsafe", brent_polish):
                 assert got == design_outcome(spec), spec
-            if isinstance(got, str):
-                refusals.add(got.split(":")[0])
-    assert "no bank code keeps the tank within the high-Q operating window" in refusals
-    # With the bank aimed at the window centre, only a tank at the window's
-    # edge reaches the refusal that depends on the polish.  This spec, from
-    # seed 1 of the design_space benchmark plan, sits at window fraction
-    # +0.9997, where the motional crossing is already gone.
+            answered += isinstance(got, int)
+    assert answered == 1200
+    # A 1 nH grid is too coarse for the 30 GHz tank: its one candidate
+    # leaves the window before any operating point is sought.
+    rft = get_resonator("rft30g")
     spec = design.DesignSpec(
-        resonator=get_resonator("rft30g"), target_f0=30059527920.48731, v_osc_target=0.3,
-        parasitic_c=2.184469578098256e-14, q_l0_available=2.233075092523897,
-        bank_unit=8.926532188051532e-21, bank_size=1318,
-        l0_grid_step=4.3252342480009393e-13)
+        resonator=rft, target_f0=30e9, v_osc_target=0.3, parasitic_c=86.58e-15,
+        q_l0_available=8.0, bank_unit=1e-15, bank_size=2, l0_grid_step=1e-9)
+    refusal = ("no bank code keeps the tank within the high-Q operating window: "
+               "code 0 leaves it at window fraction +10.62")
+    assert design_outcome(spec) == refusal
+    with mock.patch.object(compensation, "_rtsafe", brent_polish):
+        assert design_outcome(spec) == refusal
+    # Only a tank at the window's edge reaches the refusal that depends on
+    # the polish.  The bankless grid's first point puts this one at window
+    # fraction +0.9997, where the motional crossing is already gone.
+    ws = TWO_PI * series_resonance(rft)
+    kappa = ws * ws + (TWO_PI * 30e9 / 8.0) ** 2
+    c_edge = rft.c_0 + 96.58e-15 - 0.9997 * motional_mode_capacitance_margin(rft)
+    spec = replace(spec, bank_unit=0.0, bank_size=0, l0_grid_step=1.0 / (kappa * c_edge))
+    comp = design._choose_inductor(spec)
+    assert comp.l_0 == spec.l0_grid_step
+    assert compensation.window_fraction(rft, comp) == pytest.approx(0.9997, abs=1e-9)
     refusal = "high-Q motional operating point not found after tuning"
     assert design_outcome(spec) == refusal
     with mock.patch.object(compensation, "_rtsafe", brent_polish):
