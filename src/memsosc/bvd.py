@@ -6,12 +6,15 @@ document loader handles engineering suffixes.
 
 Every impedance is evaluated one frequency at a time in Python floats;
 an array of frequencies is a loop over that path, so this module imports
-numpy only where an array is built or returned.
+numpy only where an array is built or returned.  `grid` spaces every
+sweep grid in the package, the CLI's `sweep` values and a netlist's `.ac`
+frequencies too, as a list of Python floats.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -115,6 +118,50 @@ def check_frequency(f) -> float | np.ndarray:
     return f
 
 
+def grid(start: float, stop: float, points: int, log: bool = False) -> list[float]:
+    """`points` Python floats from start to stop, evenly spaced, or evenly
+    spaced in log10 with log (which needs positive endpoints).
+
+    A linear grid has the bits of numpy's linspace: start + i*step with
+    step = (stop - start)/(points - 1), or start + i/(points - 1)*(stop -
+    start) where the step underflows to 0, and stop last.  A log grid
+    raises 10 to the linear grid of the log10 endpoints and keeps start
+    and stop exact; its other points differ from numpy's geomspace only by
+    the rounding of log10 and of the powers, within 1e-14 relative between
+    1 and 1e12.  One point is [start].  ValueError when a point, or
+    stop - start, lies beyond the float range.
+    """
+    try:
+        start, stop = float(start), float(stop)
+        if log:
+            inner = _spaced(math.log10(start), math.log10(stop), points)[1:-1]
+            values = [start, *[10.0 ** y for y in inner], stop][:points]
+        else:
+            values = _spaced(start, stop, points)
+    except OverflowError:
+        values = [math.inf]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"a grid of {points} points from {start!r} to {stop!r} "
+                         "overflows the float range")
+    return values
+
+
+def _spaced(start: float, stop: float, points: int) -> list[float]:
+    """The unchecked linear grid of `grid`, in numpy's linspace arithmetic."""
+    if points < 2:
+        return [start][:points]
+    div = points - 1
+    delta = stop - start
+    step = delta / div
+    if step:
+        values = [i * step + start for i in range(div)]
+    else:
+        # the step underflowed: scale each fraction of the span instead
+        values = [i / div * delta + start for i in range(div)]
+    values.append(stop)
+    return values
+
+
 def finite_impedance(admittance, f):
     """1/admittance(f) for a checked frequency f, one or an array; an
     array is evaluated one Python float at a time.
@@ -177,11 +224,15 @@ def motional_admittance(res: Resonator, f):
     return 1.0 / (res.r_m + 1j * x_m)
 
 
+def _admittance(res: Resonator, f):
+    """Admittance of the BVD one-port (motional || static) at a checked
+    Python float f."""
+    return motional_admittance(res, f) + 1j * (TWO_PI * f) * res.c_0
+
+
 def impedance(res: Resonator, f) -> complex | np.ndarray:
     """Driving-point impedance of the BVD one-port (motional || static)."""
-    return finite_impedance(
-        lambda f: motional_admittance(res, f) + 1j * (TWO_PI * f) * res.c_0,
-        check_frequency(f))
+    return finite_impedance(functools.partial(_admittance, res), check_frequency(f))
 
 
 def phase(res: Resonator, f) -> float | np.ndarray:
@@ -210,17 +261,14 @@ def motional_bandwidth(res: Resonator) -> float:
 
 def sweep(res: Resonator, f_start: float, f_stop: float, points: int,
           log: bool = False) -> ComplexResponse:
-    """Impedance sweep over a linear or geometric grid of
-    MIN_SWEEP_POINTS to MAX_AC_POINTS points."""
+    """Impedance sweep over a linear or geometric `grid` of
+    MIN_SWEEP_POINTS to MAX_AC_POINTS points, evaluated one Python float
+    at a time; numpy holds only the returned response."""
     if not 0 < f_start < f_stop:
         raise ValueError("need 0 < f_start < f_stop")
     if not MIN_SWEEP_POINTS <= points <= MAX_AC_POINTS:
         raise ValueError(f"need {MIN_SWEEP_POINTS} to {MAX_AC_POINTS} points, "
                          f"got {points}")
-    import numpy as np
-
-    if log:
-        grid = np.geomspace(f_start, f_stop, points)
-    else:
-        grid = np.linspace(f_start, f_stop, points)
-    return ComplexResponse(grid, impedance(res, grid))
+    freqs = grid(f_start, f_stop, points, log)
+    admittance = functools.partial(_admittance, res)
+    return ComplexResponse(freqs, [finite_impedance(admittance, f) for f in freqs])

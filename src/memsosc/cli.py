@@ -4,13 +4,13 @@ Subcommands: resonator, compensate, noise, design, ac, sweep.  Every
 report prints the defaults it used so any quoted number is reproducible.
 Exit codes: 0 success, 1 user/input error, 2 design failure.
 
-numpy is imported only by the subcommands that build arrays: `ac`,
-`sweep` and `resonator --out`.  Every subcommand but `ac` evaluates one
-frequency at a time in Python floats; `sweep`'s grid points become
-Python floats where they enter the resonator and network, so each row
-has the bits `noise` and `compensate` print for the same parameters.
-`--points` is bounded by `bvd.MAX_AC_POINTS`, and a count outside the
-bounds is refused before anything is printed.
+numpy is imported only by the subcommands that return arrays: `ac` and
+`resonator --out`.  Every subcommand but `ac` evaluates one frequency at
+a time in Python floats; `sweep` spaces its values with `bvd.grid`, as
+Python floats, so each row has the bits `noise` and `compensate` print
+for the same parameters, and it runs without numpy.  `--points` is
+bounded by `bvd.MAX_AC_POINTS`, and a count outside the bounds is
+refused before anything is printed.
 
 The argparse tree is built once per process and reused: parsing reads
 it and does not change it.
@@ -225,19 +225,14 @@ def cmd_ac(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import numpy as np
-
     _check_points(args, 1)
     res = _load_resonator(args)
     comp = _load_network(args, res)
     offset = args.offsets[0] if args.offsets else 1e6
-    if args.log:
-        if not (args.f_from > 0 and args.f_to > 0):
-            raise UserError(f"--log needs positive endpoints, got --from="
-                            f"{format_eng(args.f_from)} and --to={format_eng(args.f_to)}")
-        values = np.geomspace(args.f_from, args.f_to, args.points)
-    else:
-        values = np.linspace(args.f_from, args.f_to, args.points)
+    if args.log and not (args.f_from > 0 and args.f_to > 0):
+        raise UserError(f"--log needs positive endpoints, got --from="
+                        f"{format_eng(args.f_from)} and --to={format_eng(args.f_to)}")
+    values = bvd.grid(args.f_from, args.f_to, args.points, log=args.log)
 
     fs = bvd.series_resonance(res)
     rows = []
@@ -253,11 +248,9 @@ def cmd_sweep(args) -> int:
         elif args.var == "q_l0":
             res_i = res
             comp_i = replace(comp, q_l0=v)
-        elif args.var == "l_0":
+        else:                           # l_0, the last of --var's choices
             res_i = res
             comp_i = replace(comp, l_0=v)
-        else:
-            raise UserError(f"unknown sweep variable {args.var!r}")
         ev = _evaluate(res_i, comp_i, args, offset)
         rows.append((v, ev.q_loaded, ev.tank.beta, ev.pn, ev.fom))
 

@@ -58,6 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import bvd
 from .bvd import MAX_AC_POINTS, TWO_PI, ComplexResponse, check_frequency
 from .engnotation import EngNotationError, parse_eng
 
@@ -574,12 +575,7 @@ def _ac_grid(ac) -> np.ndarray:
     points, fstart, fstop, spacing = ac
     if not 1 <= points <= MAX_AC_POINTS:
         raise ValueError(f".ac wants 1 to {MAX_AC_POINTS} points, got {points}")
-    if points == 1:
-        grid = np.array([fstart])
-    elif spacing == "log":
-        grid = np.geomspace(fstart, fstop, points)
-    else:
-        grid = np.linspace(fstart, fstop, points)
+    grid = np.asarray(bvd.grid(fstart, fstop, points, spacing == "log"))
     check_frequency(grid)
     if not (grid[1:] > grid[:-1]).all():
         raise ValueError(f".ac grid of {points} points from {fstart!r} to "

@@ -1,4 +1,6 @@
 import math
+import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +20,13 @@ from memsosc import (
     series_resonance,
     static_reactance,
 )
-from memsosc.bvd import check_frequency, motional_admittance, motional_detuning, sweep
+from memsosc.bvd import (
+    check_frequency,
+    grid,
+    motional_admittance,
+    motional_detuning,
+    sweep,
+)
 from memsosc.fixtures import (
     BUILTIN_RESONATORS,
     PUBLISHED_FREQUENCY,
@@ -250,6 +258,101 @@ class TestSweep:
             sweep(rft, 2e9, 1e9, 10)
         with pytest.raises(ValueError):
             sweep(rft, 1e9, 2e9, 1)
+
+    @pytest.mark.parametrize("log", [False, True])
+    def test_points_are_the_grid_and_impedance_bits(self, rft, log):
+        resp = sweep(rft, 29.9e9, 30.1e9, 201, log=log)
+        freqs = grid(29.9e9, 30.1e9, 201, log)
+        assert resp.frequencies.tolist() == freqs
+        assert resp.values.tolist() == [impedance(rft, f) for f in freqs]
+
+    def test_rejects_a_grid_beyond_the_float_range(self, rft):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows the float range"):
+                sweep(rft, 1.7976931348623155e308, 1.7976931348623157e308, 5, log=True)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestGrid:
+    """`grid` against numpy, which serves here only as the reference."""
+
+    def test_linear_has_the_bits_of_linspace(self):
+        rng = random.Random(2024)
+        cases = [(1.0, 2.0, 1), (-3.0, 3.0, 2), (5.0, -5.0, 7), (0.0, 0.0, 4),
+                 (-0.0, 0.0, 3), (1e-3, 1e-3, 5),
+                 # steps that underflow to 0 take numpy's i/div*span fallback
+                 (0.0, 5e-324, 3), (0.0, 1e-322, 1000), (-2e-323, 3e-323, 77),
+                 (1e-310, 1.00000000001e-310, 5000)]
+        for _ in range(3000):
+            sign = rng.choice((-1.0, 1.0))
+            start = sign * 10.0 ** rng.uniform(-300, 300)
+            stop = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300)
+            if rng.random() < 0.2:          # a narrow window around start
+                stop = start * (1 + rng.uniform(-1e-12, 1e-12))
+            cases.append((start, stop, rng.choice((1, 2, 3, rng.randint(1, 400)))))
+        assert sum(1 for a, b, n in cases if n > 1 and (b - a) / (n - 1) == 0
+                   and a != b) >= 4
+        for start, stop, points in cases:
+            values = grid(start, stop, points)
+            assert {type(v) for v in values} == {float}
+            assert _hex(values) == _hex(np.linspace(start, stop, points)), (start, stop,
+                                                                            points)
+
+    def test_log_keeps_its_endpoints_and_tracks_geomspace(self):
+        rng = random.Random(2025)
+        worst = 0.0
+        for _ in range(3000):
+            start = 10.0 ** rng.uniform(-300, 300)
+            stop = start * 10.0 ** rng.uniform(-8, 8)          # reversed when below
+            if not 0 < stop < math.inf:
+                continue
+            points = rng.choice((1, 2, 3, rng.randint(1, 400)))
+            values = grid(start, stop, points, log=True)
+            assert values[0] == start and values[-1] == (stop if points > 1 else start)
+            reference = np.geomspace(start, stop, points).tolist()
+            # numpy's log10 and power each round their own way: a unit in
+            # the last place of the log10 endpoints is ln(10)*eps*|log10|
+            scale = math.log(10) * 2**-52 * max(abs(math.log10(start)),
+                                                abs(math.log10(stop)), 1)
+            worst = max(worst, max(abs(v - r) / r for v, r in zip(values, reference))
+                        / scale)
+        assert worst <= 2
+
+    def test_log_frequency_grids_lie_within_1e_14_of_geomspace(self):
+        rng = random.Random(2026)
+        for _ in range(2000):
+            start = 10.0 ** rng.uniform(0, 11)
+            stop = start * 10.0 ** rng.uniform(-1, 1)
+            points = rng.randint(3, 400)
+            values = grid(start, stop, points, log=True)
+            reference = np.geomspace(start, stop, points)
+            assert max(abs(v - r) / r for v, r in zip(values, reference)) <= 1e-14
+
+    @pytest.mark.parametrize("start, stop, points, log", [
+        (1.7976931348623155e308, 1.7976931348623157e308, 5, True),  # 10**y overflows
+        (-1.7e308, 1.7e308, 3, False),                               # stop - start does
+        (1.0, math.inf, 3, True),
+        (math.nan, 1.0, 3, False),
+        (math.inf, math.inf, 1, False),
+        (10**400, 10**401, 2, False),                                # beyond float()
+    ])
+    def test_beyond_the_float_range_is_a_value_error(self, start, stop, points, log):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"a grid of {points} points from .* "
+                                                 "overflows the float range"):
+                grid(start, stop, points, log)
+
+    def test_edges_of_the_float_range_that_fit(self):
+        tiny = 5e-324
+        assert grid(tiny, 1.7976931348623157e308, 2, log=True) == [
+            tiny, 1.7976931348623157e308]
+        assert grid(-1e308, 1e308, 1) == [-1e308]
+        assert grid(-8e307, 8e307, 3) == [-8e307, 0.0, 8e307]
 
 
 @st.composite

@@ -275,7 +275,7 @@ class TestNoiseAndSweep:
         ("2f", "-2f", "--from=2f and --to=-2f"),
     ])
     def test_log_window_needs_positive_endpoints(self, lo, hi, window, capsys):
-        # refused before the grid is built: geomspace would warn and give NaN
+        # refused before the grid is built: log10 has no value there
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "sweep", "rft30g", "--var", "delta_c",
@@ -301,7 +301,7 @@ class TestNoiseAndSweep:
                 f"--from={lo}", f"--to={hi}", "--points", "3", "--out", "-"]
         code, _, _ = run(capsys, *argv)
         assert code == 0
-        if var != "delta_c":            # geomspace needs positive endpoints
+        if var != "delta_c":            # a --log grid needs positive endpoints
             code, _, _ = run(capsys, *argv, "--log")
             assert code == 0
         assert set(seen) == {float}
@@ -370,6 +370,30 @@ class TestDesignCommand:
         doc = parse_document(dest.read_text())
         assert float(doc["fom_dbchz"]) >= 210.0
         assert float(doc["pn_dbchz"]) <= -125.0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sweep", "rft30g", "--var", "q_l0", "--from=1.7976931348623155e308",
+      "--to=1.7976931348623157e308", "--points", "5", "--log", "--out", "-"),
+     "error: a grid of 5 points from 1.7976931348623155e+308 to "
+     "1.7976931348623157e+308 overflows the float range\n"),
+    (("sweep", "rft30g", "--var", "delta_c", "--from=-1.7e308", "--to=1.7e308",
+      "--points", "3", "--out", "-"),
+     "error: a grid of 3 points from -1.7e+308 to 1.7e+308 overflows the float range\n"),
+    (("ac", "--in", "@top", "--out", "-"),
+     "error: netlist errors:\n2:1: E_DIRECTIVE: a grid of 5 points from "
+     "1.7976931348623155e+308 to 1.7976931348623157e+308 overflows the float range\n"),
+], ids=["sweep_log", "sweep_linear", "ac_log"])
+def test_grid_beyond_the_float_range_is_one_error_line(argv, message, tmp_path, capsys):
+    # the power of the log grid, or the span of the linear one, overflows:
+    # one error line and exit 1, no warning and no traceback
+    netlist = tmp_path / "top.cir"
+    netlist.write_text("R1 1 0 50\n.ac log 5 1.7976931348623155e308 "
+                       "1.7976931348623157e308\n.probe 1 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *(str(netlist) if a == "@top" else a for a in argv))
+    assert (code, out, err) == (1, "", message)
 
 
 class TestAcCommand:

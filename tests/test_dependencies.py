@@ -2,8 +2,9 @@
 
 It imports and runs with scipy unimportable.  `import memsosc` loads no
 numpy, and the subcommands that work one frequency at a time (resonator
-without --out, compensate, noise, design) print the same report with
-numpy unimportable; the library calls behind them give the same values.
+without --out, compensate, noise, design, and sweep, linear or --log)
+print the same report with numpy unimportable; the library calls behind
+them give the same values.
 Inside the package, no module takes another module's `_`-prefixed
 name."""
 
@@ -73,6 +74,10 @@ SCALAR_CASES = {
     "noise_options": (["noise", "saw400m", "--q-l0", "20", "--offset", "10k"], 0),
     "design": (["design", "--in", "@spec"], 0),
     "design_doc": (["design", "--in", "@spec", "--format", "doc", "--out", "-"], 0),
+    "sweep": (["sweep", "rft30g", "--network", "l0_250p_q8", "--var", "delta_c",
+               "--from=-3f", "--to=3f", "--points", "7", "--out", "-"], 0),
+    "sweep_log": (["sweep", "rft30g", "--var", "q_l0", "--from=2", "--to=20",
+                   "--points", "5", "--log", "--offset", "100k", "--out", "-"], 0),
     "unknown_fixture": (["noise", "bogus_device"], 1),
     "missing_key": (["design", "--in", "@partial"], 1),
     "infeasible_design": (["design", "--in", "@infeasible"], 2),
