@@ -34,9 +34,13 @@ the border row never a pivot) acts on every frequency of the block at
 once and only inside the band, so a sweep costs O(F n b^2) rather than
 O(F n^3).  Blocks hold at most a fixed number of band entries, so memory
 stays bounded on any grid; a dense matrix is the case b = n.  A single
-frequency of a narrow band (b <= 3) is eliminated in Python complex
-arithmetic instead, with the same pivots and singular rule: there numpy's
-fixed cost per call outweighs the few updates of each step.
+frequency of a narrow band (b <= 3), from `driving_point_impedance` or a
+one-point .ac grid, is solved in Python floats from stamp to corner
+instead: the planes are read as floats, Y and the row-sum threshold are
+formed with the batched route's operations, and the elimination keeps its
+pivots and singular rule.  There numpy's fixed cost per call outweighs the
+few updates of each step.  Such a point whose row sums overflow stays with
+the batched LU, so infinities and NaNs follow numpy's rules.
 
 Bounds.  `.ac` takes at most 10**6 points, and a solve at most
 MAX_SOLVE_WORK band operations, about F n (b + 1)^2 for F frequencies
@@ -289,9 +293,10 @@ _BLOCK_ELEMENTS = 1 << 16
 MAX_SOLVE_WORK = 10**9
 _STEP_WORK = 300
 
-# A single frequency whose band is at most this wide is eliminated in
-# Python complex arithmetic: numpy's fixed cost per call, several per
-# elimination step, outweighs the few updates of such a step.
+# A single frequency whose band is at most this wide is solved in Python
+# floats from stamp to corner: numpy's fixed cost per call, several to form
+# Y and its threshold and more per elimination step, outweighs the few
+# updates of such a step.
 _POINT_BANDWIDTH = 3
 
 
@@ -310,22 +315,23 @@ def _order(netlist: Netlist) -> _Ordering:
     adjacency: dict[str, set[str]] = {}
     for el in netlist.elements:
         a, b = el.node_a, el.node_b
-        adjacency.setdefault(a, set()).add(b)
-        adjacency.setdefault(b, set()).add(a)
-    adjacency.pop("0", None)
-    degree = {}
-    for node, neighbours in adjacency.items():
-        neighbours.discard("0")
-        neighbours.discard(node)
-        degree[node] = len(neighbours)
+        if a != "0":
+            adjacency.setdefault(a, set())
+        if b != "0":
+            adjacency.setdefault(b, set())
+        if a != b and a != "0" and b != "0":
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    degree = {node: len(neighbours) for node, neighbours in adjacency.items()}
     probed = [node for node in dict.fromkeys(netlist.probe or ()) if node in adjacency]
     # Cuthill-McKee order after the border; the list grows as the search runs
     visited = sorted(sorted(probed), key=degree.get)
     seen = set(visited)
     for node in visited:
         fresh = adjacency[node] - seen
-        seen |= fresh
-        visited += sorted(sorted(fresh), key=degree.get)
+        if fresh:
+            seen |= fresh
+            visited += fresh if len(fresh) == 1 else sorted(sorted(fresh), key=degree.get)
     nodes = sorted(adjacency.keys() - seen) + visited[::-1]
     index = {node: i for i, node in enumerate(nodes)}
     n = len(nodes)
@@ -397,14 +403,21 @@ class Stamp(NamedTuple):
 def stamp(netlist: Netlist) -> Stamp:
     """The bordered G, C and Gamma planes in band storage, the node index
     map (reverse Cuthill-McKee, see `_order`) and the bandwidth."""
+    planes = _stamp_flat(netlist)
+    index, bandwidth = _order(netlist)
+    return Stamp(np.ndarray((3, len(planes) // 3), buffer=planes), index, bandwidth)
+
+
+def _stamp_flat(netlist: Netlist) -> memoryview:
+    """`stamp`'s planes without numpy: one after another in a flat
+    memoryview of doubles."""
     if netlist.probe is None:
         raise ValueError("netlist has no .probe directive")
     index, bandwidth = _order(netlist)
     n = len(index)
     stride = _row_stride(n, bandwidth)
     length = n * stride + n + 1
-    buffer = bytearray(24 * length)
-    m = memoryview(buffer).cast("d")   # the three planes, flattened
+    m = memoryview(bytearray(24 * length)).cast("d")
     for el in netlist.elements:
         kind = el.kind
         base = _PLANE[kind] * length
@@ -425,7 +438,7 @@ def stamp(netlist: Netlist) -> Stamp:
             m[n * stride + index[node]] += sign
         elif node != "0":
             raise ValueError(f"probe node {node!r} not in circuit")
-    return Stamp(np.ndarray((3, length), buffer=buffer), index, bandwidth)
+    return m
 
 
 _PLANE = {"R": 0, "C": 1, "L": 2}
@@ -441,10 +454,9 @@ def _solve(st: Stamp, omega: np.ndarray):
     no back substitution is needed.  A point is singular when any pivot
     falls below 1e-12 of its largest |Y| row sum (floored at 1e-300).  Its
     elimination runs on into zero pivots, infinities and NaNs, so
-    floating-point errors are silenced and its value is meaningless.  A
-    single frequency of a band at most _POINT_BANDWIDTH wide goes to
-    `_eliminate_point`, unless its row sums overflow: such a point stays
-    with `_eliminate`, so infinities and NaNs follow numpy's rules.
+    floating-point errors are silenced and its value is meaningless.  This
+    is the batched route only; `_solve_point` decides which single
+    frequencies come here.
     """
     planes, b = st.planes, st.bandwidth
     n = len(st.index)
@@ -476,11 +488,6 @@ def _solve(st: Stamp, omega: np.ndarray):
             if n:
                 row_sum = np.add.reduceat(np.abs(a), segments, 1)[:, 0::2]
                 threshold = 1e-12 * np.maximum.reduce(row_sum, 1, initial=1e-300)
-                if omega.size == 1 and b <= _POINT_BANDWIDTH and threshold[0] < math.inf:
-                    value = _eliminate_point(a[0].tolist(), n, b, stride, float(threshold[0]))
-                    singular[0] = value is None
-                    corner[0] = complex(math.nan, math.nan) if value is None else value
-                    continue
                 _eliminate(matrix, b)
                 pivots = np.abs(matrix.diagonal(0, 1, 2)[:, :n])
                 singular[lo:lo + step] = np.fmin.reduce(pivots, 1) < threshold
@@ -521,13 +528,55 @@ def _eliminate(a: np.ndarray, b: int) -> None:
         rest -= factors * a[:, k:k + 1, k + 1:reach]
 
 
+def _solve_point(netlist: Netlist, w: float) -> complex | None:
+    """Minus the probe impedance at one angular frequency, or None where
+    the system is singular.
+
+    A band at most _POINT_BANDWIDTH wide is solved without numpy: the
+    stamp's planes are read once as Python floats, Y = G + j(wC - Gamma/w)
+    is formed with `_solve`'s operations in `_solve`'s order, and each
+    row's |Y| sum is taken with math.hypot for the threshold, 1e-12 of the
+    largest sum floored at 1e-300.  `_eliminate_point` then runs on that
+    list.  A wider band, or row sums that overflow to infinity or NaN (a
+    NaN sum makes the threshold NaN, as numpy's maximum does), goes to
+    `_solve` as a one-frequency block, so infinities and NaNs follow
+    numpy's rules.
+    """
+    index, b = _order(netlist)
+    n = len(index)
+    if b <= _POINT_BANDWIDTH:
+        flat = _stamp_flat(netlist).tolist()
+        length = len(flat) // 3
+        stride = _row_stride(n, b)
+        inverse = 1.0 / w
+        g = flat[:length]
+        susceptance = [w * c - inverse * gamma
+                       for c, gamma in zip(flat[length:2 * length], flat[2 * length:])]
+        largest = 1e-300
+        for i in range(n):
+            # row i's node columns, as `_solve`'s segments
+            lo = i * stride + (i - b if i > b else 0)
+            hi = i * stride + (i + b + 1 if i + b + 1 < n else n)
+            total = 0.0
+            for magnitude in map(math.hypot, g[lo:hi], susceptance[lo:hi]):
+                total += magnitude
+            if total > largest or total != total:
+                largest = total
+        threshold = 1e-12 * largest
+        if threshold < math.inf:
+            return _eliminate_point(list(map(complex, g, susceptance)), n, b, stride,
+                                    threshold)
+    (corner,), (singular,) = _solve(stamp(netlist), np.array([w]))
+    return None if singular else complex(corner)
+
+
 def _eliminate_point(a: list, n: int, b: int, stride: int,
                      threshold: float) -> complex | None:
     """`_eliminate` for one frequency, in Python complex arithmetic on the
     band as a list (entry (i, j) at i * stride + j): the same pivot window,
     row swaps and border row.  Returns the corner, or None as soon as a
     pivot falls below ``threshold``.  Values can differ from `_eliminate`'s
-    in the last bits, as numpy rounds complex division differently."""
+    in the last bits, as numpy rounds complex division and |z| differently."""
     hypot = math.hypot
     for k in range(n):
         below = k + b + 1 if k + b < n else n + 1
@@ -556,14 +605,18 @@ def _eliminate_point(a: list, n: int, b: int, stride: int,
 
 
 def driving_point_impedance(netlist: Netlist, f: float) -> complex:
-    """Impedance seen between the probe nodes: unit AC current in, voltage out."""
+    """Impedance seen between the probe nodes: unit AC current in, voltage out.
+
+    One frequency goes through `_solve_point`: a narrow band never calls
+    numpy.  SingularCircuitError where a pivot falls below the threshold.
+    """
     if not 0 < f < math.inf:
         raise ValueError("frequency must be positive and finite")
     _check_work(netlist, 1)
-    corner, singular = _solve(stamp(netlist), np.array([TWO_PI * f]))
-    if singular[0]:
+    corner = _solve_point(netlist, float(TWO_PI * f))
+    if corner is None:
         raise SingularCircuitError("singular MNA system (lossless resonance?)")
-    return -complex(corner[0])
+    return -corner
 
 
 def _ac_grid(ac) -> np.ndarray:
@@ -592,7 +645,12 @@ def ac_sweep(netlist: Netlist) -> ComplexResponse:
         grid = _ac_grid(netlist.ac)
         object.__setattr__(netlist, "_grid", grid)
     _check_work(netlist, grid.size)
-    corner, singular = _solve(stamp(netlist), TWO_PI * grid)
-    values = -corner
-    values[singular] = complex(math.nan, math.nan)
+    if grid.size == 1:
+        # the single-point route, so the point keeps driving_point_impedance's bits
+        corner = _solve_point(netlist, TWO_PI * float(grid[0]))
+        values = np.array([complex(math.nan, math.nan) if corner is None else -corner])
+    else:
+        corner, singular = _solve(stamp(netlist), TWO_PI * grid)
+        values = -corner
+        values[singular] = complex(math.nan, math.nan)
     return ComplexResponse(grid.copy(), values)

@@ -122,3 +122,37 @@ def reference_sweep(netlist: Netlist, grid) -> np.ndarray:
         except SingularCircuitError:
             values[i] = complex(math.nan, math.nan)
     return values
+
+
+def reference_order(netlist: Netlist) -> tuple[dict[str, int], int]:
+    """Row index and bandwidth by reverse Cuthill-McKee from the probe
+    border, written as plainly as the rule reads: every node's neighbour
+    set is built with ground and the node itself, which are then
+    discarded, and every frontier is sorted, one node or many.  The solver
+    skips both; the orderings must not differ."""
+    adjacency: dict[str, set[str]] = {}
+    for el in netlist.elements:
+        adjacency.setdefault(el.node_a, set()).add(el.node_b)
+        adjacency.setdefault(el.node_b, set()).add(el.node_a)
+    adjacency.pop("0", None)
+    degree = {}
+    for node, neighbours in adjacency.items():
+        neighbours.discard("0")
+        neighbours.discard(node)
+        degree[node] = len(neighbours)
+    probed = [node for node in dict.fromkeys(netlist.probe or ()) if node in adjacency]
+    visited = sorted(sorted(probed), key=degree.get)
+    seen = set(visited)
+    for node in visited:
+        fresh = adjacency[node] - seen
+        seen |= fresh
+        visited += sorted(sorted(fresh), key=degree.get)
+    nodes = sorted(adjacency.keys() - seen) + visited[::-1]
+    index = {node: i for i, node in enumerate(nodes)}
+    n = len(nodes)
+    bandwidth = max((n - index[node] for node in probed), default=0)
+    for el in netlist.elements:
+        ia, ib = index.get(el.node_a), index.get(el.node_b)
+        if ia is not None and ib is not None and abs(ia - ib) > bandwidth:
+            bandwidth = abs(ia - ib)
+    return index, bandwidth

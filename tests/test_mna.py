@@ -41,7 +41,13 @@ from memsosc.mna import (
 )
 
 from conftest import NETLIST_DIR
-from mna_reference import build_system, reference_solution, reference_sweep, rounding_bound
+from mna_reference import (
+    build_system,
+    reference_order,
+    reference_solution,
+    reference_sweep,
+    rounding_bound,
+)
 
 
 def load(name: str) -> str:
@@ -450,6 +456,31 @@ def ladder(nodes: int, ac: str, *, rlc: bool = True, seed: int = 0) -> str:
     return "\n".join(lines + [ac, ".probe 1 0"]) + "\n"
 
 
+def wide_band_netlist() -> Netlist:
+    """Every node joined to every other: bandwidth 5, past the Python
+    route, so one frequency goes through the batched LU."""
+    lines = [f"R{i} {i} 0 {10 * i}" for i in range(1, 7)]
+    lines += [f"C{i}{j} {i} {j} {i * j}p" for i in range(1, 7) for j in range(i + 1, 7)]
+    return parse_netlist("\n".join(lines) + "\n.probe 1 0\n")
+
+
+def overflowing_rows_netlist() -> tuple[Netlist, float]:
+    """A narrow netlist and a frequency whose row sums are NaN.
+
+    At w = 2**20 node b's trap cancels to an exact zero pivot, and at node
+    a w C overflows against an infinite 1/L, so a's row sum and the
+    threshold are NaN: no point is singular by the rule and the batched LU
+    runs on into NaN.  One frequency stays with it instead of dividing by
+    the zero pivot in Python.
+    """
+    w = 2.0 ** 20
+    f = w / (2.0 * math.pi)
+    assert 2.0 * math.pi * f == w   # construction premise
+    nl = parse_netlist(f"C1 a 0 1e305\nL1 a 0 1e-320\nL2 b 0 {2.0 ** -20!r}\n"
+                       f"C2 b 0 {2.0 ** -20!r}\n.ac lin 2 {f!r} {2 * f!r}\n.probe a 0\n")
+    return nl, f
+
+
 # a lossless 2**-34 H || 2**-34 F trap on its own node: at w = 2**34 its
 # admittance cancels to an exact zero and the system is singular
 TRAP_W = 2.0 ** 34
@@ -572,26 +603,13 @@ class TestBanded:
         assert hash(parse_netlist(format_netlist(nl))) == hash(nl)
 
     def test_wide_band_point_matches_reference(self):
-        # every node joined to every other: bandwidth 5, past the Python
-        # route, so one frequency goes through the batched LU
-        lines = [f"R{i} {i} 0 {10 * i}" for i in range(1, 7)]
-        lines += [f"C{i}{j} {i} {j} {i * j}p" for i in range(1, 7) for j in range(i + 1, 7)]
-        nl = parse_netlist("\n".join(lines) + "\n.probe 1 0\n")
+        nl = wide_band_netlist()
         assert stamp(nl).bandwidth > mna._POINT_BANDWIDTH
         for f in (1e6, 1e8, 1e10):
             assert _agrees(driving_point_impedance(nl, f), f, nl)
 
     def test_point_with_overflowing_rows_matches_sweep(self):
-        # at w = 2**20 node b's trap cancels to an exact zero pivot, and at
-        # node a w C overflows against an infinite 1/L, so a's row sum and
-        # the threshold are NaN: no point is singular by the rule and the
-        # batched LU runs on into NaN.  One frequency stays with it instead
-        # of dividing by the zero pivot in Python.
-        w = 2.0 ** 20
-        f = w / (2.0 * math.pi)
-        assert 2.0 * math.pi * f == w   # construction premise
-        nl = parse_netlist(f"C1 a 0 1e305\nL1 a 0 1e-320\nL2 b 0 {2.0 ** -20!r}\n"
-                           f"C2 b 0 {2.0 ** -20!r}\n.ac lin 2 {f!r} {2 * f!r}\n.probe a 0\n")
+        nl, f = overflowing_rows_netlist()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.isnan(ac_sweep(nl).values).all()
@@ -607,9 +625,130 @@ def test_property_point_route_matches_batched(nl, f):
     stamped = stamp(nl)
     assert stamped.bandwidth <= mna._POINT_BANDWIDTH
     w = 2.0 * math.pi * f
-    (one,), (one_singular,) = mna._solve(stamped, np.array([w]))
+    one = mna._solve_point(nl, w)
+    one_singular = one is None
     batched, singular = mna._solve(stamped, np.array([w, w]))
     assert one_singular == singular[0]
     if not one_singular:
         _, y, v = reference_solution(nl, f)
         assert abs(one - batched[0]) <= max(1e-12 * abs(batched[0]), rounding_bound(y, v))
+
+
+class _BlockedNumpy:
+    """Stands in for numpy in `mna`: any use of it fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
+
+
+class TestPointRoute:
+    """One frequency of a narrow band (b <= 3) is solved in Python floats
+    from stamp to corner; a wider band, or row sums that overflow, go to
+    the batched LU."""
+
+    @staticmethod
+    def count_eliminations(monkeypatch) -> list:
+        calls = []
+        real = mna._eliminate
+
+        def counting(a, b):
+            calls.append(a.shape[0])
+            return real(a, b)
+
+        monkeypatch.setattr(mna, "_eliminate", counting)
+        return calls
+
+    def test_narrow_point_calls_no_numpy(self, monkeypatch):
+        calls = self.count_eliminations(monkeypatch)
+        points = [(parse_netlist(load(name)), f) for name, f in
+                  [("good_bvd_rft.cir", 30e9), ("good_shunt_tank.cir", 30e9),
+                   ("good_resistor.cir", 1e6), ("good_divider.cir", 1e-2)]]
+        points.append((parse_netlist(ladder(12, ".ac log 5 1meg 1g")), 1e8))
+        trap = parse_netlist("L1 a 0 1\nC1 a 0 1\n.probe a 0\n")
+        expected = [driving_point_impedance(nl, f) for nl, f in points]
+        assert all(stamp(nl).bandwidth <= mna._POINT_BANDWIDTH for nl, _ in points)
+        monkeypatch.setattr(mna, "np", _BlockedNumpy())
+        assert [driving_point_impedance(nl, f) for nl, f in points] == expected
+        with pytest.raises(SingularCircuitError):
+            driving_point_impedance(trap, TestSolving.TRAP_F)
+        assert calls == []
+
+    def test_wide_and_overflowing_points_reach_the_batched_lu(self, monkeypatch):
+        calls = self.count_eliminations(monkeypatch)
+        driving_point_impedance(wide_band_netlist(), 1e8)
+        assert calls == [1]
+        nl, f = overflowing_rows_netlist()
+        assert stamp(nl).bandwidth <= mna._POINT_BANDWIDTH
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cmath.isnan(driving_point_impedance(nl, f))
+        assert calls == [1, 1]
+
+
+def _one_point_sweep_is_the_point(nl: Netlist, f: float) -> None:
+    """A `.ac lin 1 f f` sweep holds the bits driving_point_impedance
+    returns at f, or NaN exactly where it raises SingularCircuitError."""
+    values = ac_sweep(replace(nl, ac=(1, f, f, "lin"))).values
+    try:
+        z = driving_point_impedance(nl, f)
+    except SingularCircuitError:
+        assert np.isnan(values.real).all() and np.isnan(values.imag).all()
+        return
+    assert values.view(np.uint64).tolist() == np.array([z]).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("text, f", [
+    (load("good_bvd_rft.cir"), 30e9),
+    (load("good_shunt_tank.cir"), 29.97e9),
+    ("L1 a 0 1\nC1 a 0 1\n.probe a 0\n", TestSolving.TRAP_F),
+    ("L1 a 0 1\nC1 a 0 1\nR1 b 0 50\nR2 b c 10\nC2 c 0 1\n.probe b 0\n", TestSolving.TRAP_F),
+    (TestSolving.POW2_TRAP + ".probe a 0\n", TestSolving.POW2_F),
+    (ladder(12, ".ac log 5 1meg 1g", seed=12) + TRAP, TRAP_W / (2.0 * math.pi)),
+    (ladder(12, ".ac log 5 1meg 1g", seed=12) + TRAP, 1e8),
+], ids=["bvd", "tank", "trap", "trap-and-island", "pow2-trap", "ladder-at-trap", "ladder"])
+def test_one_point_grid_takes_the_point_route(text, f):
+    nl = parse_netlist(text)
+    assert stamp(nl).bandwidth <= mna._POINT_BANDWIDTH
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _one_point_sweep_is_the_point(nl, f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_rlc(), st.floats(min_value=1e3, max_value=1e11))
+def test_property_one_point_grid_takes_the_point_route(nl, f):
+    _one_point_sweep_is_the_point(nl, f)
+
+
+def _random_graph(rng: random.Random) -> Netlist:
+    """Elements between random nodes, ground, self-loops and islands with
+    no path to the probe included; names that sort out of order."""
+    names = rng.sample(["a", "b", "c", "m1", "m10", "m2", "x", "y", "gl", "9"],
+                       rng.randint(1, 9))
+    nodes = ["0"] + names
+    elements = tuple(Element(rng.choice("RLC"), f"E{k}", rng.choice(nodes),
+                             rng.choice(nodes), 1.0)
+                     for k in range(rng.randint(1, 16)))
+    return Netlist(elements, None, (rng.choice(nodes), rng.choice(nodes)))
+
+
+def test_order_matches_the_plain_rule():
+    """`_order` skips the sort of one-node frontiers and never puts ground
+    or the node itself in a neighbour set; the rows and bandwidth are the
+    plain rule's."""
+    texts = [load(name) for name in GOOD_FILES]
+    texts += ["L1 a 0 1\nC1 a 0 1\nR1 b 0 50\nR2 b c 10\nC2 c 0 1\n.probe b 0\n"]
+    for seed in range(20):
+        nodes = 1 + 3 * seed
+        texts.append(ladder(nodes, ".ac log 5 1meg 1g", rlc=seed % 2 == 0, seed=seed))
+        texts.append(ladder(nodes, ".ac log 5 1meg 1g", seed=seed) + TRAP)
+        texts.append(ladder(nodes, ".ac log 5 1meg 1g", seed=seed) + "R9 p q 1\nR7 p 0 1\nR8 q 0 1\n")
+    netlists = [Netlist(nl.elements, nl.ac, nl.probe)       # no cached ordering
+                for nl in map(parse_netlist, texts)]
+    rng = random.Random(20261018)
+    netlists += [_random_graph(rng) for _ in range(400)]
+    for nl in netlists:
+        index, bandwidth = reference_order(nl)
+        ordering = mna._order(nl)
+        assert (list(ordering.index.items()), ordering.bandwidth) == (
+            list(index.items()), bandwidth), format_netlist(nl)
