@@ -32,7 +32,10 @@ eliminated together: each of the n steps of the partial-pivot LU (largest
 |entry| among the b + 1 candidate rows of the column, explicit row swaps,
 the border row never a pivot) acts on every frequency of the block at
 once and only inside the band, so a sweep costs O(F n b^2) rather than
-O(F n^3).  Blocks hold at most a fixed number of band entries, so memory
+O(F n^3).  The block is stored frequency last, band entry by band entry
+with the block's frequencies contiguous, so each numpy call of a step
+runs over the frequencies rather than over the few columns of a narrow
+band.  Blocks hold at most a fixed number of band entries, so memory
 stays bounded on any grid; a dense matrix is the case b = n.  A single
 frequency of a narrow band (b <= 3), from `driving_point_impedance` or a
 one-point .ac grid, is solved in Python floats from stamp to corner
@@ -63,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bvd
-from .bvd import MAX_AC_POINTS, TWO_PI, ComplexResponse, check_frequency
+from .bvd import MAX_AC_POINTS, TWO_PI, ComplexResponse
 from .engnotation import EngNotationError, parse_eng
 
 _KINDS = ("R", "L", "C")
@@ -448,23 +451,27 @@ def _solve(st: Stamp, omega: np.ndarray):
     """Minus the probe impedance at each angular frequency, and the singular mask.
 
     The bordered system [[Y, p], [p^T, 0]] is formed in band storage for a
-    block of frequencies at once and its first n columns are eliminated by
-    a banded partial-pivot LU whose steps each act on the whole block.
-    That leaves -p^T Y^-1 p, minus the probe impedance, in the corner, so
-    no back substitution is needed.  A point is singular when any pivot
-    falls below 1e-12 of its largest |Y| row sum (floored at 1e-300).  Its
-    elimination runs on into zero pivots, infinities and NaNs, so
-    floating-point errors are silenced and its value is meaningless.  This
-    is the batched route only; `_solve_point` decides which single
-    frequencies come here.
+    block of frequencies at once, stored frequency last as a (band entries,
+    F) array: band entry k of all F frequencies is one contiguous row, so
+    every numpy call runs over the block's frequencies rather than over a
+    few band columns.  Y is each plane's outer product with the
+    frequencies, and a node row's |Y| sum reduces the rows of its band
+    segment.  The first n columns are eliminated by a banded partial-pivot
+    LU whose steps each act on the whole block.  That leaves -p^T Y^-1 p,
+    minus the probe impedance, in the corner, so no back substitution is
+    needed.  A point is singular when any pivot falls below 1e-12 of its
+    largest |Y| row sum (floored at 1e-300).  Its elimination runs on into
+    zero pivots, infinities and NaNs, so floating-point errors are silenced
+    and its value is meaningless.  This is the batched route only;
+    `_solve_point` decides which single frequencies come here.
     """
     planes, b = st.planes, st.bandwidth
     n = len(st.index)
     size = n + 1
     stride = _row_stride(n, b)
     length = planes.shape[1]
-    # row i's node columns, max(0, i - b) to min(n - 1, i + b), lie at
-    # consecutive offsets; the sums between the segments are discarded
+    # row i's node columns, max(0, i - b) to min(n - 1, i + b), lie in
+    # consecutive band entries; the sums between the segments are discarded
     segments = []
     for i in range(n):
         row = i * stride
@@ -477,55 +484,54 @@ def _solve(st: Stamp, omega: np.ndarray):
             w = omega[lo:lo + step]
             # Y = G + j(wC - Gamma/w), formed without BLAS: its threads
             # would contend with this one for the cores
-            a = np.empty((w.size, length), dtype=complex)
-            a.real = planes[0]
+            a = np.empty((length, w.size), dtype=complex)
+            a.real = planes[0][:, None]
             susceptance = a.imag
-            np.multiply.outer(w, planes[1], out=susceptance)
-            susceptance -= np.multiply.outer(1.0 / w, planes[2])
-            # the matrix view: entry (i, j) of a frequency at i * stride + j
-            matrix = np.ndarray((w.size, size, size), complex, a, 0,
-                                (a.strides[0], stride * a.itemsize, a.itemsize))
+            np.multiply.outer(planes[1], w, out=susceptance)
+            susceptance -= np.multiply.outer(planes[2], 1.0 / w)
             if n:
-                row_sum = np.add.reduceat(np.abs(a), segments, 1)[:, 0::2]
-                threshold = 1e-12 * np.maximum.reduce(row_sum, 1, initial=1e-300)
-                _eliminate(matrix, b)
-                pivots = np.abs(matrix.diagonal(0, 1, 2)[:, :n])
-                singular[lo:lo + step] = np.fmin.reduce(pivots, 1) < threshold
-            corner[lo:lo + step] = matrix[:, n, n]
+                row_sum = np.add.reduceat(np.abs(a), segments, 0)[0::2]
+                threshold = 1e-12 * np.maximum.reduce(row_sum, 0, initial=1e-300)
+                # the matrix view: entry (i, j) of the block at row i * stride + j
+                _eliminate(np.ndarray((size, size, w.size), complex, a, 0,
+                                      (stride * a.strides[0], a.strides[0], a.itemsize)), b)
+                pivots = np.abs(a[:n * (stride + 1):stride + 1])
+                singular[lo:lo + step] = np.fmin.reduce(pivots, 0) < threshold
+            corner[lo:lo + step] = a[-1]
     return corner, singular
 
 
 def _eliminate(a: np.ndarray, b: int) -> None:
-    """Eliminate the first n columns of each bordered system in ``a``
-    (F, n + 1, n + 1) of bandwidth b in place, pivoting on the largest
-    |entry| among rows k..k+b of column k with explicit row swaps; the
-    border row n is never a pivot.  Only the band is read or written: the
-    rows below k + b are zero in column k, and a pivot row reaches at most
-    column k + 2b.  The diagonal is left holding the pivots; below it ``a``
-    holds stale values."""
-    n = a.shape[1] - 1
+    """Eliminate the first n columns of the bordered systems in ``a``
+    (n + 1, n + 1, F), one per frequency along the last axis, of bandwidth
+    b in place, pivoting on the largest |entry| among rows k..k+b of
+    column k with explicit row swaps; the border row n is never a pivot.
+    Only the band is read or written: the rows below k + b are zero in
+    column k, and a pivot row reaches at most column k + 2b.  The diagonal
+    is left holding the pivots; below it ``a`` holds stale values."""
+    n = a.shape[0] - 1
     for k in range(n):
         below = k + b + 1 if k + b < n else n + 1   # rows k..below-1, border included
         reach = k + 2 * b + 1 if k + 2 * b < n else n + 1
         last = below if below <= n else n           # pivot candidates k..last-1
         if last - k > 1:
-            p = np.abs(a[:, k:last, k]).argmax(1)
+            p = np.abs(a[k:last, k]).argmax(0)
             if not np.count_nonzero(p):
                 pass
-            elif (p == p[0]).all():       # one pivot row for the block: slicing swaps it
+            elif np.count_nonzero(p == p[0]) == p.size:   # one pivot row: slicing swaps it
                 i = k + int(p[0])
-                top = a[:, i, k:reach].copy()
-                a[:, i, k:reach] = a[:, k, k:reach]
-                a[:, k, k:reach] = top
-            else:
-                rows = np.arange(a.shape[0])
-                tail = a[:, k:last, k:reach]
-                top = tail[rows, p]
-                tail[rows, p] = tail[:, 0]
-                tail[:, 0] = top
-        factors = a[:, k + 1:below, k:k + 1] / a[:, k:k + 1, k:k + 1]
-        rest = a[:, k + 1:below, k + 1:reach]
-        rest -= factors * a[:, k:k + 1, k + 1:reach]
+                top = a[i, k:reach].copy()
+                a[i, k:reach] = a[k, k:reach]
+                a[k, k:reach] = top
+            else:                         # row k trades with row k + r where p == r
+                top = a[k, k:reach].copy()
+                for r in range(1, last - k):
+                    chosen = p == r
+                    np.copyto(a[k, k:reach], a[k + r, k:reach], where=chosen)
+                    np.copyto(a[k + r, k:reach], top, where=chosen)
+        factors = a[k + 1:below, k:k + 1] / a[k, k]
+        rest = a[k + 1:below, k + 1:reach]
+        rest -= factors * a[k, k + 1:reach]
 
 
 def _solve_point(netlist: Netlist, w: float) -> complex | None:
@@ -624,12 +630,16 @@ def _ac_grid(ac) -> np.ndarray:
 
     ValueError unless the grid is positive, finite and strictly increasing:
     endpoints closer than the float grid can resolve repeat values.
+    `bvd.grid` refuses points beyond the float range, and a grid that
+    increases from a positive first point is positive throughout.
     """
     points, fstart, fstop, spacing = ac
     if not 1 <= points <= MAX_AC_POINTS:
         raise ValueError(f".ac wants 1 to {MAX_AC_POINTS} points, got {points}")
-    grid = np.asarray(bvd.grid(fstart, fstop, points, spacing == "log"))
-    check_frequency(grid)
+    values = bvd.grid(fstart, fstop, points, spacing == "log")
+    if not values[0] > 0:
+        raise ValueError("frequency must be positive and finite")
+    grid = np.array(values, dtype=float)
     if not (grid[1:] > grid[:-1]).all():
         raise ValueError(f".ac grid of {points} points from {fstart!r} to "
                          f"{fstop!r} Hz is not strictly increasing")

@@ -13,6 +13,11 @@ threshold.  A node hung on a 0.42 uF capacitor and nothing else, next to
 a series LC near resonance, leaves a last pivot of 2.91318e-9 under a
 threshold of 2.91327e-9 when eliminated last, but no pivot below 3.5e-7
 when eliminated first, as the solver does.
+
+`frequency_major_solve` keeps the batched solver's earlier layout, each
+block stored frequency by frequency as (F, n + 1, n + 1), as a reference
+for the frequency-last one: the same operations on the same entries, so
+the two must agree to the bit.
 """
 
 import math
@@ -20,7 +25,7 @@ import math
 import numpy as np
 
 from memsosc.bvd import TWO_PI
-from memsosc.mna import Netlist, SingularCircuitError, stamp
+from memsosc.mna import Netlist, SingularCircuitError, Stamp, _block_points, _row_stride, stamp
 
 
 def solve_lu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -156,3 +161,69 @@ def reference_order(netlist: Netlist) -> tuple[dict[str, int], int]:
         if ia is not None and ib is not None and abs(ia - ib) > bandwidth:
             bandwidth = abs(ia - ib)
     return index, bandwidth
+
+
+def frequency_major_solve(st: Stamp, omega: np.ndarray):
+    """`mna._solve` with each block stored frequency-major, (F, n + 1, n + 1):
+    minus the probe impedance at each angular frequency, and the singular
+    mask.  The row sums of the threshold are numpy sums of contiguous
+    segments, which numpy adds pairwise from eight entries on."""
+    planes, b = st.planes, st.bandwidth
+    n = len(st.index)
+    size = n + 1
+    stride = _row_stride(n, b)
+    length = planes.shape[1]
+    segments = []
+    for i in range(n):
+        row = i * stride
+        segments += (row + i - b if i > b else row, row + i + b + 1 if i + b + 1 < n else row + n)
+    corner = np.empty(omega.size, dtype=complex)
+    singular = np.zeros(omega.size, dtype=bool)
+    step = _block_points(n, b)
+    with np.errstate(all="ignore"):
+        for lo in range(0, omega.size, step):
+            w = omega[lo:lo + step]
+            a = np.empty((w.size, length), dtype=complex)
+            a.real = planes[0]
+            susceptance = a.imag
+            np.multiply.outer(w, planes[1], out=susceptance)
+            susceptance -= np.multiply.outer(1.0 / w, planes[2])
+            matrix = np.ndarray((w.size, size, size), complex, a, 0,
+                                (a.strides[0], stride * a.itemsize, a.itemsize))
+            if n:
+                row_sum = np.add.reduceat(np.abs(a), segments, 1)[:, 0::2]
+                threshold = 1e-12 * np.maximum.reduce(row_sum, 1, initial=1e-300)
+                frequency_major_eliminate(matrix, b)
+                pivots = np.abs(matrix.diagonal(0, 1, 2)[:, :n])
+                singular[lo:lo + step] = np.fmin.reduce(pivots, 1) < threshold
+            corner[lo:lo + step] = matrix[:, n, n]
+    return corner, singular
+
+
+def frequency_major_eliminate(a: np.ndarray, b: int) -> None:
+    """`mna._eliminate` on (F, n + 1, n + 1) systems: the same pivot window,
+    row swaps, border row and band, with fancy indexing where the block's
+    pivot rows differ."""
+    n = a.shape[1] - 1
+    for k in range(n):
+        below = k + b + 1 if k + b < n else n + 1
+        reach = k + 2 * b + 1 if k + 2 * b < n else n + 1
+        last = below if below <= n else n
+        if last - k > 1:
+            p = np.abs(a[:, k:last, k]).argmax(1)
+            if not np.count_nonzero(p):
+                pass
+            elif (p == p[0]).all():
+                i = k + int(p[0])
+                top = a[:, i, k:reach].copy()
+                a[:, i, k:reach] = a[:, k, k:reach]
+                a[:, k, k:reach] = top
+            else:
+                rows = np.arange(a.shape[0])
+                tail = a[:, k:last, k:reach]
+                top = tail[rows, p]
+                tail[rows, p] = tail[:, 0]
+                tail[:, 0] = top
+        factors = a[:, k + 1:below, k:k + 1] / a[:, k:k + 1, k:k + 1]
+        rest = a[:, k + 1:below, k + 1:reach]
+        rest -= factors * a[:, k:k + 1, k + 1:reach]

@@ -40,9 +40,11 @@ from memsosc.mna import (
     stamp,
 )
 
+import mna_reference
 from conftest import NETLIST_DIR
 from mna_reference import (
     build_system,
+    frequency_major_solve,
     reference_order,
     reference_solution,
     reference_sweep,
@@ -412,6 +414,14 @@ class TestBounds:
         with pytest.raises(ValueError, match="not strictly increasing"):
             ac_sweep(replace(nl, ac=(1000, 1.0, 1.0000000000000002, spacing)))
 
+    @pytest.mark.parametrize("ac", [
+        (3, -1.0, 1.0, "lin"), (3, 0.0, 1.0, "lin"), (1, -1.0, -1.0, "lin"),
+        (1, 0.0, 0.0, "lin"), (3, math.nan, 1.0, "lin"), (3, 1.0, math.inf, "log")])
+    def test_sweep_refuses_bad_grid_built_directly(self, ac):
+        nl = parse_netlist("R1 1 0 50\n.probe 1 0\n")
+        with pytest.raises(ValueError, match="positive and finite|float range"):
+            ac_sweep(replace(nl, ac=ac))
+
     def test_sweep_refuses_huge_grid_built_directly(self):
         nl = parse_netlist("R1 1 0 50\n.probe 1 0\n")
         with pytest.raises(ValueError):
@@ -652,7 +662,7 @@ class TestPointRoute:
         real = mna._eliminate
 
         def counting(a, b):
-            calls.append(a.shape[0])
+            calls.append(a.shape[-1])     # frequencies lie along the last axis
             return real(a, b)
 
         monkeypatch.setattr(mna, "_eliminate", counting)
@@ -752,3 +762,117 @@ def test_order_matches_the_plain_rule():
         ordering = mna._order(nl)
         assert (list(ordering.index.items()), ordering.bandwidth) == (
             list(index.items()), bandwidth), format_netlist(nl)
+
+
+class _RecordingNumpy:
+    """numpy for one module: records the largest row sum of every block
+    (each np.maximum.reduce) and counts masked row swaps (np.copyto with
+    where=)."""
+
+    def __init__(self):
+        self.row_maxima = []
+        self.masked_copies = 0
+        record = self.row_maxima.append
+
+        class Maximum:
+            @staticmethod
+            def reduce(*args, **kwargs):
+                out = np.maximum.reduce(*args, **kwargs)
+                record(out)
+                return out
+
+        self.maximum = Maximum()
+
+    def copyto(self, *args, **kwargs):
+        if "where" in kwargs:
+            self.masked_copies += 1
+        return np.copyto(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _bits(values) -> list:
+    return np.ascontiguousarray(values).view(np.uint64).tolist()
+
+
+def _layouts_agree(monkeypatch, nl: Netlist, omega: np.ndarray) -> _RecordingNumpy:
+    """`mna._solve`, frequency last, gives the frequency-major reference's
+    corners, singular mask and threshold row maxima to the bit."""
+    stamped = stamp(nl)
+    new, old = _RecordingNumpy(), _RecordingNumpy()
+    with monkeypatch.context() as patch:
+        patch.setattr(mna, "np", new)
+        patch.setattr(mna_reference, "np", old)
+        corner, singular = mna._solve(stamped, omega)
+        ref_corner, ref_singular = frequency_major_solve(stamped, omega)
+    assert singular.tolist() == ref_singular.tolist(), format_netlist(nl)
+    assert _bits(corner) == _bits(ref_corner), format_netlist(nl)
+    assert _bits(np.concatenate(new.row_maxima)) == _bits(np.concatenate(old.row_maxima))
+    return new
+
+
+def _dense(rng: random.Random, nodes: int, ac: str) -> Netlist:
+    """Every node joined to every other by a capacitor, each to ground by
+    a resistor: bandwidth nodes - 1, so row segments are long."""
+    lines = [f"R{i} {i} 0 {10 ** rng.uniform(1, 3)!r}" for i in range(1, nodes + 1)]
+    lines += [f"C{i}_{j} {i} {j} {10 ** rng.uniform(-13, -11)!r}"
+              for i in range(1, nodes + 1) for j in range(i + 1, nodes + 1)]
+    return parse_netlist("\n".join(lines + [ac, ".probe 1 0"]) + "\n")
+
+
+def _tank(rng: random.Random) -> Netlist:
+    """A fixture resonator beside a branch capacitor and a lossy shunt
+    inductor tuned near its series resonance, swept across it."""
+    res = get_resonator(rng.choice(["rft30g", "fbar2g4", "saw400m", "quartz45m"]))
+    fs = 1.0 / (2.0 * math.pi * math.sqrt(res.l_m * res.c_m))
+    c_branch = res.c_0 * 10 ** rng.uniform(-0.3, 0.9)
+    l_0 = 1.0 / ((2.0 * math.pi * fs * rng.uniform(0.995, 1.005)) ** 2 * (res.c_0 + c_branch))
+    r_l0 = 2.0 * math.pi * fs * l_0 / 10 ** rng.uniform(0.3, 1.3)
+    half = fs / (2.0 * math.pi * fs * res.l_m / res.r_m) * 10 ** rng.uniform(0.3, 1.7)
+    ac = (f".ac lin {rng.randint(180, 220)} {fs - half!r} {fs + half!r}" if rng.random() < 0.5
+          else f".ac log {rng.randint(180, 220)} {0.5 * fs!r} {1.5 * fs!r}")
+    return parse_netlist("\n".join([
+        f"Rm a m1 {res.r_m!r}", f"Lm m1 m2 {res.l_m!r}", f"Cm m2 0 {res.c_m!r}",
+        f"C0 a 0 {res.c_0!r}", f"Cb a 0 {c_branch!r}", f"L0 a gl {l_0!r}",
+        f"Rl0 gl 0 {r_l0!r}", ac, ".probe a 0"]) + "\n")
+
+
+def test_frequency_last_blocks_match_the_frequency_major_reference(monkeypatch):
+    """Each block of the batched LU is stored frequency last; the same
+    operations on the same entries give the earlier frequency-major
+    layout's values, NaN masks and thresholds to the bit."""
+    rng = random.Random(20261019)
+    trap_f = TRAP_W / (2.0 * math.pi)
+    cases = []
+    for k in range(12):
+        nodes = rng.randint(5, 50)
+        f_lo = 10 ** rng.uniform(6.5, 7.5)
+        cases.append(parse_netlist(ladder(nodes, f".ac log {rng.randint(180, 220)} "
+                                          f"{f_lo!r} {f_lo * 1e3!r}",
+                                          rlc=k % 2 == 0, seed=rng.randrange(2 ** 32))))
+        # a lossless trap at its exact resonance, the grid's last point
+        cases.append(parse_netlist(ladder(nodes, f".ac lin 40 {trap_f / 100!r} {trap_f!r}",
+                                          rlc=k % 2 == 1, seed=rng.randrange(2 ** 32)) + TRAP))
+    cases += [_tank(rng) for _ in range(12)]
+    cases.append(parse_netlist(TestSolving.POW2_TRAP + f".ac lin 7 {TestSolving.POW2_F / 4!r} "
+                               f"{TestSolving.POW2_F!r}\n.probe a 0\n"))
+    # row segments of 9 entries and more, which numpy sums pairwise
+    cases += [_dense(rng, nodes, ".ac log 200 1meg 10g") for nodes in (9, 12, 20)]
+    cases.append(replace(wide_band_netlist(), ac=(200, 1e6, 1e10, "log")))
+    singular = masked = 0
+    for nl in cases:
+        recorded = _layouts_agree(monkeypatch, nl, 2.0 * math.pi * _ac_grid(nl.ac))
+        singular += int(np.isnan(ac_sweep(nl).values).sum())
+        masked += recorded.masked_copies
+    assert max(stamp(nl).bandwidth for nl in cases) >= 4
+    assert singular >= 13      # every trap's resonance is a gap
+    assert masked > 0          # some blocks chose different pivot rows
+    _layouts_agree(monkeypatch, wide_band_netlist(), np.array([2.0 * math.pi * 1e8]))
+    nl, _ = overflowing_rows_netlist()
+    _layouts_agree(monkeypatch, nl, np.array([2.0 ** 20, 2.0 ** 21]))
+    # a grid spanning several blocks, the last one partial
+    nl = parse_netlist(ladder(50, ".ac log 1000 1meg 10g", seed=50))
+    points = mna._block_points(50, stamp(nl).bandwidth)
+    assert 2 * points < 1000 and 1000 % points
+    _layouts_agree(monkeypatch, nl, 2.0 * math.pi * _ac_grid(nl.ac))
