@@ -22,7 +22,6 @@ from .compensation import (
     NoResonanceError,
     NoSolutionError,
     TankAnalysis,
-    analyze_tank,
     effective_resistance,
     find_operating_point,
     motional_mode_capacitance_margin,

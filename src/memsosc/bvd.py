@@ -129,10 +129,13 @@ def grid(start: float, stop: float, points: int, log: bool = False) -> list[floa
     and stop exact; its other points differ from numpy's geomspace only by
     the rounding of log10 and of the powers, within 1e-14 relative between
     1 and 1e12.  One point is [start].  ValueError when a point, or
-    stop - start, lies beyond the float range.
+    stop - start, lies beyond the float range, or a log endpoint is not positive.
     """
     try:
         start, stop = float(start), float(stop)
+        if log and not (start > 0 and stop > 0):
+            raise ValueError(f"a log grid of {points} points from {start!r} to {stop!r} "
+                             "needs positive and finite endpoints")
         if log:
             inner = _spaced(math.log10(start), math.log10(stop), points)[1:-1]
             values = [start, *[10.0 ** y for y in inner], stop][:points]

@@ -86,11 +86,9 @@ def _load_network(args, res: bvd.Resonator) -> compensation.CompensationNetwork:
 def _evaluate(res, comp, args, offset: float) -> noise.Evaluation:
     """The governing operating point, biased as the options say."""
     f_op, _, _ = compensation.find_operating_point(res, comp)
-    i_bias = args.vosc / compensation.effective_resistance(res, comp).r_res
     return noise.evaluate(res, comp, noise.OscillatorOperatingPoint(
-        v_osc=args.vosc, f_0=f_op, delta_f=offset,
-        temperature=args.temp, gamma=args.gamma, g_mbias=args.gmbias,
-        p_dc=design.SUPPLY_BRANCH_FACTOR * args.supply * i_bias))
+        v_osc=args.vosc, f_0=f_op, delta_f=offset, temperature=args.temp,
+        gamma=args.gamma, g_mbias=args.gmbias, supply=args.supply))
 
 
 # --- subcommands ---------------------------------------------------------
@@ -134,13 +132,15 @@ def cmd_compensate(args) -> int:
     print(f"suggested L0 for bare c_0     : "
           f"{compensation.shunt_inductor_for(res.c_0, f_0)!r} H")
     comp = _load_network(args, res)
-    tank = compensation.analyze_tank(res, comp)
+    f_op, _, mode = compensation.find_operating_point(res, comp)
+    tank = compensation.effective_resistance(res, comp)
+    q_loaded = compensation.phase_slope_q(res, comp, f_op)
     print(f"r_res          : {tank.r_res!r} ohm")
     print(f"beta           : {tank.beta!r}")
-    print(f"Q_L (phase slope): {tank.q_loaded!r}")
-    print(f"f_tank         : {tank.f_tank!r} Hz")
-    print(f"window         : {tank.window!r}")
-    print(f"dominant mode  : {tank.dominant_mode}")
+    print(f"Q_L (phase slope): {q_loaded!r}")
+    print(f"f_tank         : {compensation.tank_resonance(res, comp)!r} Hz")
+    print(f"window         : {compensation.window_fraction(res, comp)!r}")
+    print(f"dominant mode  : {mode}")
     return 0
 
 
@@ -162,9 +162,9 @@ def cmd_noise(args) -> int:
                                       budget.f_min)
         print(f"PN @ {format_eng(off)}Hz : {pn!r} dBc/Hz")
     print(f"FoM (physical) : {ev.fom!r} dBc/Hz  "
-          f"[p_dc = {op.p_dc!r} W, eta = {ev.eta!r}]")
+          f"[p_dc = {ev.p_dc!r} W, eta = {ev.eta!r}]")
     print(f"FoM (from PN)  : "
-          f"{noise.fom_from_measurement(ev.pn, op.f_0, op.delta_f, op.p_dc)!r}"
+          f"{noise.fom_from_measurement(ev.pn, op.f_0, op.delta_f, ev.p_dc)!r}"
           f" dBc/Hz")
     print(f"FoM (maximum)  : {noise.fom_max(ev.q_loaded, ev.tank.beta)!r} dBc/Hz")
     return 0

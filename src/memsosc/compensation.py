@@ -19,8 +19,9 @@ and one rule picks among them.  The motional point is the crossing
 nearest f_s within +-2 motional bandwidths of it (capped to the octave
 around f_s); without one, the LC point, the crossing with the largest
 |Z|, governs.  NoResonanceError means no crossing exists at all.
-`phase_slope_q` gives the loaded Q at the chosen frequency, and
-`noise.evaluate` carries both on to the noise budget, phase noise and FoM.
+`phase_slope_q` gives the loaded Q at the chosen frequency and
+`effective_resistance` r_res and beta, and `noise.evaluate` carries all
+three on to the noise budget, phase noise and FoM.
 
 The crossings are found in closed form.  The tank admittance is always
 conductive, so the phase is zero exactly where Im Y = 0.  With
@@ -57,7 +58,7 @@ import math
 import numbers
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bvd import (
     TWO_PI,
@@ -134,15 +135,10 @@ class CompensationNetwork:
 
 @dataclass(frozen=True)
 class TankAnalysis:
-    """Derived figures of the compensated tank at its operating resonance."""
+    """The tank's resistance division: r_res and beta = r_res/r_m."""
 
-    f_tank: float
-    f_s: float
     r_res: float
     beta: float
-    window: float
-    q_loaded: float | None = None
-    dominant_mode: str | None = None
 
 
 def zero_phase_c0(res: Resonator, f: float) -> float:
@@ -455,21 +451,13 @@ def phase_slope_q(res: Resonator, comp: CompensationNetwork, f_0: float) -> floa
 
 def effective_resistance(res: Resonator, comp: CompensationNetwork) -> TankAnalysis:
     """Resistance-division summary: r_res = r_m || (q_l0^2 * r_l0) and beta;
-    ValueError when r_res is out of floating-point range."""
+    ValueError unless r_res is a normal float (v_osc/r_res fits if v_osc^2/r_res does)."""
     q2r = comp.q_l0 * comp.q_l0 * comp.r_l0
     r_res = res.r_m * q2r / (res.r_m + q2r)
-    if not 0 < r_res < math.inf:
+    if not sys.float_info.min <= r_res < math.inf:
         raise ValueError(f"r_res = r_m || q_l0^2*r_l0 is out of floating-point range "
                          f"for q_l0 = {comp.q_l0!r} and l_0 = {comp.l_0!r} H")
-    return TankAnalysis(f_tank=tank_resonance(res, comp), f_s=series_resonance(res),
-                        r_res=r_res, beta=r_res / res.r_m, window=window_fraction(res, comp))
-
-
-def analyze_tank(res: Resonator, comp: CompensationNetwork) -> TankAnalysis:
-    """Full tank summary: alignment, governing mode and phase-slope loaded Q."""
-    f_op, _, mode = find_operating_point(res, comp)
-    return replace(effective_resistance(res, comp), dominant_mode=mode,
-                   q_loaded=phase_slope_q(res, comp, f_op))
+    return TankAnalysis(r_res=r_res, beta=r_res / res.r_m)
 
 
 def tune_bank(res: Resonator, comp: CompensationNetwork) -> int:

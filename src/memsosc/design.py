@@ -6,6 +6,8 @@ evaluation, active-device sizing and predicted phase noise / figure of
 merit.  The inductor and the code are picked together on the lossy
 window centre (see `_choose_inductor`), and the window fraction of that
 choice is the one alignment rule: beyond +-1 the design is refused.
+`noise.evaluate` reduces the tank once and derives P_DC from the supply;
+the report's sizing reads r_res from that evaluation.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .compensation import (
     AlignmentWarning,
     CompensationNetwork,
     NoResonanceError,
-    effective_resistance,
     find_operating_point,
     motional_mode_capacitance_margin,
     tank_resonance,
@@ -28,10 +29,6 @@ from .compensation import (
     window_fraction,
 )
 from .noise import DEFAULT_GAMMA, DEFAULT_TEMPERATURE, OscillatorOperatingPoint, evaluate
-
-# Both differential branches of the cross-coupled pair draw the tail
-# current through the supply.
-SUPPLY_BRANCH_FACTOR = 2.0
 
 # |window fraction| beyond which a design reports its capacitance tolerance.
 WINDOW_WARNING = 0.5
@@ -208,27 +205,23 @@ def run_design(spec: DesignSpec) -> DesignReport:
     if mode != "motional":
         raise DesignError("high-Q motional operating point not found after tuning")
 
-    r_res = effective_resistance(res, comp).r_res
-    g_m, i_bias, w_over_l = size_active(r_res, spec.v_osc_target, spec.mu_cox)
     ev = evaluate(res, comp, OscillatorOperatingPoint(
         v_osc=spec.v_osc_target, f_0=f_osc, delta_f=spec.pn_offset,
-        temperature=spec.temperature, gamma=spec.gamma, g_mbias=g_m,
-        p_dc=SUPPLY_BRANCH_FACTOR * spec.supply * i_bias))
-    q_loaded = ev.q_loaded
-
-    if q_loaded / q_rft < 0.8:
+        temperature=spec.temperature, gamma=spec.gamma, supply=spec.supply))
+    g_m, i_bias, w_over_l = size_active(ev.tank.r_res, spec.v_osc_target, spec.mu_cox)
+    if ev.q_loaded / q_rft < 0.8:
         report_warnings.append(
-            f"loaded Q is {q_loaded / q_rft:.2f} of the resonator Q; "
+            f"loaded Q is {ev.q_loaded / q_rft:.2f} of the resonator Q; "
             f"compensation loading is significant")
 
     return DesignReport(
         l_0=comp.l_0, r_l0=comp.r_l0, q_l0=comp.q_l0, c_fix=comp.c_fix,
         bank_code=code, bank_size=spec.bank_size,
         f_s=fs, f_tank=tank_resonance(res, comp), f_osc=ev.op.f_0,
-        r_res=r_res, beta=ev.tank.beta,
-        q_loaded=q_loaded, q_resonator=q_rft,
+        r_res=ev.tank.r_res, beta=ev.tank.beta,
+        q_loaded=ev.q_loaded, q_resonator=q_rft,
         noise_factor=ev.budget.f_min,
         g_m=g_m, i_bias=i_bias, w_over_l=w_over_l,
-        p_dc_estimate=ev.op.p_dc, eta=ev.eta,
+        p_dc_estimate=ev.p_dc, eta=ev.eta,
         predicted_pn=ev.pn, pn_offset=spec.pn_offset, predicted_fom=ev.fom,
         warnings=tuple(report_warnings))

@@ -50,7 +50,8 @@ MAX_SOLVE_WORK band operations, about F n (b + 1)^2 for F frequencies
 plus a fixed cost per elimination step of each block.  A netlist beyond
 that is an E_DIRECTIVE diagnostic at its .ac (else .probe) line, and
 `ac_sweep` or `driving_point_impedance` refuse one built by hand with
-ValueError.  `ac_sweep` passes the .ac grid, built once per `Netlist`,
+ValueError, as they do a frequency whose 2*pi*f or 1/(2*pi*f) is not
+finite.  `ac_sweep` passes the .ac grid, built once per `Netlist`,
 and `driving_point_impedance` one frequency.  A frequency is singular
 when any of its pivots falls below 1e-12 of its largest |Y| row sum
 (floored at 1e-300): the sweep returns a NaN there and the single-point
@@ -616,29 +617,35 @@ def driving_point_impedance(netlist: Netlist, f: float) -> complex:
     One frequency goes through `_solve_point`: a narrow band never calls
     numpy.  SingularCircuitError where a pivot falls below the threshold.
     """
-    if not 0 < f < math.inf:
-        raise ValueError("frequency must be positive and finite")
+    w = _angular_frequency(f)
     _check_work(netlist, 1)
-    corner = _solve_point(netlist, float(TWO_PI * f))
+    corner = _solve_point(netlist, w)
     if corner is None:
         raise SingularCircuitError("singular MNA system (lossless resonance?)")
     return -corner
 
 
+def _angular_frequency(f) -> float:
+    """2*pi*f; ValueError unless f > 0 and 2*pi*f and 1/(2*pi*f) are finite."""
+    w = TWO_PI * bvd.check_frequency(f)
+    if w < math.inf and 1.0 / w < math.inf:
+        return w
+    raise ValueError(f"frequency {f!r} Hz puts 2*pi*f or 1/(2*pi*f) beyond the float range")
+
+
 def _ac_grid(ac) -> np.ndarray:
     """Frequencies of an .ac directive (points, fstart, fstop, spacing).
 
-    ValueError unless the grid is positive, finite and strictly increasing:
-    endpoints closer than the float grid can resolve repeat values.
-    `bvd.grid` refuses points beyond the float range, and a grid that
-    increases from a positive first point is positive throughout.
+    ValueError unless the grid is strictly increasing (endpoints closer than
+    the float grid can resolve repeat values) and its endpoints, and so
+    every point between them, pass `_angular_frequency`.
     """
     points, fstart, fstop, spacing = ac
     if not 1 <= points <= MAX_AC_POINTS:
         raise ValueError(f".ac wants 1 to {MAX_AC_POINTS} points, got {points}")
     values = bvd.grid(fstart, fstop, points, spacing == "log")
-    if not values[0] > 0:
-        raise ValueError("frequency must be positive and finite")
+    _angular_frequency(values[0])
+    _angular_frequency(values[-1])
     grid = np.array(values, dtype=float)
     if not (grid[1:] > grid[:-1]).all():
         raise ValueError(f".ac grid of {points} points from {fstart!r} to "

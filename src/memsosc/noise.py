@@ -8,9 +8,9 @@ derived from the inputs, raises ValueError naming it.
 
 `evaluate` is the one place where an operating point becomes numbers:
 loaded Q from the phase slope at f_0, the noise budget, the Leeson phase
-noise (Leeson, Proc. IEEE 54(2), 1966) and, given the DC power, the
-efficiency and the physical FoM.  The design flow, the misalignment sweep
-and the CLI all read its record.
+noise (Leeson, Proc. IEEE 54(2), 1966) and, given the supply, the DC
+power, efficiency and physical FoM, all from one reduction of the tank.
+The design flow, the misalignment sweep and the CLI all read its record.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ FOM_MAX_CONSTANT_DB = 176.8
 DEFAULT_TEMPERATURE = 300.0
 DEFAULT_GAMMA = 1.0
 
+# Both differential branches of the cross-coupled pair draw the tail
+# current through the supply.
+SUPPLY_BRANCH_FACTOR = 2.0
+
 
 def _check_positive(**values) -> None:
     for name, v in values.items():
@@ -54,22 +58,20 @@ class OscillatorOperatingPoint:
     temperature: float = DEFAULT_TEMPERATURE
     gamma: float = DEFAULT_GAMMA
     g_mbias: float | None = None  # None: use the sizing rule 2/r_res
-    p_dc: float | None = None  # None: no efficiency or FoM
+    supply: float | None = None  # volts; None: no DC power, efficiency or FoM
 
     def __post_init__(self):
-        for name in ("v_osc", "f_0", "delta_f", "temperature", "gamma", "g_mbias", "p_dc"):
+        for name in ("v_osc", "f_0", "delta_f", "temperature", "gamma", "g_mbias", "supply"):
             if type(value := getattr(self, name)) not in (float, type(None)):
                 object.__setattr__(self, name, as_float(name, value))
-        for name in ("v_osc", "f_0", "delta_f", "temperature"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {getattr(self, name)}")
+        _check_positive(v_osc=self.v_osc, f_0=self.f_0, delta_f=self.delta_f,
+                        temperature=self.temperature)
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be non-negative and finite, got {self.gamma}")
         if self.g_mbias is not None and not math.isfinite(self.g_mbias):
             raise ValueError(f"g_mbias must be finite, got {self.g_mbias}")
-        if self.p_dc is not None and not 0 < self.p_dc < math.inf:
-            raise ValueError(f"p_dc must be positive and finite, got {self.p_dc}")
+        if self.supply is not None:
+            _check_positive(supply=self.supply)
         if not self.delta_f < self.f_0:
             raise ValueError(f"offset {self.delta_f!r} Hz must be below the "
                              f"carrier {self.f_0!r} Hz")
@@ -156,33 +158,39 @@ class Evaluation:
     q_loaded: float
     budget: NoiseBudget
     pn: float  # dBc/Hz at op.delta_f
-    eta: float | None = None  # None unless op.p_dc is given
+    p_dc: float | None = None  # W; None unless op.supply is given
+    eta: float | None = None
     fom: float | None = None
 
 
 def evaluate(res: Resonator, comp: CompensationNetwork,
              op: OscillatorOperatingPoint) -> Evaluation:
-    """Loaded Q, noise budget, phase noise and (given op.p_dc) FoM at op.f_0.
+    """Loaded Q, noise budget, phase noise and (given op.supply) P_DC and FoM at op.f_0.
 
     op.f_0 is the operating frequency: the caller picks the zero-phase point
-    once, with find_operating_point.  Without op.g_mbias the budget sizes
-    the pair by the minimum-g_m rule, 2/r_res.  ValueError when the signal
-    power v_osc^2/(2*r_res) is out of floating-point range.
+    once, with find_operating_point.  One reduction of the tank gives r_res,
+    for the minimum-g_m rule 2/r_res (without op.g_mbias) and for P_DC =
+    SUPPLY_BRANCH_FACTOR*supply*v_osc/r_res.  ValueError naming v_osc or the
+    supply when the signal power, or P_DC or the efficiency, is out of range.
     """
     tank = effective_resistance(res, comp)
     q_loaded = phase_slope_q(res, comp, op.f_0)
     g_mbias = 2.0 / tank.r_res if op.g_mbias is None else op.g_mbias
     budget = noise_factor_from(tank.beta, comp.r_l0, res.r_m, op.gamma, g_mbias)
     pn = leeson_phase_noise(res, q_loaded, op, budget.f_min)
-    if op.p_dc is None:
+    if op.supply is None:
         return Evaluation(op, tank, q_loaded, budget, pn)
     p_out = op.v_osc * op.v_osc / (2.0 * tank.r_res)
     if not 0 < p_out < math.inf:
         raise ValueError(f"v_osc = {op.v_osc!r} V puts the signal power "
                          f"v_osc^2/(2*r_res) out of floating-point range")
-    eta = p_out / op.p_dc
+    p_dc = SUPPLY_BRANCH_FACTOR * op.supply * (op.v_osc / tank.r_res)
+    eta = p_out / p_dc
+    if not (0 < p_dc < math.inf and 0 < eta < math.inf):
+        raise ValueError(f"supply = {op.supply!r} V puts the DC power or the efficiency "
+                         f"out of floating-point range")
     fom = fom_physical(q_loaded, tank.beta, eta, budget.f_min, op.temperature)
-    return Evaluation(op, tank, q_loaded, budget, pn, eta, fom)
+    return Evaluation(op, tank, q_loaded, budget, pn, p_dc, eta, fom)
 
 
 def sensitivity_sweep(res: Resonator, comp: CompensationNetwork,
@@ -209,6 +217,6 @@ def sensitivity_sweep(res: Resonator, comp: CompensationNetwork,
             raise NoResonanceError(f"the governing crossing at {f_op!r} Hz is not "
                                    f"above the {op.delta_f!r} Hz offset")
         at = OscillatorOperatingPoint(op.v_osc, f_op, op.delta_f, op.temperature,
-                                      op.gamma, op.g_mbias, op.p_dc)
+                                      op.gamma, op.g_mbias, op.supply)
         out.append((dc, evaluate(res, shifted, at).pn))
     return out

@@ -347,6 +347,13 @@ class TestGrid:
                                                  "overflows the float range"):
                 grid(start, stop, points, log)
 
+    @pytest.mark.parametrize("start, stop, points", [(-1.0, 1.0, 3), (0.0, 0.0, 1),
+                                                     (1.0, 0.0, 2), (math.nan, 1.0, 3)])
+    def test_log_needs_positive_endpoints(self, start, stop, points):
+        with pytest.raises(ValueError, match=f"^a log grid of {points} points from .* "
+                                             "needs positive and finite endpoints$"):
+            grid(start, stop, points, log=True)
+
     def test_edges_of_the_float_range_that_fit(self):
         tiny = 5e-324
         assert grid(tiny, 1.7976931348623157e308, 2, log=True) == [

@@ -89,7 +89,7 @@ class TestExitCodes:
         code, out, err = run(capsys, "noise", "rft30g", "--supply", "0")
         assert code == 1
         assert out == ""
-        assert err == "error: p_dc must be positive and finite, got 0.0\n"
+        assert err == "error: supply must be positive and finite, got 0.0\n"
 
     def test_bad_spec_document_is_1(self, tmp_path, capsys):
         p = tmp_path / "spec.txt"
@@ -117,6 +117,10 @@ NOISE_CHAIN_REFUSALS = {
     "noise quartz45m --q-l0 1e300 --gamma 1e3 --temp 5e9":
         "r_res = r_m || q_l0^2*r_l0 is out of floating-point range for "
         "q_l0 = 1e+300 and l_0 = 3.1845e-06 H",
+    "noise rft30g --supply 1e308":
+        "supply = 1e+308 V puts the DC power or the efficiency out of floating-point range",
+    "noise rft30g --supply 1e-310":
+        "supply = 1e-310 V puts the DC power or the efficiency out of floating-point range",
 }
 
 

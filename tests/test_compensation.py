@@ -14,7 +14,6 @@ from memsosc import (
     NoSolutionError,
     OscillatorOperatingPoint,
     Resonator,
-    analyze_tank,
     effective_resistance,
     evaluate,
     find_operating_point,
@@ -32,6 +31,7 @@ from memsosc import (
     zero_phase_c0,
 )
 from memsosc.bvd import TWO_PI, motional_bandwidth
+from memsosc.cli import main
 from memsosc.fixtures import BUILTIN_RESONATORS, get_resonator
 
 from conftest import bare_c0_network, rescale_motional_q
@@ -255,7 +255,7 @@ def test_property_float_path_equals_array_path(name, q_l0, shift, where, numpy_f
         except NoResonanceError as exc:
             outcomes.append(str(exc))
             continue
-        op = OscillatorOperatingPoint(v_osc=0.3, f_0=f_op, delta_f=1e-3 * f_op, p_dc=1.0)
+        op = OscillatorOperatingPoint(v_osc=0.3, f_0=f_op, delta_f=1e-3 * f_op, supply=1.0)
         outcomes.append(typed((astuple(network), f_op, z_op, mode,
                                phase_slope_q(res, network, f_op),
                                astuple(evaluate(res, network, op)))))
@@ -364,13 +364,19 @@ class TestLoadedQ:
             q3 = loaded_q_3db(res, comp)
             assert q3 == pytest.approx(qp, rel=0.05)
 
-    def test_analyze_tank_reads_the_governing_point(self, rft, comp_q8):
+    def test_compensate_report_reads_the_governing_point(self, rft, comp_q8, tmp_path,
+                                                          capsys):
         margin = motional_mode_capacitance_margin(rft)
         for comp in (comp_q8, replace(comp_q8, c_fix=comp_q8.c_fix + 3.0 * margin)):
             f_op, _, mode = find_operating_point(rft, comp)
-            tank = analyze_tank(rft, comp)
-            assert tank.dominant_mode == mode
-            assert tank.q_loaded == phase_slope_q(rft, comp, f_op)
+            path = tmp_path / "net.txt"
+            path.write_text(f"l0 = {comp.l_0!r}\nq_l0 = {comp.q_l0!r}\nf_ref = {comp.f_ref!r}\n"
+                            f"c_fix = {comp.c_fix!r}\nbank_unit = {comp.bank_unit!r}\n"
+                            f"bank_size = {comp.bank_size}\nbank_code = {comp.bank_code}\n")
+            assert main(["compensate", "rft30g", "--network", str(path)]) == 0
+            report = capsys.readouterr().out
+            assert f"dominant mode  : {mode}\n" in report
+            assert f"Q_L (phase slope): {phase_slope_q(rft, comp, f_op)!r}\n" in report
 
     def test_3db_on_bare_tank(self, rft, comp_q10):
         dead = replace(rft, r_m=1e9)
@@ -410,24 +416,24 @@ class TestClassifyAlignment:
         # lossy window centre: 0.22 of the half-window here, still inside
         comp = exactly_aligned_network(rft)
         c = comp.branch_capacitance(rft)
-        tank = analyze_tank(rft, comp)
+        window = window_fraction(rft, comp)
         expected = c / (1.0 + 8.0 ** 2) / motional_mode_capacitance_margin(rft)
-        assert tank.window == pytest.approx(expected, rel=1e-9)
-        assert 0.2 < tank.window < 0.25
-        assert tank.dominant_mode == "motional"
+        assert window == pytest.approx(expected, rel=1e-9)
+        assert 0.2 < window < 0.25
+        assert find_operating_point(rft, comp)[2] == "motional"
 
     def test_large_mismatch_goes_lc(self, rft, comp_q8):
         margin = motional_mode_capacitance_margin(rft)
         detuned = replace(comp_q8, c_fix=comp_q8.c_fix + 3.0 * margin)
-        tank = analyze_tank(rft, detuned)
-        assert tank.window == pytest.approx(window_fraction(rft, comp_q8) + 3.0)
-        assert tank.window > 1.0
-        assert tank.dominant_mode == "lc_tank"
+        window = window_fraction(rft, detuned)
+        assert window == pytest.approx(window_fraction(rft, comp_q8) + 3.0)
+        assert window > 1.0
+        assert find_operating_point(rft, detuned)[2] == "lc_tank"
 
     def test_f_tank_formula(self, rft, comp_q8):
         c = comp_q8.branch_capacitance(rft)
         expected = 1.0 / (TWO_PI * math.sqrt(comp_q8.l_0 * c))
-        assert analyze_tank(rft, comp_q8).f_tank == pytest.approx(expected)
+        assert tank_resonance(rft, comp_q8) == pytest.approx(expected)
 
     def test_bank_step_sensitivity(self, rft, comp_q8):
         # 1 fF on ~113 fF moves f_tank by about f/2 * (1/113) ~ 133 MHz

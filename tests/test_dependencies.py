@@ -92,7 +92,7 @@ from memsosc import bvd, compensation, design, fixtures, noise
 res = fixtures.get_resonator("rft30g")
 comp = fixtures.get_network("l0_250p_q8")
 f_op, z_op, mode = compensation.find_operating_point(res, comp)
-op = noise.OscillatorOperatingPoint(v_osc=0.3, f_0=f_op, delta_f=1e6, p_dc=2.7e-3)
+op = noise.OscillatorOperatingPoint(v_osc=0.3, f_0=f_op, delta_f=1e6, supply=0.8)
 spec = design.DesignSpec(resonator=res, target_f0=30e9, v_osc_target=0.3,
                          parasitic_c=86.58e-15, q_l0_available=8.0,
                          bank_unit=1e-15, bank_size=8)

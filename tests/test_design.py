@@ -23,7 +23,7 @@ from memsosc import (
 )
 from memsosc import design
 from memsosc.cli import main
-from memsosc.design import SUPPLY_BRANCH_FACTOR
+from memsosc.noise import SUPPLY_BRANCH_FACTOR
 
 from conftest import rescale_motional_q
 
@@ -47,8 +47,8 @@ def beyond_float(rft, field):
     big = 10 ** 400
     if field == "r_m":
         return Resonator(r_m=big, l_m=rft.l_m, c_m=rft.c_m, c_0=rft.c_0)
-    if field == "p_dc":
-        return OscillatorOperatingPoint(v_osc=0.3, f_0=30e9, delta_f=1e6, p_dc=big)
+    if field == "supply":
+        return OscillatorOperatingPoint(v_osc=0.3, f_0=30e9, delta_f=1e6, supply=big)
     if field.startswith("spec."):
         return rft_spec(rft, **{field[5:]: big})
     return CompensationNetwork(**{"l_0": 250e-12, "q_l0": 8.0, "f_ref": 30e9,
@@ -62,7 +62,7 @@ BEYOND_FLOAT = "must be finite, got a number beyond the float range"
     ("r_m", BEYOND_FLOAT), ("q_l0", BEYOND_FLOAT),
     ("bank_size", "must be non-negative and within the float range"),
     ("bank_code", "must lie in [0, bank_size]"), ("spec.parasitic_c", BEYOND_FLOAT),
-    ("spec.bank_size", BEYOND_FLOAT), ("p_dc", BEYOND_FLOAT)])
+    ("spec.bank_size", BEYOND_FLOAT), ("supply", BEYOND_FLOAT)])
 def test_number_beyond_float_range_names_the_field(rft, field, message):
     # once an OverflowError from float(), at construction or, for a spec's
     # bank_size, from run_design
@@ -180,11 +180,11 @@ class TestRunDesign:
         assert find_operating_point(rft, comp)[::2] == (rep.f_osc, "motional")
         ev = evaluate(rft, comp, OscillatorOperatingPoint(
             v_osc=spec.v_osc_target, f_0=rep.f_osc, delta_f=spec.pn_offset,
-            gamma=spec.gamma, g_mbias=rep.g_m, p_dc=rep.p_dc_estimate))
+            gamma=spec.gamma, g_mbias=rep.g_m, supply=spec.supply))
         assert (rep.r_res, rep.beta, rep.q_loaded, rep.noise_factor,
-                rep.predicted_pn, rep.eta, rep.predicted_fom) == (
+                rep.predicted_pn, rep.p_dc_estimate, rep.eta, rep.predicted_fom) == (
             ev.tank.r_res, ev.tank.beta, ev.q_loaded, ev.budget.f_min,
-            ev.pn, ev.eta, ev.fom)
+            ev.pn, ev.p_dc, ev.eta, ev.fom)
 
     def test_lower_q_l0_never_helps(self, rft):
         foms = [run_design(rft_spec(rft, q_l0_available=q)).predicted_fom

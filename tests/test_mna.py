@@ -416,18 +416,30 @@ class TestBounds:
 
     @pytest.mark.parametrize("ac", [
         (3, -1.0, 1.0, "lin"), (3, 0.0, 1.0, "lin"), (1, -1.0, -1.0, "lin"),
-        (1, 0.0, 0.0, "lin"), (3, math.nan, 1.0, "lin"), (3, 1.0, math.inf, "log")])
+        (1, 0.0, 0.0, "lin"), (3, math.nan, 1.0, "lin"), (3, 1.0, math.inf, "log"),
+        (3, -1.0, 1.0, "log"), (1, 0.0, 0.0, "log"),
+        # 2*pi*f overflows, or 1/(2*pi*f) does
+        (3, 1.0, 1e308, "lin"), (1, 1e308, 1e308, "lin"), (3, 5e-324, 1.0, "log")])
     def test_sweep_refuses_bad_grid_built_directly(self, ac):
         nl = parse_netlist("R1 1 0 50\n.probe 1 0\n")
         with pytest.raises(ValueError, match="positive and finite|float range"):
             ac_sweep(replace(nl, ac=ac))
+
+    @pytest.mark.parametrize("ac", ["lin 3 1 1e308", "lin 1 1e308 1e308", "log 3 5e-324 1"])
+    def test_frequency_beyond_the_float_range_is_diagnosed(self, ac):
+        text = f"R1 1 0 50\n.ac {ac}\n.probe 1 0\n"
+        diags = lint_netlist(text)
+        assert [(d.code, d.line) for d in diags] == [(E_DIRECTIVE, 2)]
+        assert "1/(2*pi*f) beyond the float range" in diags[0].message
+        with pytest.raises(NetlistError):
+            parse_netlist(text)
 
     def test_sweep_refuses_huge_grid_built_directly(self):
         nl = parse_netlist("R1 1 0 50\n.probe 1 0\n")
         with pytest.raises(ValueError):
             ac_sweep(replace(nl, ac=(10 ** 9, 1.0, 2.0, "lin")))
 
-    @pytest.mark.parametrize("f", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("f", [0.0, -1.0, math.inf, math.nan, 1e308, 5e-324])
     def test_point_rejects_bad_frequency(self, f):
         nl = parse_netlist("R1 1 0 50\n.probe 1 0\n")
         with pytest.raises(ValueError):

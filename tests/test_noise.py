@@ -56,17 +56,17 @@ class TestOperatingPointType:
         assert base_op(gamma=0.0).gamma == 0.0
 
     @pytest.mark.parametrize("field", ["v_osc", "f_0", "delta_f", "temperature", "gamma",
-                                       "g_mbias", "p_dc"])
+                                       "g_mbias", "supply"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
             base_op(**{field: value})
 
 
-    @pytest.mark.parametrize("p_dc", [0.0, -1e-3])
-    def test_rejects_nonpositive_p_dc(self, p_dc):
-        with pytest.raises(ValueError, match="p_dc"):
-            base_op(p_dc=p_dc)
+    @pytest.mark.parametrize("supply", [0.0, -1e-3])
+    def test_rejects_nonpositive_supply(self, supply):
+        with pytest.raises(ValueError, match="supply"):
+            base_op(supply=supply)
 
 
 class TestLeeson:
@@ -236,8 +236,9 @@ class TestEvaluate:
 
     def test_p_dc_gives_eta_and_fom(self, rft, comp_q8):
         f_op, _, _ = find_operating_point(rft, comp_q8)
-        ev = evaluate(rft, comp_q8, base_op(f_0=f_op, p_dc=2e-3))
-        assert ev.eta == pytest.approx(0.3 ** 2 / (2.0 * ev.tank.r_res) / 2e-3, rel=1e-15)
+        ev = evaluate(rft, comp_q8, base_op(f_0=f_op, supply=0.8))
+        assert ev.p_dc == 2.0 * 0.8 * (0.3 / ev.tank.r_res)
+        assert ev.eta == pytest.approx(0.3 ** 2 / (2.0 * ev.tank.r_res) / ev.p_dc, rel=1e-15)
         assert ev.fom == fom_physical(ev.q_loaded, ev.tank.beta, ev.eta,
                                       ev.budget.f_min, 300.0)
         with pytest.raises(AttributeError):
@@ -248,7 +249,20 @@ class TestEvaluate:
         for v_osc in (1e-310, 1e200):
             with pytest.raises(ValueError, match=re.escape(f"v_osc = {v_osc!r} V puts "
                                                            f"the signal power")):
-                evaluate(rft, comp_q8, base_op(f_0=f_op, v_osc=v_osc, p_dc=1e-3))
+                evaluate(rft, comp_q8, base_op(f_0=f_op, v_osc=v_osc, supply=0.8))
+
+    def test_subnormal_r_res_names_q_l0(self, rft, comp_q8):
+        # r_res = 1.005e-310 ohm, where v_osc/r_res would overflow though
+        # the signal power v_osc^2/(2*r_res) does not
+        comp = replace(comp_q8, f_ref=8e-303)
+        with pytest.raises(ValueError, match=r"^r_res = r_m \|\| q_l0\^2\*r_l0 is out of "
+                                             r"floating-point range for q_l0 = 8\.0"):
+            evaluate(replace(rft, r_m=1e10), comp,
+                     base_op(v_osc=0.1, g_mbias=1e-3, supply=0.8))
+
+    def test_no_supply_no_power(self, rft, comp_q8):
+        ev = evaluate(rft, comp_q8, base_op())
+        assert (ev.p_dc, ev.eta, ev.fom) == (None, None, None)
 
     def test_r_res_out_of_range_names_q_l0(self, quartz):
         comp = bare_c0_network(quartz, q_l0=1e300)
@@ -285,7 +299,7 @@ class TestEvaluate:
                 beyond = mid
         deltas = [0.0, inside, 3.0 * margin]
         assert [mode(d) for d in deltas] == ["motional", "motional", "lc_tank"]
-        op = base_op(p_dc=2e-3)
+        op = base_op(supply=0.8)
         for dc, pn in sensitivity_sweep(rft, comp_q8, op, deltas):
             shifted = replace(comp_q8, c_fix=comp_q8.c_fix + dc)
             f_op, _, _ = find_operating_point(rft, shifted)
