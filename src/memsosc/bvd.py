@@ -9,6 +9,9 @@ an array of frequencies is a loop over that path, so this module imports
 numpy only where an array is built or returned.  `grid` spaces every
 sweep grid in the package, the CLI's `sweep` values and a netlist's `.ac`
 frequencies too, as a list of Python floats.
+
+`check_fields` is the one rule that converts and checks the numbers of
+every record in the package, and `check_positive` its positive rule.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import cmath
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
@@ -38,6 +42,37 @@ def as_float(name: str, value):
         raise ValueError(f"{name} must be finite, got a number beyond the float range") from None
 
 
+def check_positive(name: str, value) -> float:
+    """value as a Python float; ValueError naming it unless 0 < value < inf."""
+    if type(value) is not float:
+        value = as_float(name, value)
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def check_fields(record, positive=(), nonnegative=(), counts=()) -> None:
+    """Store each named field of the frozen `record` as a Python number
+    and check it: `positive` fields lie in (0, inf), `nonnegative` ones in
+    [0, inf), and `counts` are integers, not bool, from 0 up to the largest
+    float.  ValueError naming the first field that breaks its rule."""
+    for name in positive:
+        if (number := check_positive(name, value := getattr(record, name))) is not value:
+            object.__setattr__(record, name, number)
+    for name in nonnegative:
+        if type(value := getattr(record, name)) is not float:
+            object.__setattr__(record, name, value := as_float(name, value))
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+    for name in counts:
+        if type(value := getattr(record, name)) is not int:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(record, name, value := int(value))
+        if not 0 <= value <= sys.float_info.max:  # a count scales a unit in floats
+            raise ValueError(f"{name} must be non-negative and within the float range")
+
+
 @dataclass(frozen=True)
 class Resonator:
     """BVD parameter set: the electrical identity of a mechanical resonator."""
@@ -49,11 +84,7 @@ class Resonator:
     label: str = ""
 
     def __post_init__(self):
-        for name in ("r_m", "l_m", "c_m", "c_0"):
-            if type(value := getattr(self, name)) is not float:
-                object.__setattr__(self, name, value := as_float(name, value))
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        check_fields(self, positive=("r_m", "l_m", "c_m", "c_0"))
         if not self.c_m / self.c_0 < 1:
             raise ValueError("coupling coefficient c_m/c_0 must be below unity")
         if not 0 < self.l_m * self.c_m < math.inf:

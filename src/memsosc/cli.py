@@ -56,7 +56,8 @@ def _check_points(args, least: int) -> None:
 
 
 def _defaults_header(op: noise.OscillatorOperatingPoint | None = None) -> str:
-    lines = ["# defaults: T = 300 K, gamma = 1, offsets = 100k / 1meg / 10meg Hz"]
+    lines = [f"# defaults: T = {noise.DEFAULT_TEMPERATURE:g} K, gamma = {noise.DEFAULT_GAMMA:g}, "
+             f"offsets = {' / '.join(map(format_eng, DEFAULT_OFFSETS))} Hz"]
     if op is not None:
         lines.append(f"# operating point: v_osc = {format_eng(op.v_osc)}V, "
                      f"f_0 = {format_eng(op.f_0)}Hz, T = {op.temperature:g} K, "
@@ -229,17 +230,19 @@ def cmd_sweep(args) -> int:
     res = _load_resonator(args)
     comp = _load_network(args, res)
     offset = args.offsets[0] if args.offsets else 1e6
-    if args.log and not (args.f_from > 0 and args.f_to > 0):
-        raise UserError(f"--log needs positive endpoints, got --from="
-                        f"{format_eng(args.f_from)} and --to={format_eng(args.f_to)}")
     values = bvd.grid(args.f_from, args.f_to, args.points, log=args.log)
 
     fs = bvd.series_resonance(res)
+    if args.var == "q_rft":
+        try:
+            ws2 = (2.0 * math.pi * fs) ** 2
+        except OverflowError:
+            raise UserError(f"(2*pi*f_s)^2 overflows the float range for f_s = {fs!r} Hz") from None
     rows = []
     for v in values:
         if args.var == "q_rft":
             l_m = v * res.r_m / (2.0 * math.pi * fs)
-            c_m = 1.0 / ((2.0 * math.pi * fs) ** 2 * l_m)
+            c_m = 1.0 / (ws2 * l_m)
             res_i = replace(res, l_m=l_m, c_m=c_m)
             comp_i = comp
         elif args.var == "delta_c":
@@ -277,8 +280,8 @@ def _add_op_args(p):
     p.add_argument("--vosc", type=_eng, default=0.3, help="oscillation amplitude, V")
     p.add_argument("--offset", dest="offsets", type=_eng, action="append",
                    help="phase-noise offset(s), Hz (repeatable)")
-    p.add_argument("--gamma", type=_eng, default=1.0)
-    p.add_argument("--temp", type=_eng, default=300.0)
+    p.add_argument("--gamma", type=_eng, default=noise.DEFAULT_GAMMA)
+    p.add_argument("--temp", type=_eng, default=noise.DEFAULT_TEMPERATURE)
     p.add_argument("--gmbias", type=_eng, default=None,
                    help="tail-source transconductance, S (default: 2/r_res)")
     p.add_argument("--supply", type=_eng, default=0.8)

@@ -55,7 +55,6 @@ roots a rule asks about get polished, and none of it needs numpy.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -63,7 +62,7 @@ from dataclasses import dataclass
 from .bvd import (
     TWO_PI,
     Resonator,
-    as_float,
+    check_fields,
     check_frequency,
     finite_impedance,
     motional_admittance,
@@ -102,24 +101,9 @@ class CompensationNetwork:
     bank_code: int = 0
 
     def __post_init__(self):
-        for name in ("l_0", "q_l0", "f_ref", "c_fix", "bank_unit"):
-            if type(value := getattr(self, name)) is not float:
-                object.__setattr__(self, name, as_float(name, value))
-        for name in ("l_0", "q_l0", "f_ref"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {getattr(self, name)}")
-        if not (0 <= self.c_fix < math.inf and 0 <= self.bank_unit < math.inf):
-            raise ValueError("capacitances must be non-negative and finite")
-        for name in ("bank_size", "bank_code"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if type(value) is not int:
-                object.__setattr__(self, name, int(value))
-        if not 0 <= self.bank_size <= sys.float_info.max:  # codes scale the unit in floats
-            raise ValueError("bank_size must be non-negative and within the float range")
-        if not 0 <= self.bank_code <= self.bank_size:
+        check_fields(self, positive=("l_0", "q_l0", "f_ref"),
+                     nonnegative=("c_fix", "bank_unit"), counts=("bank_size", "bank_code"))
+        if not self.bank_code <= self.bank_size:
             raise ValueError("bank_code must lie in [0, bank_size]")
 
     @property
@@ -188,7 +172,7 @@ def _admittance_and_slope(res: Resonator, comp: CompensationNetwork, f: float):
 
     with Z_m = r_m + j*X_m and Z_L = r_l0 + j*w*l_0.  X_m comes from the
     detuning, as in the admittance, and l_m + 1/(w^2*c_m) is taken as
-    2*l_m - X_m/w.  ZeroDivisionError where w*c_m underflows.
+    2*l_m - X_m/w.  ZeroDivisionError where w*c_m, Z_m^2 or Z_L^2 underflows.
     """
     w = TWO_PI * f
     x_m = motional_detuning(res, f) / (w * res.c_m)
@@ -374,7 +358,10 @@ def _zero_phase_roots(res: Resonator, comp: CompensationNetwork):
         return _tank_admittance(res, comp, f).imag
 
     def susceptance_and_slope(f):
-        y, dy = _admittance_and_slope(res, comp, f)
+        try:
+            y, dy = _admittance_and_slope(res, comp, f)
+        except ZeroDivisionError:  # e.g. a subnormal r_m squares to zero
+            raise ValueError(f"phase slope is not finite at f = {f!r} Hz") from None
         return y.imag, TWO_PI * dy.imag  # d(Im Y)/df
 
     def polish(i):

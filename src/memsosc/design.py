@@ -13,11 +13,10 @@ the report's sizing reads r_res from that evaluation.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 
-from .bvd import TWO_PI, Resonator, as_float, quality_factor, series_resonance
+from .bvd import TWO_PI, Resonator, check_fields, quality_factor, series_resonance
 from .compensation import (
     AlignmentWarning,
     CompensationNetwork,
@@ -58,25 +57,10 @@ class DesignSpec:
     l0_grid_step: float = 25e-12
 
     def __post_init__(self):
-        for name in ("target_f0", "v_osc_target", "parasitic_c", "q_l0_available",
-                     "bank_unit", "c_fix", "mu_cox", "gamma", "temperature", "supply",
-                     "pn_offset", "l0_grid_step"):
-            if type(value := getattr(self, name)) is not float:
-                object.__setattr__(self, name, as_float(name, value))
-        for name in ("target_f0", "v_osc_target", "q_l0_available", "mu_cox",
-                     "gamma", "temperature", "supply", "pn_offset",
-                     "l0_grid_step"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {getattr(self, name)}")
-        for name in ("parasitic_c", "bank_unit", "c_fix", "bank_size"):
-            if not 0 <= as_float(name, getattr(self, name)) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite, "
-                                 f"got {getattr(self, name)}")
-        if isinstance(self.bank_size, bool) or not isinstance(self.bank_size,
-                                                               numbers.Integral):
-            raise ValueError(f"bank_size must be an integer, got {self.bank_size!r}")
-        object.__setattr__(self, "bank_size", int(self.bank_size))
+        check_fields(self, positive=("target_f0", "v_osc_target", "q_l0_available",
+                                     "mu_cox", "gamma", "temperature", "supply",
+                                     "pn_offset", "l0_grid_step"),
+                     nonnegative=("parasitic_c", "bank_unit", "c_fix"), counts=("bank_size",))
         fs = series_resonance(self.resonator)
         if not 0.5 * fs <= self.target_f0 <= 1.5 * fs:
             raise ValueError("target_f0 must lie within [0.5, 1.5] of the "

@@ -140,13 +140,11 @@ def designspec_from_document(doc: dict[str, str]) -> DesignSpec:
         q_l0_available=_num(doc, "q_l0"),
         bank_unit=_num(doc, "bank_unit", 0.0),
         bank_size=_count(doc, "bank_size"),
-        c_fix=_num(doc, "c_fix", 10e-15),
-        mu_cox=_num(doc, "mu_cox", 200e-6),
-        gamma=_num(doc, "gamma", 1.0),
-        temperature=_num(doc, "temperature", 300.0),
-        supply=_num(doc, "supply", 0.8),
-        pn_offset=_num(doc, "pn_offset", 1e6),
-        l0_grid_step=_num(doc, "l0_grid", 25e-12),
+        # a key left out takes DesignSpec's default
+        **{field: _num(doc, key) for field, key in (
+            ("c_fix", "c_fix"), ("mu_cox", "mu_cox"), ("gamma", "gamma"),
+            ("temperature", "temperature"), ("supply", "supply"),
+            ("pn_offset", "pn_offset"), ("l0_grid_step", "l0_grid")) if key in doc},
     )
 
 

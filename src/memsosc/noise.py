@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bvd import Resonator, as_float
+from .bvd import Resonator, as_float, check_fields, check_positive
 from .compensation import (
     CompensationNetwork,
     NoResonanceError,
@@ -42,12 +42,6 @@ DEFAULT_GAMMA = 1.0
 SUPPLY_BRANCH_FACTOR = 2.0
 
 
-def _check_positive(**values) -> None:
-    for name, v in values.items():
-        if not 0 < v < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {v!r}")
-
-
 @dataclass(frozen=True)
 class OscillatorOperatingPoint:
     """Bias and signal conditions of the oscillator core."""
@@ -61,17 +55,12 @@ class OscillatorOperatingPoint:
     supply: float | None = None  # volts; None: no DC power, efficiency or FoM
 
     def __post_init__(self):
-        for name in ("v_osc", "f_0", "delta_f", "temperature", "gamma", "g_mbias", "supply"):
-            if type(value := getattr(self, name)) not in (float, type(None)):
-                object.__setattr__(self, name, as_float(name, value))
-        _check_positive(v_osc=self.v_osc, f_0=self.f_0, delta_f=self.delta_f,
-                        temperature=self.temperature)
-        if not 0 <= self.gamma < math.inf:
-            raise ValueError(f"gamma must be non-negative and finite, got {self.gamma}")
-        if self.g_mbias is not None and not math.isfinite(self.g_mbias):
-            raise ValueError(f"g_mbias must be finite, got {self.g_mbias}")
-        if self.supply is not None:
-            _check_positive(supply=self.supply)
+        check_fields(self, ("v_osc", "f_0", "delta_f", "temperature")
+                     + (() if self.supply is None else ("supply",)), nonnegative=("gamma",))
+        if self.g_mbias is not None:
+            object.__setattr__(self, "g_mbias", as_float("g_mbias", self.g_mbias))
+            if not math.isfinite(self.g_mbias):
+                raise ValueError(f"g_mbias must be finite, got {self.g_mbias}")
         if not self.delta_f < self.f_0:
             raise ValueError(f"offset {self.delta_f!r} Hz must be below the "
                              f"carrier {self.f_0!r} Hz")
@@ -96,7 +85,8 @@ def leeson_phase_noise(res: Resonator, q_loaded: float,
     10*log10[F * 4kT*r_m/v_osc^2 * (f_0/(2*Q_L*delta_f))^2]; there is no
     flicker term in this model.
     """
-    _check_positive(q_loaded=q_loaded, noise_factor=noise_factor)
+    check_positive("q_loaded", q_loaded)
+    check_positive("noise_factor", noise_factor)
     return (10.0 * (math.log10(noise_factor) + math.log10(4.0 * BOLTZMANN)
                     + math.log10(op.temperature) + math.log10(res.r_m))
             + 20.0 * (math.log10(op.f_0) - math.log10(2.0) - math.log10(q_loaded)
@@ -126,7 +116,8 @@ def fom_from_measurement(phase_noise_dbchz: float, f_0: float,
 
     -PN + 20*log10(f_0/delta_f) - 10*log10(p_dc/1 mW), in dBc/Hz.
     """
-    _check_positive(f_0=f_0, delta_f=delta_f, p_dc=p_dc)
+    for name, value in (("f_0", f_0), ("delta_f", delta_f), ("p_dc", p_dc)):
+        check_positive(name, value)
     return (-phase_noise_dbchz + 20.0 * (math.log10(f_0) - math.log10(delta_f))
             - 10.0 * math.log10(p_dc) - 30.0)  # p_dc in dBm
 
@@ -134,8 +125,9 @@ def fom_from_measurement(phase_noise_dbchz: float, f_0: float,
 def fom_physical(q_loaded: float, beta: float, eta: float,
                  noise_factor: float, temperature: float = DEFAULT_TEMPERATURE) -> float:
     """FoM from tank and efficiency physics: 10*log10[2*beta*eta*Q_L^2/(kTF)*1e-3]."""
-    _check_positive(q_loaded=q_loaded, beta=beta, eta=eta, noise_factor=noise_factor,
-                    temperature=temperature)
+    for name, value in (("q_loaded", q_loaded), ("beta", beta), ("eta", eta),
+                        ("noise_factor", noise_factor), ("temperature", temperature)):
+        check_positive(name, value)
     if eta > 1:
         raise ValueError("eta cannot exceed 1")
     return 10.0 * (math.log10(2e-3 / BOLTZMANN) + math.log10(beta) + math.log10(eta)
@@ -145,7 +137,8 @@ def fom_physical(q_loaded: float, beta: float, eta: float,
 
 def fom_max(q_loaded: float, beta: float) -> float:
     """Upper FoM bound for a lossless-drive, 100%-efficient oscillator."""
-    _check_positive(q_loaded=q_loaded, beta=beta)
+    check_positive("q_loaded", q_loaded)
+    check_positive("beta", beta)
     return FOM_MAX_CONSTANT_DB + 20.0 * math.log10(q_loaded) + 10.0 * math.log10(beta)
 
 

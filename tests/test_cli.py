@@ -6,6 +6,7 @@ import pytest
 
 from memsosc import bvd, cli, mna
 from memsosc.cli import main
+from memsosc.engnotation import parse_eng
 from memsosc.iodoc import RESPONSE_CSV_HEADER
 
 
@@ -129,6 +130,29 @@ def test_noise_chain_refusal_names_the_input(argv, capsys):
     code, out, err = run(capsys, *argv.split())
     assert (code, err) == (1, f"error: {NOISE_CHAIN_REFUSALS[argv]}\n")
     assert out == "" or argv.startswith("compensate")
+
+
+@pytest.mark.parametrize("command", ["noise", "compensate"])
+def test_subnormal_motional_resistance_is_one_error_line(command, tmp_path, capsys):
+    # r_m^2 underflows, so the root polish divides by zero at the motional
+    # crossing
+    dev = tmp_path / "subnormal.dev"
+    dev.write_text("rm = 1e-312\nlm = 17.59u\ncm = 1.60006e-18\nc0 = 16f\n")
+    code, out, err = run(capsys, command, str(dev), "--network", "l0_250p_q8")
+    assert (code, err) == (1, "error: phase slope is not finite at f = 29999849618.31458 Hz\n")
+    assert out == "" or command == "compensate"
+
+
+def test_q_rft_sweep_beyond_the_float_range_is_one_error_line(tmp_path, capsys):
+    # (2*pi*f_s)^2 overflows before l_m and c_m are rescaled
+    dev = tmp_path / "tiny.dev"
+    dev.write_text("rm = 1\nlm = 1e-160\ncm = 1e-160\nc0 = 1e-150\n")
+    code, out, err = run(capsys, "sweep", str(dev), "--network", "l0_250p_q8",
+                         "--var", "q_rft", "--from=5k", "--to=20k", "--points", "3",
+                         "--out", "-")
+    assert (code, out) == (1, "")
+    assert err == ("error: (2*pi*f_s)^2 overflows the float range for "
+                   "f_s = 1.5915582902074578e+159 Hz\n")
 
 
 def test_noise_factor_overflow_names_gamma_and_gmbias(capsys):
@@ -279,14 +303,16 @@ class TestNoiseAndSweep:
         ("2f", "-2f", "--from=2f and --to=-2f"),
     ])
     def test_log_window_needs_positive_endpoints(self, lo, hi, window, capsys):
-        # refused before the grid is built: log10 has no value there
+        # bvd.grid refuses the window, as typed, before a point is evaluated:
+        # log10 has no value there
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "sweep", "rft30g", "--var", "delta_c",
-                                 f"--from={lo}", f"--to={hi}", "--points", "3", "--log",
+                                 *window.split(" and "), "--points", "3", "--log",
                                  "--out", "-")
         assert (code, out) == (1, "")
-        assert err == f"error: --log needs positive endpoints, got {window}\n"
+        assert err == (f"error: a log grid of 3 points from {parse_eng(lo)!r} to "
+                       f"{parse_eng(hi)!r} needs positive and finite endpoints\n")
 
     @pytest.mark.parametrize("var, lo, hi", [("q_rft", "5k", "20k"),
                                              ("delta_c", "-3f", "3f"),

@@ -56,19 +56,78 @@ def beyond_float(rft, field):
 
 
 BEYOND_FLOAT = "must be finite, got a number beyond the float range"
+BEYOND_COUNT = "must be non-negative and within the float range"
 
 
 @pytest.mark.parametrize("field, message", [
     ("r_m", BEYOND_FLOAT), ("q_l0", BEYOND_FLOAT),
-    ("bank_size", "must be non-negative and within the float range"),
-    ("bank_code", "must lie in [0, bank_size]"), ("spec.parasitic_c", BEYOND_FLOAT),
-    ("spec.bank_size", BEYOND_FLOAT), ("supply", BEYOND_FLOAT)])
+    ("bank_size", BEYOND_COUNT),
+    ("bank_code", BEYOND_COUNT), ("spec.parasitic_c", BEYOND_FLOAT),
+    ("spec.bank_size", BEYOND_COUNT), ("supply", BEYOND_FLOAT)])
 def test_number_beyond_float_range_names_the_field(rft, field, message):
-    # once an OverflowError from float(), at construction or, for a spec's
-    # bank_size, from run_design
+    # refused at construction, naming the field
     name = field.removeprefix("spec.")
     with pytest.raises(ValueError, match=f"^{re.escape(name + ' ' + message)}$"):
         beyond_float(rft, field)
+
+
+def record(rft, kind, **fields):
+    """A valid record of kind, with fields replaced."""
+    if kind == "resonator":
+        return replace(rft, **fields)
+    if kind == "network":
+        return CompensationNetwork(**{"l_0": 250e-12, "q_l0": 8.0, "f_ref": 30e9,
+                                      "c_fix": 92.58e-15, "bank_unit": 1e-15,
+                                      "bank_size": 8, "bank_code": 4, **fields})
+    if kind == "spec":
+        return rft_spec(rft, **fields)
+    return OscillatorOperatingPoint(**{"v_osc": 0.3, "f_0": 30e9, "delta_f": 1e6,
+                                       "supply": 0.8, **fields})
+
+
+# each record's fields under bvd.check_fields: positive, non-negative, counts
+FIELD_RULES = {
+    "resonator": (("r_m", "l_m", "c_m", "c_0"), (), ()),
+    "network": (("l_0", "q_l0", "f_ref"), ("c_fix", "bank_unit"), ("bank_size", "bank_code")),
+    "spec": (("target_f0", "v_osc_target", "q_l0_available", "mu_cox", "gamma",
+              "temperature", "supply", "pn_offset", "l0_grid_step"),
+             ("parasitic_c", "bank_unit", "c_fix"), ("bank_size",)),
+    "op": (("v_osc", "f_0", "delta_f", "temperature", "supply"), ("gamma",), ()),
+}
+
+
+def rule_fields(rule):
+    return [(kind, name) for kind, rules in FIELD_RULES.items() for name in rules[rule]]
+
+
+@pytest.mark.parametrize("kind, name", rule_fields(0))
+def test_positive_field_refuses_zero_negative_and_non_finite(rft, kind, name):
+    for value in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{name} must be positive and finite, got {value!r}") + "$"):
+            record(rft, kind, **{name: value})
+
+
+@pytest.mark.parametrize("kind, name", rule_fields(1))
+def test_nonnegative_field_takes_zero_and_refuses_negative(rft, kind, name):
+    stored = getattr(record(rft, kind, **{name: 0}), name)
+    assert (type(stored), stored) == (float, 0.0)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{name} must be non-negative and finite, got -1e-18") + "$"):
+        record(rft, kind, **{name: -1e-18})
+
+
+@pytest.mark.parametrize("kind, name", rule_fields(2))
+def test_count_field_takes_integers_within_the_float_range(rft, kind, name):
+    stored = getattr(record(rft, kind, **{name: np.int64(8)}), name)
+    assert (type(stored), stored) == (int, 8)
+    for value in (True, 8.0):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{name} must be an integer, got {value!r}") + "$"):
+            record(rft, kind, **{name: value})
+    for value in (-1, 10 ** 400):
+        with pytest.raises(ValueError, match=f"^{name} {BEYOND_COUNT}$"):
+            record(rft, kind, **{name: value})
 
 
 class TestSpecValidation:

@@ -306,7 +306,8 @@ class TestEvaluate:
             assert pn == evaluate(rft, shifted, replace(op, f_0=f_op)).pn
 
     def test_sweep_keeps_the_network_validation(self, rft, comp_q8):
-        with pytest.raises(ValueError, match="capacitances must be non-negative and finite"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"c_fix must be non-negative and finite, got {-comp_q8.c_fix!r}")):
             sensitivity_sweep(rft, comp_q8, base_op(), [0.0, -2.0 * comp_q8.c_fix])
 
 
