@@ -55,12 +55,18 @@ def check_fields(record, positive=(), nonnegative=(), counts=()) -> None:
     """Store each named field of the frozen `record` as a Python number
     and check it: `positive` fields lie in (0, inf), `nonnegative` ones in
     [0, inf), and `counts` are integers, not bool, from 0 up to the largest
-    float.  ValueError naming the first field that breaks its rule."""
+    float.  ValueError naming the first field that breaks its rule; a
+    Python float already in range passes after one type test and one
+    comparison."""
     for name in positive:
-        if (number := check_positive(name, value := getattr(record, name))) is not value:
+        if type(value := getattr(record, name)) is float and 0 < value < math.inf:
+            continue
+        if (number := check_positive(name, value)) is not value:
             object.__setattr__(record, name, number)
     for name in nonnegative:
-        if type(value := getattr(record, name)) is not float:
+        if type(value := getattr(record, name)) is float and 0 <= value < math.inf:
+            continue
+        if type(value) is not float:
             object.__setattr__(record, name, value := as_float(name, value))
         if not 0 <= value < math.inf:
             raise ValueError(f"{name} must be non-negative and finite, got {value!r}")

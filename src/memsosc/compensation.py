@@ -64,9 +64,8 @@ from .bvd import (
     Resonator,
     check_fields,
     check_frequency,
+    check_positive,
     finite_impedance,
-    motional_admittance,
-    motional_bandwidth,
     motional_detuning,
     series_resonance,
 )
@@ -88,8 +87,9 @@ class AlignmentWarning(UserWarning):
 class CompensationNetwork:
     """Shunt inductor, fixed capacitor and unit-capacitor bank around a resonator.
 
-    q_l0 is specified at f_ref and converted once to a frequency-independent
-    series resistance r_l0; inductor loss dispersion is out of scope.
+    q_l0 is specified at f_ref and converted once, at construction, to a
+    frequency-independent series resistance r_l0, which the network stores
+    as `Resonator` stores f_s; inductor loss dispersion is out of scope.
     """
 
     l_0: float
@@ -105,11 +105,13 @@ class CompensationNetwork:
                      nonnegative=("c_fix", "bank_unit"), counts=("bank_size", "bank_code"))
         if not self.bank_code <= self.bank_size:
             raise ValueError("bank_code must lie in [0, bank_size]")
+        # r_l0, computed once here: every admittance evaluation reads it
+        object.__setattr__(self, "_r_l0", TWO_PI * self.f_ref * self.l_0 / self.q_l0)
 
     @property
     def r_l0(self) -> float:
         """Series loss resistance of the inductor, 2*pi*f_ref*l_0/q_l0."""
-        return TWO_PI * self.f_ref * self.l_0 / self.q_l0
+        return self._r_l0
 
     def branch_capacitance(self, res: Resonator, bank_code: int | None = None) -> float:
         """Total capacitance across l_0: c_0 + c_fix + selected bank units."""
@@ -142,9 +144,10 @@ def zero_phase_c0(res: Resonator, f: float) -> float:
 
 
 def shunt_inductor_for(c_total: float, f_0: float) -> float:
-    """Inductance resonating c_total at f_0."""
-    if not c_total > 0 or not f_0 > 0:
-        raise ValueError("c_total and f_0 must be positive")
+    """Inductance resonating c_total at f_0; ValueError naming c_total or
+    f_0 unless it is positive and finite."""
+    c_total = check_positive("c_total", c_total)
+    f_0 = check_positive("f_0", f_0)
     w = TWO_PI * f_0
     wwc = w * w * c_total
     if not 0 < wwc < math.inf or 1.0 / wwc == math.inf:
@@ -156,12 +159,14 @@ def shunt_inductor_for(c_total: float, f_0: float) -> float:
 def _tank_admittance(res: Resonator, comp: CompensationNetwork, f):
     """Admittance of motional branch || C branch || lossy inductor.
 
-    f is a checked Python float.
+    f is a checked Python float.  The fields are read directly, in the
+    arithmetic of `motional_admittance` and `branch_capacitance`.
     """
+    fs = res._f_s
     w = TWO_PI * f
-    return (motional_admittance(res, f)
-            + 1j * w * comp.branch_capacitance(res)
-            + 1.0 / (comp.r_l0 + 1j * w * comp.l_0))
+    return (1.0 / (res.r_m + 1j * ((f - fs) * (f + fs) / (fs * fs) / (w * res.c_m)))
+            + 1j * w * (res.c_0 + comp.c_fix + comp.bank_code * comp.bank_unit)
+            + 1.0 / (comp._r_l0 + 1j * w * comp.l_0))
 
 
 def _admittance_and_slope(res: Resonator, comp: CompensationNetwork, f: float):
@@ -174,11 +179,12 @@ def _admittance_and_slope(res: Resonator, comp: CompensationNetwork, f: float):
     detuning, as in the admittance, and l_m + 1/(w^2*c_m) is taken as
     2*l_m - X_m/w.  ZeroDivisionError where w*c_m, Z_m^2 or Z_L^2 underflows.
     """
+    fs = res._f_s
     w = TWO_PI * f
-    x_m = motional_detuning(res, f) / (w * res.c_m)
+    x_m = (f - fs) * (f + fs) / (fs * fs) / (w * res.c_m)
     z_m = res.r_m + 1j * x_m
-    z_l = comp.r_l0 + 1j * w * comp.l_0
-    c = comp.branch_capacitance(res)
+    z_l = comp._r_l0 + 1j * w * comp.l_0
+    c = res.c_0 + comp.c_fix + comp.bank_code * comp.bank_unit
     return (1.0 / z_m + 1j * w * c + 1.0 / z_l,
             1j * (c - (2.0 * res.l_m - x_m / w) / (z_m * z_m) - comp.l_0 / (z_l * z_l)))
 
@@ -255,6 +261,22 @@ def _rtsafe(fn, a: float, b: float, fa: float, x: float) -> float:
         x = newton
 
 
+def _cubic_newton(d3: float, d2: float, d1: float, d0: float, y: float) -> float:
+    """y after Newton steps on d3*y^3 + d2*y^2 + d1*y + d0, taken for as
+    long as they shrink the residual (at most 8)."""
+    r = ((d3 * y + d2) * y + d1) * y + d0
+    for _ in range(8):
+        slope = (3.0 * d3 * y + 2.0 * d2) * y + d1
+        if not slope:
+            break
+        z = y - r / slope
+        rz = ((d3 * z + d2) * z + d1) * z + d0
+        if not abs(rz) < abs(r):
+            break
+        y, r = z, rz
+    return y
+
+
 def _real_cubic_roots(c3: float, c2: float, c1: float, c0: float):
     """Real roots, ascending, of c3*x^3 + c2*x^2 + c1*x + c0 with c3 > 0,
     and the largest modulus among all three roots.
@@ -267,28 +289,19 @@ def _real_cubic_roots(c3: float, c2: float, c1: float, c0: float):
     cubic t^3 + p*t + q: the trigonometric solution when it has three real
     roots, otherwise Cardano's one real root, whose deflation leaves a
     quadratic for the other two.  Each real root then takes Newton steps
-    on the scaled coefficients for as long as they shrink the residual.
+    on the scaled coefficients (see `_cubic_newton`).
     """
     lead = math.frexp(c3)[1]
-    k = max([-((lead - math.frexp(c)[1]) // n) for n, c in ((1, c2), (2, c1), (3, c0))
-             if c] or [0])  # ceil(log2 |c_n/c3| / n), the largest
+    # k = ceil(log2 |c_n/c3| / n), the largest over the non-zero c_n; 0 if none
+    k = max(math.frexp(c2)[1] - lead if c2 else -math.inf,
+            -((lead - math.frexp(c1)[1]) // 2) if c1 else -math.inf,
+            -((lead - math.frexp(c0)[1]) // 3) if c0 else -math.inf)
+    if k == -math.inf:
+        k = 0
     d3 = math.ldexp(c3, -lead)
     d2 = math.ldexp(c2, -k - lead)
     d1 = math.ldexp(c1, -2 * k - lead)
     d0 = math.ldexp(c0, -3 * k - lead)
-
-    def newton(y):
-        r = ((d3 * y + d2) * y + d1) * y + d0
-        for _ in range(8):
-            slope = (3.0 * d3 * y + 2.0 * d2) * y + d1
-            if not slope:
-                break
-            z = y - r / slope
-            rz = ((d3 * z + d2) * z + d1) * z + d0
-            if not abs(rz) < abs(r):
-                break
-            y, r = z, rz
-        return y
 
     a, b, c = d2 / d3, d1 / d3, d0 / d3
     shift = a / 3.0
@@ -298,12 +311,13 @@ def _real_cubic_roots(c3: float, c2: float, c1: float, c0: float):
     if h < 0:  # three real roots, p < 0
         r = math.sqrt(-p / 3.0)
         angle = math.acos(max(-1.0, min(1.0, -0.5 * q / (r * r * r)))) / 3.0
-        ys = [newton(2.0 * r * math.cos(angle - j * TWO_PI / 3.0) - shift)
+        ys = [_cubic_newton(d3, d2, d1, d0, 2.0 * r * math.cos(angle - j * TWO_PI / 3.0)
+                            - shift)
               for j in range(3)]
     else:
         u = -0.5 * q - math.copysign(math.sqrt(h), q)
         u = math.copysign(abs(u) ** (1.0 / 3.0), u)  # cube root
-        y = newton((u - p / (3.0 * u) if u else 0.0) - shift)
+        y = _cubic_newton(d3, d2, d1, d0, (u - p / (3.0 * u) if u else 0.0) - shift)
         # y^2 + s*y + t = 0 holds the other two roots
         s = a + y
         t = b + y * s
@@ -311,7 +325,8 @@ def _real_cubic_roots(c3: float, c2: float, c1: float, c0: float):
         if disc < 0:
             return [math.ldexp(y, k)], math.ldexp(max(abs(y), math.sqrt(t)), k)
         w = -0.5 * (s + math.copysign(math.sqrt(disc), s))
-        ys = [y, newton(w), newton(t / w)] if w else [y, 0.0, 0.0]
+        ys = ([y, _cubic_newton(d3, d2, d1, d0, w), _cubic_newton(d3, d2, d1, d0, t / w)]
+              if w else [y, 0.0, 0.0])
     ys.sort()
     return [math.ldexp(y, k) for y in ys], math.ldexp(max(-ys[0], ys[-1]), k)
 
@@ -324,23 +339,24 @@ def _zero_phase_roots(res: Resonator, comp: CompensationNetwork):
     bracket its neighbours leave it, or gives None for a tangential root;
     only the roots a rule asks about get polished.
     """
-    fs = series_resonance(res)
+    fs = res._f_s
     ws = TWO_PI * fs
-    c, l_0 = comp.branch_capacitance(res), comp.l_0
+    c, l_0 = res.c_0 + comp.c_fix + comp.bank_code * comp.bank_unit, comp.l_0
     # squares as x * x: an overflow gives inf, which the check below
     # refuses, where float ** 2 raises OverflowError
     wrc, wl = ws * res.r_m * res.c_m, ws * l_0
     a = wrc * wrc
     b = wl * wl
-    e = comp.r_l0 * comp.r_l0 + b
+    e = comp._r_l0 * comp._r_l0 + b
     # Im Y / w times both denominators, expanded in x
-    coeffs = [c * b,
-              c * (e + a * b) - res.c_m * b - l_0,
-              c * a * (e + b) - res.c_m * e - l_0 * a,
-              a * (c * e - l_0)]
-    if not (coeffs[0] > 0 and all(math.isfinite(k) for k in coeffs)):
+    c3 = c * b
+    c2 = c * (e + a * b) - res.c_m * b - l_0
+    c1 = c * a * (e + b) - res.c_m * e - l_0 * a
+    c0 = a * (c * e - l_0)
+    if not (0 < c3 < math.inf and math.isfinite(c2) and math.isfinite(c1)
+            and math.isfinite(c0)):
         raise ValueError("tank values overflow the zero-phase polynomial")
-    roots, size = _real_cubic_roots(*coeffs)
+    roots, size = _real_cubic_roots(c3, c2, c1, c0)
     x = [v for v in roots if v > -1.0]
     f_est = [fs * math.sqrt(1.0 + v) for v in x]
     # Wide brackets run between neighbouring roots.  No other real root lies
@@ -350,9 +366,18 @@ def _zero_phase_roots(res: Resonator, comp: CompensationNetwork):
     # around each is tried first, and the polish from the estimate inside it
     # mostly stops after one evaluation of Y and Y'.
     margin = 1e-3 * size
-    edges = ([max(v - margin, 0.5 * (v - 1.0)) for v in x[:1]]
-             + [0.5 * (b + a) for a, b in zip(x, x[1:])] + [v + margin for v in x[-1:]])
-    f_wide = [fs * math.sqrt(1.0 + v) for v in edges]
+    last = len(x)
+
+    def f_wide(j):
+        """Frequency of wide bracket edge j: below root 0 for j = 0, above
+        the last root for j = len(x), between roots j - 1 and j otherwise."""
+        if j == 0:
+            v = max(x[0] - margin, 0.5 * (x[0] - 1.0))
+        elif j == last:
+            v = x[-1] + margin
+        else:
+            v = 0.5 * (x[j] + x[j - 1])
+        return fs * math.sqrt(1.0 + v)
 
     def susceptance(f):
         return _tank_admittance(res, comp, f).imag
@@ -365,11 +390,12 @@ def _zero_phase_roots(res: Resonator, comp: CompensationNetwork):
         return y.imag, TWO_PI * dy.imag  # d(Im Y)/df
 
     def polish(i):
-        a = max(f_wide[i], f_est[i] * (1.0 - 1e-9))
-        b = min(f_wide[i + 1], f_est[i] * (1.0 + 1e-9))
+        lo, hi = f_wide(i), f_wide(i + 1)
+        a = max(lo, f_est[i] * (1.0 - 1e-9))
+        b = min(hi, f_est[i] * (1.0 + 1e-9))
         fa = susceptance(a)
         if not _opposite(fa, susceptance(b)):
-            a, b = f_wide[i], f_wide[i + 1]
+            a, b = lo, hi
             fa = susceptance(a)
             if not _opposite(fa, susceptance(b)):
                 return None  # tangential root: the phase touches zero without crossing
@@ -395,8 +421,8 @@ def find_operating_point(res: Resonator, comp: CompensationNetwork):
     low notch).  NoResonanceError only when the tank has no crossing at all.
     """
     f_est, polish = _zero_phase_roots(res, comp)
-    fs = series_resonance(res)
-    bw = motional_bandwidth(res)
+    fs = res._f_s
+    bw = fs / (TWO_PI * fs * res.l_m / res.r_m)  # motional_bandwidth, f_s/Q
     # cap: for very low motional Q the bandwidth exceeds the octave around f_s
     lo = max(fs - 2.0 * bw, 0.5 * fs)
     hi = min(fs + 2.0 * bw, 1.5 * fs)
@@ -439,7 +465,7 @@ def phase_slope_q(res: Resonator, comp: CompensationNetwork, f_0: float) -> floa
 def effective_resistance(res: Resonator, comp: CompensationNetwork) -> TankAnalysis:
     """Resistance-division summary: r_res = r_m || (q_l0^2 * r_l0) and beta;
     ValueError unless r_res is a normal float (v_osc/r_res fits if v_osc^2/r_res does)."""
-    q2r = comp.q_l0 * comp.q_l0 * comp.r_l0
+    q2r = comp.q_l0 * comp.q_l0 * comp._r_l0
     r_res = res.r_m * q2r / (res.r_m + q2r)
     if not sys.float_info.min <= r_res < math.inf:
         raise ValueError(f"r_res = r_m || q_l0^2*r_l0 is out of floating-point range "

@@ -16,7 +16,14 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-from .bvd import TWO_PI, Resonator, check_fields, quality_factor, series_resonance
+from .bvd import (
+    TWO_PI,
+    Resonator,
+    check_fields,
+    check_positive,
+    quality_factor,
+    series_resonance,
+)
 from .compensation import (
     AlignmentWarning,
     CompensationNetwork,
@@ -100,9 +107,11 @@ def size_active(r_res: float, v_osc: float, mu_cox: float):
     """Initial cross-coupled pair sizing: (g_m, i_bias, w_over_l).
 
     g_m = 2/r_res, i_bias = v_osc/r_res, w_over_l = g_m^2/(2*i_bias*mu_cox).
+    ValueError naming the first argument that is not positive and finite.
     """
-    if not r_res > 0 or not v_osc > 0 or not mu_cox > 0:
-        raise ValueError("inputs must be positive")
+    r_res = check_positive("r_res", r_res)
+    v_osc = check_positive("v_osc", v_osc)
+    mu_cox = check_positive("mu_cox", mu_cox)
     g_m = 2.0 / r_res
     i_bias = v_osc / r_res
     w_over_l = g_m * g_m / (2.0 * i_bias * mu_cox)

@@ -10,7 +10,9 @@ derived from the inputs, raises ValueError naming it.
 loaded Q from the phase slope at f_0, the noise budget, the Leeson phase
 noise (Leeson, Proc. IEEE 54(2), 1966) and, given the supply, the DC
 power, efficiency and physical FoM, all from one reduction of the tank.
-The design flow, the misalignment sweep and the CLI all read its record.
+The design flow and the CLI read its record; the misalignment sweep
+evaluates its first point and reuses that reduction and noise budget,
+which a capacitance shift leaves unchanged, at every later one.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ DEFAULT_GAMMA = 1.0
 # Both differential branches of the cross-coupled pair draw the tail
 # current through the supply.
 SUPPLY_BRANCH_FACTOR = 2.0
+
+_LOG10_4K = math.log10(4.0 * BOLTZMANN)
+_LOG10_2 = math.log10(2.0)
 
 
 @dataclass(frozen=True)
@@ -87,9 +92,16 @@ def leeson_phase_noise(res: Resonator, q_loaded: float,
     """
     check_positive("q_loaded", q_loaded)
     check_positive("noise_factor", noise_factor)
-    return (10.0 * (math.log10(noise_factor) + math.log10(4.0 * BOLTZMANN)
+    return _leeson_db(res, q_loaded, op, op.f_0, noise_factor)
+
+
+def _leeson_db(res: Resonator, q_loaded: float, op: OscillatorOperatingPoint,
+               f_0: float, noise_factor: float) -> float:
+    """The Leeson dB sum of `leeson_phase_noise` at carrier f_0, for a
+    checked q_loaded and noise_factor; op gives the rest."""
+    return (10.0 * (math.log10(noise_factor) + _LOG10_4K
                     + math.log10(op.temperature) + math.log10(res.r_m))
-            + 20.0 * (math.log10(op.f_0) - math.log10(2.0) - math.log10(q_loaded)
+            + 20.0 * (math.log10(f_0) - _LOG10_2 - math.log10(q_loaded)
                       - math.log10(op.delta_f) - math.log10(op.v_osc)))
 
 
@@ -197,19 +209,31 @@ def sensitivity_sweep(res: Resonator, comp: CompensationNetwork,
     operating point remains and the prediction collapses accordingly.
     NoResonanceError when a point has no crossing, or its governing one is
     not above op.delta_f.  Returns (delta_c, phase_noise_dbchz) pairs in
-    input order.
+    input order, each with the bits of `evaluate(...).pn` at that point.
+
+    A shift of c_fix leaves r_res, beta, the noise budget and P_DC as they
+    are, so the first point runs the full `evaluate`, which raises every
+    refusal of theirs there, and later points reuse its reduction and
+    budget: each pays for its operating point, loaded Q and Leeson sum.
     """
     out = []
+    first = None
     for dc in map(float, delta_c_range):
-        # field by field, at half the cost of dataclasses.replace; both
-        # classes still validate every point
+        # field by field, at half the cost of dataclasses.replace; the
+        # network still refuses a negative c_fix at every point
         shifted = CompensationNetwork(comp.l_0, comp.q_l0, comp.f_ref, comp.c_fix + dc,
                                       comp.bank_unit, comp.bank_size, comp.bank_code)
         f_op, _, _ = find_operating_point(res, shifted)
         if not f_op > op.delta_f:
             raise NoResonanceError(f"the governing crossing at {f_op!r} Hz is not "
                                    f"above the {op.delta_f!r} Hz offset")
-        at = OscillatorOperatingPoint(op.v_osc, f_op, op.delta_f, op.temperature,
-                                      op.gamma, op.g_mbias, op.supply)
-        out.append((dc, evaluate(res, shifted, at).pn))
+        if first is None:
+            first = evaluate(res, shifted, OscillatorOperatingPoint(
+                op.v_osc, f_op, op.delta_f, op.temperature, op.gamma, op.g_mbias,
+                op.supply))
+            pn = first.pn
+        else:
+            q_loaded = check_positive("q_loaded", phase_slope_q(res, shifted, f_op))
+            pn = _leeson_db(res, q_loaded, op, f_op, first.budget.f_min)
+        out.append((dc, pn))
     return out

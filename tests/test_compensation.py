@@ -131,8 +131,13 @@ class TestShuntInductorFor:
         assert shunt_inductor_for(c, 1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            shunt_inductor_for(0.0, 1e9)
+        # the refusal names the argument, infinite ones included
+        for args, name in [((0.0, 1e9), "c_total"),
+                           ((-1e-15, 30e9), "c_total"),
+                           ((math.inf, 30e9), "c_total"),
+                           ((1e-15, math.inf), "f_0")]:
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+                shunt_inductor_for(*args)
 
 
 class TestTankImpedance:

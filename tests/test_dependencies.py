@@ -99,6 +99,7 @@ spec = design.DesignSpec(resonator=res, target_f0=30e9, v_osc_target=0.3,
 values = [bvd.impedance(res, 3e10), compensation.tank_impedance(res, comp, 3e10),
           bvd.phase(res, 3e10), bvd.static_reactance(res, 3e10), f_op, z_op, mode,
           compensation.phase_slope_q(res, comp, f_op), noise.evaluate(res, comp, op),
+          noise.sensitivity_sweep(res, comp, op, [-6e-15, 0.0, 6e-15, 30e-15]),
           design.run_design(spec)]
 """
 

@@ -185,8 +185,14 @@ class TestSizeActive:
         assert i_bias == pytest.approx(1.0)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            size_active(0.0, 0.3, 200e-6)
+        # the refusal names the argument, infinite ones included
+        for args, name in [((0.0, 0.3, 200e-6), "r_res"),
+                           ((math.inf, 0.3, 2e-4), "r_res"),
+                           ((196.3, math.inf, 2e-4), "v_osc"),
+                           ((196.3, 0.3, -2e-4), "mu_cox"),
+                           ((196.3, 0.3, math.nan), "mu_cox")]:
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+                size_active(*args)
 
 
 class TestRunDesign:

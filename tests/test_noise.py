@@ -23,7 +23,10 @@ from memsosc import (
     motional_mode_capacitance_margin,
     phase_slope_q,
     sensitivity_sweep,
+    series_resonance,
+    shunt_inductor_for,
     tune_bank,
+    window_fraction,
 )
 from memsosc.noise import BOLTZMANN, noise_factor_from
 
@@ -270,17 +273,50 @@ class TestEvaluate:
                                              r"floating-point range for q_l0 = 1e\+300"):
             effective_resistance(quartz, comp)
 
-    def test_sensitivity_rows_are_evaluations(self, rft, comp_q8):
-        # the last delta leaves only the LC-branch point
-        deltas = [-6e-15, 0.0, 6e-15, 3.0 * motional_mode_capacitance_margin(rft)]
-        rows = sensitivity_sweep(rft, comp_q8, base_op(), deltas)
-        modes = []
-        for (dc, pn), delta in zip(rows, deltas):
-            shifted = replace(comp_q8, c_fix=comp_q8.c_fix + delta)
-            f_op, _, mode = find_operating_point(rft, shifted)
-            modes.append(mode)
-            assert (dc, pn) == (delta, evaluate(rft, shifted, base_op(f_0=f_op)).pn)
-        assert modes == ["motional"] * 3 + ["lc_tank"]
+    def test_sensitivity_rows_are_evaluations(self, rft, comp_q8, quartz, fbar, saw):
+        # rft's last delta leaves only the LC-branch point; the other
+        # fixtures' tanks, c_fix = c_0 resonated at f_s, start with one, so
+        # later points reuse a reduction made at an LC-governed first point
+        cases = [(rft, comp_q8, [-6e-15, 0.0, 6e-15, 3.0 * motional_mode_capacitance_margin(rft)],
+                  ["motional"] * 3 + ["lc_tank"])]
+        for res in (quartz, fbar, saw):
+            fs = series_resonance(res)
+            comp = CompensationNetwork(l_0=shunt_inductor_for(2.0 * res.c_0, fs), q_l0=8.0,
+                                       f_ref=fs, c_fix=res.c_0)
+            margin = motional_mode_capacitance_margin(res)
+            centre = -window_fraction(res, comp) * margin
+            cases.append((res, comp, [centre + 3.0 * margin, centre, centre + 0.5 * margin],
+                          ["lc_tank"] + ["motional"] * 2))
+        for op in (base_op(), base_op(g_mbias=3e-3), base_op(supply=0.8)):
+            for res, comp, deltas, want in cases:
+                rows = sensitivity_sweep(res, comp, op, deltas)
+                modes = []
+                for (dc, pn), delta in zip(rows, deltas):
+                    shifted = replace(comp, c_fix=comp.c_fix + delta)
+                    f_op, _, mode = find_operating_point(res, shifted)
+                    modes.append(mode)
+                    assert (dc, pn) == (delta, evaluate(res, shifted, replace(op, f_0=f_op)).pn)
+                assert modes == want, res.label
+
+    def test_sweep_refuses_a_first_point_without_crossing_before_the_supply(self, quartz):
+        # the tank of test_no_crossing_at_any_frequency, with a supply that
+        # puts P_DC out of range: the operating point is refused first
+        fs = series_resonance(quartz)
+        comp = CompensationNetwork(
+            l_0=shunt_inductor_for(1.5 * quartz.c_0, fs), q_l0=2.0, f_ref=fs,
+            c_fix=0.5 * quartz.c_0 + 3.0 * motional_mode_capacitance_margin(quartz))
+        with pytest.raises(NoResonanceError, match="^no zero-phase crossing at any frequency"):
+            sensitivity_sweep(quartz, comp, base_op(supply=1e308), [0.0, -comp.c_fix])
+
+    def test_sweep_refuses_an_out_of_range_supply_as_evaluate_does(self, rft, comp_q8):
+        op = base_op(supply=1e308)
+        f_op, _, _ = find_operating_point(rft, comp_q8)
+        with pytest.raises(ValueError) as first:
+            evaluate(rft, comp_q8, replace(op, f_0=f_op))
+        assert "supply = 1e+308 V" in str(first.value)
+        with pytest.raises(ValueError) as swept:
+            sensitivity_sweep(rft, comp_q8, op, [0.0, 1e-15])
+        assert str(swept.value) == str(first.value)
 
     def test_sweep_rows_bit_for_bit_at_the_mode_edge(self, rft, comp_q8):
         # the last delta at which the motional mode still governs, found by

@@ -17,15 +17,25 @@ from memsosc.noise import OscillatorOperatingPoint
 
 COUNTED = ("find_operating_point", "effective_resistance", "tank_resonance",
            "window_fraction")
+# the admittance kernel beneath every operating point and loaded Q
+KERNEL = ("_tank_admittance", "_admittance_and_slope")
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counter of calls to COUNTED, wherever a memsosc module binds them."""
+    """Counter of calls to COUNTED and KERNEL, wherever a memsosc module
+    binds them, and of CompensationNetwork builds ("networks")."""
     counts = Counter()
     modules = [m for n, m in sys.modules.items()
                if m is not None and (n == "memsosc" or n.startswith("memsosc."))]
-    for name in COUNTED:
+    build = compensation.CompensationNetwork.__post_init__
+
+    def counted_build(self):
+        counts["networks"] += 1
+        build(self)
+
+    monkeypatch.setattr(compensation.CompensationNetwork, "__post_init__", counted_build)
+    for name in COUNTED + KERNEL:
         original = getattr(compensation, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -45,6 +55,9 @@ def test_run_design_reduces_the_tank_once(rft, calls):
                           bank_unit=1e-15, bank_size=8, c_fix=10e-15))
     assert (calls["effective_resistance"], calls["tank_resonance"]) == (1, 1)
     assert calls["window_fraction"] <= 8
+    # one operating point (two sign tests and one Newton step) and one loaded Q
+    assert [calls[name] for name in KERNEL] == [3, 2]
+    assert calls["networks"] == 4
 
 
 @pytest.mark.parametrize("network", [[], ["--network", "l0_250p_q8"]])
@@ -54,11 +67,13 @@ def test_cli_noise_reduces_the_tank_once(network, calls, capsys):
 
 
 def test_each_sweep_point_is_one_operating_point_and_one_reduction(rft, comp_q8, calls):
-    # the last delta leaves only the LC-branch point
+    # the last delta leaves only the LC-branch point; a shift of c_fix
+    # leaves r_res alone, so the first point's reduction serves them all
     deltas = [-6e-15, 0.0, 6e-15, 3.0 * compensation.motional_mode_capacitance_margin(rft)]
     op = OscillatorOperatingPoint(v_osc=0.3, f_0=30e9, delta_f=1e6)
     assert len(sensitivity_sweep(rft, comp_q8, op, deltas)) == 4
-    assert [calls[name] for name in COUNTED] == [4, 4, 0, 0]
+    assert [calls[name] for name in COUNTED] == [4, 1, 0, 0]
+    assert [calls[name] for name in KERNEL] == [16, 10]
 
 
 @pytest.mark.parametrize("var, window", [("delta_c", ["--from=-3f", "--to=3f"]),

@@ -26,7 +26,7 @@ from memsosc import (
     tank_resonance,
 )
 from memsosc import compensation, design
-from memsosc.bvd import TWO_PI
+from memsosc.bvd import TWO_PI, motional_admittance
 from memsosc.compensation import _real_cubic_roots, _rtsafe, _zero_phase_roots
 from memsosc.fixtures import BUILTIN_RESONATORS, get_resonator
 
@@ -279,6 +279,27 @@ def test_polish_work_is_bounded(monkeypatch):
                 per_crossing.append(len(calls))
     assert statistics.mean(per_point) <= 6.0
     assert max(per_crossing) <= MAX_EVALUATIONS_PER_CROSSING
+
+
+def test_admittance_kernel_has_the_bits_of_the_helpers():
+    # The kernel reads the fields directly; the helper chain it replaced,
+    # motional admittance + branch susceptance + lossy inductor, is the
+    # reference, at the estimates, the polished crossings and off them.
+    for name in sorted(BUILTIN_RESONATORS):
+        rng = random.Random(name)
+        res = get_resonator(name)
+        fs = series_resonance(res)
+        for _ in range(50):
+            comp = design_space_network(res, rng)
+            comp = replace(comp, bank_unit=1e-3 * comp.c_fix, bank_size=8,
+                           bank_code=rng.randrange(9))
+            f_est, _ = _zero_phase_roots(res, comp)
+            for f in [*f_est, *every_crossing(res, comp), fs, fs * rng.uniform(0.5, 1.5)]:
+                w = TWO_PI * f
+                want = (motional_admittance(res, f) + 1j * w * comp.branch_capacitance(res)
+                        + 1.0 / (comp.r_l0 + 1j * w * comp.l_0))
+                assert compensation._tank_admittance(res, comp, f) == want
+                assert compensation._admittance_and_slope(res, comp, f)[0] == want
 
 
 @settings(max_examples=200, deadline=None)
