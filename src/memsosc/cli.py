@@ -2,7 +2,9 @@
 
 Subcommands: resonator, compensate, noise, design, ac, sweep.  Every
 report prints the defaults it used so any quoted number is reproducible.
-Exit codes: 0 success, 1 user/input error, 2 design failure.
+Exit codes: 0 success, 1 input error (an OS error reading an input or
+writing `--out` included), 2 design failure or argparse usage error.
+`main` is the one place where an error becomes an exit code and a line.
 
 numpy is imported only by the subcommands that return arrays: `ac` and
 `resonator --out`.  Every subcommand but `ac` evaluates one frequency at
@@ -65,19 +67,9 @@ def _defaults_header(op: noise.OscillatorOperatingPoint | None = None) -> str:
     return "\n".join(lines)
 
 
-def _load_resonator(args) -> bvd.Resonator:
-    try:
-        return iodoc.resolve_resonator(args.resonator)
-    except (iodoc.DocumentError, OSError) as exc:
-        raise UserError(str(exc))
-
-
 def _load_network(args, res: bvd.Resonator) -> compensation.CompensationNetwork:
     if args.network is not None:
-        try:
-            return iodoc.resolve_network(args.network)
-        except (iodoc.DocumentError, OSError) as exc:
-            raise UserError(str(exc))
+        return iodoc.resolve_network(args.network)
     # default: lossy inductor resonating the bare static capacitance at f_s
     fs = bvd.series_resonance(res)
     l_0 = compensation.shunt_inductor_for(res.c_0, fs)
@@ -95,7 +87,7 @@ def _evaluate(res, comp, args, offset: float) -> noise.Evaluation:
 # --- subcommands ---------------------------------------------------------
 
 def cmd_resonator(args) -> int:
-    res = _load_resonator(args)
+    res = iodoc.resolve_resonator(args.resonator)
     resp = None
     if args.out is not None:
         # the whole sweep is checked and computed before the report prints
@@ -122,7 +114,7 @@ def cmd_resonator(args) -> int:
 
 
 def cmd_compensate(args) -> int:
-    res = _load_resonator(args)
+    res = iodoc.resolve_resonator(args.resonator)
     f_0 = args.f0 if args.f0 is not None else bvd.series_resonance(res)
     print(_defaults_header())
     try:
@@ -146,7 +138,7 @@ def cmd_compensate(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    res = _load_resonator(args)
+    res = iodoc.resolve_resonator(args.resonator)
     comp = _load_network(args, res)
     offsets = args.offsets or list(DEFAULT_OFFSETS)
     ev = _evaluate(res, comp, args, offsets[0])
@@ -172,15 +164,8 @@ def cmd_noise(args) -> int:
 
 
 def cmd_design(args) -> int:
-    try:
-        spec = iodoc.designspec_from_document(iodoc.load_document(args.infile))
-    except (iodoc.DocumentError, OSError, ValueError) as exc:
-        raise UserError(str(exc))
-    try:
-        report = design.run_design(spec)
-    except design.DesignError as exc:
-        print(f"design failed: {exc}", file=sys.stderr)
-        return 2
+    spec = iodoc.designspec_from_document(iodoc.load_document(args.infile))
+    report = design.run_design(spec)
     if args.format == "doc":
         _emit(args.out, iodoc.report_document(report))
         return 0
@@ -210,24 +195,18 @@ def cmd_design(args) -> int:
 def cmd_ac(args) -> int:
     from . import mna
 
+    text = Path(args.infile).read_text()
     try:
-        netlist = mna.parse_netlist(Path(args.infile).read_text())
-    except OSError as exc:
-        raise UserError(str(exc))
+        netlist = mna.parse_netlist(text)
     except mna.NetlistError as exc:
-        raise UserError(f"netlist errors:\n" +
-                        "\n".join(str(d) for d in exc.diagnostics))
-    try:
-        resp = mna.ac_sweep(netlist)
-    except ValueError as exc:
-        raise UserError(str(exc))
-    _emit(args.out, iodoc.response_csv(resp))
+        raise UserError("netlist errors:\n" + "\n".join(str(d) for d in exc.diagnostics))
+    _emit(args.out, iodoc.response_csv(mna.ac_sweep(netlist)))
     return 0
 
 
 def cmd_sweep(args) -> int:
     _check_points(args, 1)
-    res = _load_resonator(args)
+    res = iodoc.resolve_resonator(args.resonator)
     comp = _load_network(args, res)
     offset = args.offsets[0] if args.offsets else 1e6
     values = bvd.grid(args.f_from, args.f_to, args.points, log=args.log)
@@ -353,11 +332,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except UserError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, compensation.NoSolutionError,
-            compensation.NoResonanceError) as exc:
+    except design.DesignError as exc:
+        print(f"design failed: {exc}", file=sys.stderr)
+        return 2
+    except (UserError, ValueError, OSError, compensation.NoResonanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -106,7 +106,11 @@ class CompensationNetwork:
         if not self.bank_code <= self.bank_size:
             raise ValueError("bank_code must lie in [0, bank_size]")
         # r_l0, computed once here: every admittance evaluation reads it
-        object.__setattr__(self, "_r_l0", TWO_PI * self.f_ref * self.l_0 / self.q_l0)
+        r_l0 = TWO_PI * self.f_ref * self.l_0 / self.q_l0
+        if not r_l0 < math.inf:
+            raise ValueError(f"l_0 = {self.l_0!r} H puts r_l0 = 2*pi*f_ref*l_0/q_l0 out of "
+                             f"floating-point range for f_ref = {self.f_ref!r} Hz")
+        object.__setattr__(self, "_r_l0", r_l0)
 
     @property
     def r_l0(self) -> float:
@@ -130,7 +134,8 @@ class TankAnalysis:
 def zero_phase_c0(res: Resonator, f: float) -> float:
     """Static capacitance that would give a 0-degree impedance phase at f.
 
-    Only frequencies above the series resonance admit a positive solution.
+    Only frequencies above the series resonance admit a positive solution;
+    NoSolutionError otherwise, or where the value leaves the float range.
     """
     f = float(check_frequency(f))
     w = TWO_PI * f
@@ -140,7 +145,10 @@ def zero_phase_c0(res: Resonator, f: float) -> float:
             f"no physical solution: {f} Hz is not above the series resonance "
             f"({series_resonance(res):.6g} Hz)")
     a = w * res.r_m * res.c_m
-    return res.c_m * d / (a * a + d * d)
+    c_0 = res.c_m * d / (a * a + d * d)
+    if not 0 < c_0 < math.inf:
+        raise NoSolutionError(f"no solution in floating-point range at f = {f!r} Hz")
+    return c_0
 
 
 def shunt_inductor_for(c_total: float, f_0: float) -> float:
@@ -356,7 +364,11 @@ def _zero_phase_roots(res: Resonator, comp: CompensationNetwork):
     if not (0 < c3 < math.inf and math.isfinite(c2) and math.isfinite(c1)
             and math.isfinite(c0)):
         raise ValueError("tank values overflow the zero-phase polynomial")
-    roots, size = _real_cubic_roots(c3, c2, c1, c0)
+    try:
+        roots, size = _real_cubic_roots(c3, c2, c1, c0)
+    except OverflowError:  # math.ldexp past the largest float
+        raise ValueError(f"a zero-phase root leaves the float range for l_0 = {l_0!r} H "
+                         f"and C = {c!r} F") from None
     x = [v for v in roots if v > -1.0]
     f_est = [fs * math.sqrt(1.0 + v) for v in x]
     # Wide brackets run between neighbouring roots.  No other real root lies
@@ -372,8 +384,10 @@ def _zero_phase_roots(res: Resonator, comp: CompensationNetwork):
         """Frequency of wide bracket edge j: below root 0 for j = 0, above
         the last root for j = len(x), between roots j - 1 and j otherwise."""
         if j == 0:
-            v = max(x[0] - margin, 0.5 * (x[0] - 1.0))
-        elif j == last:
+            # half of 1 + x[0] keeps w > 0 where 1 + 0.5*(x[0] - 1) rounds to 0
+            return fs * math.sqrt(max(1.0 + max(x[0] - margin, 0.5 * (x[0] - 1.0)),
+                                      0.5 * (1.0 + x[0])))
+        if j == last:
             v = x[-1] + margin
         else:
             v = 0.5 * (x[j] + x[j - 1])

@@ -107,14 +107,19 @@ def size_active(r_res: float, v_osc: float, mu_cox: float):
     """Initial cross-coupled pair sizing: (g_m, i_bias, w_over_l).
 
     g_m = 2/r_res, i_bias = v_osc/r_res, w_over_l = g_m^2/(2*i_bias*mu_cox).
-    ValueError naming the first argument that is not positive and finite.
+    ValueError naming the first argument that is not positive and finite,
+    or naming mu_cox when w_over_l leaves the float range.
     """
     r_res = check_positive("r_res", r_res)
     v_osc = check_positive("v_osc", v_osc)
     mu_cox = check_positive("mu_cox", mu_cox)
     g_m = 2.0 / r_res
     i_bias = v_osc / r_res
-    w_over_l = g_m * g_m / (2.0 * i_bias * mu_cox)
+    drive = 2.0 * i_bias * mu_cox
+    w_over_l = g_m * g_m / drive if drive else math.inf
+    if not w_over_l < math.inf:
+        raise ValueError(f"mu_cox = {mu_cox!r} puts W/L out of floating-point range "
+                         f"for r_res = {r_res!r} ohm and v_osc = {v_osc!r} V")
     return g_m, i_bias, w_over_l
 
 

@@ -151,18 +151,20 @@ def designspec_from_document(doc: dict[str, str]) -> DesignSpec:
 # --- emission ------------------------------------------------------------
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the destination directory plus rename."""
+    """Write via a temp file in the destination directory plus rename; a
+    failure leaves no temp file behind, and its OSError names `path`."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
-                               prefix=f".{path.name}.", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def response_csv(response: ComplexResponse) -> str:

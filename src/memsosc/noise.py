@@ -190,7 +190,7 @@ def evaluate(res: Resonator, comp: CompensationNetwork,
         raise ValueError(f"v_osc = {op.v_osc!r} V puts the signal power "
                          f"v_osc^2/(2*r_res) out of floating-point range")
     p_dc = SUPPLY_BRANCH_FACTOR * op.supply * (op.v_osc / tank.r_res)
-    eta = p_out / p_dc
+    eta = p_out / p_dc if p_dc else math.inf
     if not (0 < p_dc < math.inf and 0 < eta < math.inf):
         raise ValueError(f"supply = {op.supply!r} V puts the DC power or the efficiency "
                          f"out of floating-point range")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import warnings
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from memsosc import bvd, cli, mna
 from memsosc.cli import main
 from memsosc.engnotation import parse_eng
+from memsosc.fixtures import BUILTIN_NETWORKS, BUILTIN_RESONATORS
 from memsosc.iodoc import RESPONSE_CSV_HEADER
 
 
@@ -438,3 +440,128 @@ class TestAcCommand:
             f, re, im, mag, ph = (float(x) for x in line.split(","))
             assert re == pytest.approx(332.0)
             assert ph == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ("resonator", "rft30g", "--from=29g", "--to=31g", "--points", "3"),
+    ("sweep", "rft30g", "--var", "q_l0", "--from=2", "--to=20", "--points", "3"),
+    ("ac", "--in", "@tank"),
+    ("design", "--in", "@spec"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("dest, reason", [
+    ("missing/x.csv", "[Errno 2] No such file or directory"),
+    ("taken", "[Errno 21] Is a directory"),
+], ids=["missing_directory", "directory"])
+def test_unwritable_out_is_one_error_line_naming_the_path(argv, dest, reason, tmp_path,
+                                                          capsys):
+    # the rename onto a directory fails after the temp file is written;
+    # neither failure names the temp file or leaves it behind
+    inputs = {"@tank": tmp_path / "tank.cir", "@spec": tmp_path / "spec.txt"}
+    inputs["@tank"].write_text("R1 1 0 332\n.ac lin 3 1g 3g\n.probe 1 0\n")
+    inputs["@spec"].write_text(DESIGN_DOC)
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "taken" / "kept").write_text("")
+    out_path = str(tmp_path / dest)
+    code, _, err = run(capsys, *(str(inputs.get(a, a)) for a in argv), "--out", out_path)
+    assert (code, err) == (1, f"error: {reason}: {out_path!r}\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["kept", "spec.txt", "taken",
+                                                           "tank.cir"]
+
+
+@pytest.mark.parametrize("mu_cox", ["1e-320", "5e-324"])
+def test_design_with_a_tiny_mu_cox_is_one_error_line(mu_cox, tmp_path, capsys):
+    # W/L = g_m^2/(2*i_bias*mu_cox) overflows at 1e-320; at 5e-324 the
+    # denominator underflows to zero
+    p = tmp_path / "spec.txt"
+    p.write_text(DESIGN_DOC + f"mu_cox = {mu_cox}\n")
+    code, out, err = run(capsys, "design", "--in", str(p))
+    assert (code, out) == (1, "")
+    assert err == (f"error: mu_cox = {mu_cox} puts W/L out of floating-point range "
+                   f"for r_res = 176.53401864333495 ohm and v_osc = 0.3 V\n")
+
+
+def test_dc_power_underflow_is_one_error_line(capsys):
+    # supply*v_osc/r_res underflows to zero, where eta once divided by it
+    code, out, err = run(capsys, "noise", "quartz45m", "--supply", "1e-240",
+                         "--vosc", "1e-122")
+    assert (code, out) == (1, "")
+    assert err == ("error: supply = 1e-240 V puts the DC power or the efficiency "
+                   "out of floating-point range\n")
+
+
+# Seeded fuzz through `main`: every input drawn log-uniformly from 1e-310
+# to 1e300 must end in exit code 0, 1 or 2, with an error line on failure,
+# no escaped exception or RuntimeWarning, and no inf or nan in any figure.
+FUZZ_SEED = 1
+FUZZ_CASES = 3000
+FUZZ_OP_OPTIONS = ("--q-l0", "--vosc", "--offset", "--gamma", "--temp", "--gmbias",
+                   "--supply")
+FUZZ_SPEC_KEYS = ("target_f0", "v_osc", "parasitic_c", "q_l0", "bank_unit", "bank_size",
+                  "c_fix", "mu_cox", "gamma", "temperature", "supply", "pn_offset",
+                  "l0_grid")
+NON_FINITE = re.compile(r"(?<![\w.])[-+]?(inf|nan)\b", re.IGNORECASE)
+ERROR_LINE = re.compile(r"^(memsosc \w+: )?(error|design failed): ", re.MULTILINE)
+
+
+def _fuzz_value(rng) -> str:
+    return repr(10.0 ** rng.uniform(-310.0, 300.0))
+
+
+def _fuzz_argv(rng, tmp_path) -> list[str]:
+    """One argv: a subcommand with one to three of its inputs drawn."""
+    command = rng.choice(("noise", "compensate", "sweep", "resonator", "design"))
+    if command == "design":
+        keys = rng.sample(FUZZ_SPEC_KEYS, rng.randint(1, 3))
+        spec = tmp_path / "spec.txt"
+        spec.write_text(DESIGN_DOC + "".join(f"{k} = {_fuzz_value(rng)}\n" for k in keys))
+        return ["design", "--in", str(spec)]
+    argv = [command, rng.choice(sorted(BUILTIN_RESONATORS))]
+    if command == "resonator":
+        return argv + [f"--from={_fuzz_value(rng)}", f"--to={_fuzz_value(rng)}",
+                       "--points", str(rng.randint(2, 4)),
+                       "--out", str(tmp_path / "z.csv")] + ["--log"] * rng.randint(0, 1)
+    if rng.random() < 0.5:
+        argv += ["--network", rng.choice(sorted(BUILTIN_NETWORKS))]
+    options = ("--q-l0", "--f0") if command == "compensate" else FUZZ_OP_OPTIONS
+    for option in rng.sample(options, rng.randint(1, min(3, len(options)))):
+        argv += [option, _fuzz_value(rng)]
+    if command == "sweep":
+        argv += ["--var", rng.choice(("q_rft", "delta_c", "q_l0", "l_0")),
+                 f"--from={_fuzz_value(rng)}", f"--to={_fuzz_value(rng)}",
+                 "--points", str(rng.randint(1, 3)), "--out", "-"]
+    return argv
+
+
+def test_seeded_fuzz_ends_in_an_exit_code_and_finite_figures(tmp_path, capsys):
+    rng = random.Random(FUZZ_SEED)
+    written = tmp_path / "z.csv"
+    findings = []
+    for _ in range(FUZZ_CASES):
+        argv = _fuzz_argv(rng, tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # an argparse usage error
+                code = exc.code
+            except Exception as exc:
+                code = exc
+        out, err = capsys.readouterr()
+        if written.exists():
+            out += written.read_text()
+            written.unlink()
+        if code not in (0, 1, 2):
+            problem = f"ended in {code!r}"
+        elif code and not ERROR_LINE.search(err):
+            problem = f"exit {code} without an error line"
+        elif "math domain" in err or re.search(r"\bnan\b", err, re.IGNORECASE):
+            problem = "the message shows a math error"
+        elif NON_FINITE.search(out):
+            problem = "a figure is not finite"
+        else:
+            continue
+        if argv[0] == "design":  # the drawn keys follow the document
+            argv = argv + [(tmp_path / "spec.txt").read_text()[len(DESIGN_DOC):]
+                           .replace("\n", "; ")]
+        findings.append(f"{' '.join(argv)}: {problem}\n    {err.strip()}")
+    assert not findings, "\n".join(findings)

@@ -85,6 +85,10 @@ class TestNetworkType:
         with pytest.raises(ValueError, match=field):
             CompensationNetwork(**values)
 
+    def test_rejects_r_l0_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match=r"^l_0 = 1e\+299 H puts r_l0 = "):
+            CompensationNetwork(l_0=1e299, q_l0=8.0, f_ref=30e9)
+
     def test_numpy_integers_accepted(self):
         comp = CompensationNetwork(l_0=1e-9, q_l0=10.0, f_ref=1e9,
                                    bank_size=np.int64(8), bank_code=np.int32(4))
@@ -111,6 +115,12 @@ class TestZeroPhaseC0:
     def test_rejects_non_finite_frequency(self, rft, f):
         with pytest.raises(ValueError, match="positive and finite"):
             zero_phase_c0(rft, f)
+
+    def test_value_beyond_the_float_range_fails(self, rft):
+        # the detuning overflows, where c_m*d/(a^2 + d^2) once gave nan
+        with pytest.raises(NoSolutionError, match=r"^no solution in floating-point "
+                           r"range at f = 1e\+200 Hz$"):
+            zero_phase_c0(rft, 1e200)
 
     def test_below_series_resonance_fails(self, rft):
         with pytest.raises(NoSolutionError):
@@ -413,6 +423,25 @@ class TestOperatingPoints:
         f_lc, _, mode = find_operating_point(rft, big)
         assert mode == "lc_tank"
         assert f_lc == pytest.approx(tank_resonance(rft, big), rel=0.02)
+
+
+    def test_root_beyond_the_float_range_is_refused(self, rft):
+        # the tank resonates ~1e62 times above f_s, past the float range of
+        # x = (f/f_s)^2 - 1, where the root scaling once raised OverflowError
+        comp = CompensationNetwork(l_0=9e-126, q_l0=5.654489772323347e-176,
+                                   f_ref=series_resonance(rft))
+        with pytest.raises(ValueError, match=r"^a zero-phase root leaves the float range "
+                           r"for l_0 = 9e-126 H and C = 1\.6e-14 F$"):
+            find_operating_point(rft, comp)
+
+    def test_root_within_an_ulp_of_zero_frequency_keeps_its_bracket_above_zero(self, rft):
+        # x of the lowest root lies an ulp above -1, where the lower bracket
+        # edge once rounded to 0 Hz and the admittance divided by zero
+        comp = CompensationNetwork(l_0=shunt_inductor_for(rft.c_0, series_resonance(rft)),
+                                   q_l0=2.871174266426883e218, f_ref=series_resonance(rft),
+                                   c_fix=3.5164311460057775e119)
+        with pytest.raises(NoResonanceError, match="no zero-phase crossing at any frequency"):
+            find_operating_point(rft, comp)
 
 
 class TestClassifyAlignment:

@@ -195,6 +195,14 @@ class TestSizeActive:
                 size_active(*args)
 
 
+    @pytest.mark.parametrize("mu_cox", [1e-320, 5e-324])
+    def test_refuses_w_over_l_beyond_the_float_range(self, mu_cox):
+        # 1e-320 overflows W/L; at 5e-324 2*i_bias*mu_cox underflows to zero
+        with pytest.raises(ValueError, match=f"^mu_cox = {mu_cox!r} puts W/L out of "
+                           f"floating-point range for r_res = 196.3 ohm"):
+            size_active(196.3, 0.3, mu_cox)
+
+
 class TestRunDesign:
     def test_reference_design(self, rft):
         report = run_design(rft_spec(rft))
