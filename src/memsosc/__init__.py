@@ -44,6 +44,7 @@ from .noise import (
     fom_physical,
     leeson_phase_noise,
     noise_factor_from,
+    parameter_sweep,
     sensitivity_sweep,
 )
 

@@ -12,7 +12,11 @@ a time in Python floats; `sweep` spaces its values with `bvd.grid`, as
 Python floats, so each row has the bits `noise` and `compensate` print
 for the same parameters, and it runs without numpy.  `--points` is
 bounded by `bvd.MAX_AC_POINTS`, and a count outside the bounds is
-refused before anything is printed.
+refused before anything is printed.  `sweep` only parses and formats:
+`noise.parameter_sweep` rebuilds the records for each `--var` value and
+evaluates the point, and a crossing at or below the offset ends the
+sweep with exit 1.  `resonator --out PATH` writes the file before it
+prints the report, so a failed write prints none.
 
 The argparse tree is built once per process and reused: parsing reads
 it and does not change it.
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -76,25 +79,27 @@ def _load_network(args, res: bvd.Resonator) -> compensation.CompensationNetwork:
     return compensation.CompensationNetwork(l_0=l_0, q_l0=args.q_l0, f_ref=fs)
 
 
-def _evaluate(res, comp, args, offset: float) -> noise.Evaluation:
-    """The governing operating point, biased as the options say."""
-    f_op, _, _ = compensation.find_operating_point(res, comp)
-    return noise.evaluate(res, comp, noise.OscillatorOperatingPoint(
-        v_osc=args.vosc, f_0=f_op, delta_f=offset, temperature=args.temp,
-        gamma=args.gamma, g_mbias=args.gmbias, supply=args.supply))
+def _operating_point(args, f_0: float, offset: float) -> noise.OscillatorOperatingPoint:
+    """The oscillator biased as the options say, at carrier f_0."""
+    return noise.OscillatorOperatingPoint(
+        v_osc=args.vosc, f_0=f_0, delta_f=offset, temperature=args.temp,
+        gamma=args.gamma, g_mbias=args.gmbias, supply=args.supply)
 
 
 # --- subcommands ---------------------------------------------------------
 
 def cmd_resonator(args) -> int:
     res = iodoc.resolve_resonator(args.resonator)
-    resp = None
     if args.out is not None:
-        # the whole sweep is checked and computed before the report prints
+        # the whole sweep is checked and computed, and a path written,
+        # before the report prints: a failed write prints no report
         if args.f_from is None or args.f_to is None:
             raise UserError("--out needs a frequency range (--from/--to)")
         _check_points(args, bvd.MIN_SWEEP_POINTS)
-        resp = bvd.sweep(res, args.f_from, args.f_to, args.points, log=args.log)
+        csv = iodoc.response_csv(bvd.sweep(res, args.f_from, args.f_to, args.points,
+                                           log=args.log))
+        if args.out != "-":
+            _emit(args.out, csv)
     fs = bvd.series_resonance(res)
     fp = bvd.parallel_resonance(res)
     q = bvd.quality_factor(res)
@@ -108,8 +113,8 @@ def cmd_resonator(args) -> int:
     print(f"kt^2 (cm/c0)   : {kt2!r}")
     print(f"|X_C0| at f_s  : {xc0!r} ohm")
     print(f"|X_C0| / R_m   : {xc0 / res.r_m!r}")
-    if resp is not None:
-        _emit(args.out, iodoc.response_csv(resp))
+    if args.out == "-":
+        _emit(args.out, csv)
     return 0
 
 
@@ -141,7 +146,8 @@ def cmd_noise(args) -> int:
     res = iodoc.resolve_resonator(args.resonator)
     comp = _load_network(args, res)
     offsets = args.offsets or list(DEFAULT_OFFSETS)
-    ev = _evaluate(res, comp, args, offsets[0])
+    f_op, _, _ = compensation.find_operating_point(res, comp)
+    ev = noise.evaluate(res, comp, _operating_point(args, f_op, offsets[0]))
     op, budget = ev.op, ev.budget
     print(_defaults_header(op))
     print(f"f_osc          : {op.f_0!r} Hz")
@@ -208,36 +214,12 @@ def cmd_sweep(args) -> int:
     _check_points(args, 1)
     res = iodoc.resolve_resonator(args.resonator)
     comp = _load_network(args, res)
-    offset = args.offsets[0] if args.offsets else 1e6
     values = bvd.grid(args.f_from, args.f_to, args.points, log=args.log)
-
-    fs = bvd.series_resonance(res)
-    if args.var == "q_rft":
-        try:
-            ws2 = (2.0 * math.pi * fs) ** 2
-        except OverflowError:
-            raise UserError(f"(2*pi*f_s)^2 overflows the float range for f_s = {fs!r} Hz") from None
-    rows = []
-    for v in values:
-        if args.var == "q_rft":
-            l_m = v * res.r_m / (2.0 * math.pi * fs)
-            c_m = 1.0 / (ws2 * l_m)
-            res_i = replace(res, l_m=l_m, c_m=c_m)
-            comp_i = comp
-        elif args.var == "delta_c":
-            res_i = res
-            comp_i = replace(comp, c_fix=comp.c_fix + v)
-        elif args.var == "q_l0":
-            res_i = res
-            comp_i = replace(comp, q_l0=v)
-        else:                           # l_0, the last of --var's choices
-            res_i = res
-            comp_i = replace(comp, l_0=v)
-        ev = _evaluate(res_i, comp_i, args, offset)
-        rows.append((v, ev.q_loaded, ev.tank.beta, ev.pn, ev.fom))
-
+    # the sweep finds each point's carrier; the largest float keeps every
+    # finite offset below this placeholder, so the sweep alone refuses one
+    op = _operating_point(args, sys.float_info.max, args.offsets[0] if args.offsets else 1e6)
     lines = [f"{args.var},q_l,beta,pn_dbchz,fom_dbchz"]
-    for row in rows:
+    for row in noise.parameter_sweep(res, comp, op, args.var, values):
         lines.append(",".join(repr(float(x)) for x in row))
     _emit(args.out, "\n".join(lines) + "\n")
     return 0
@@ -313,8 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_resonator_arg(p)
     _add_network_args(p)
     _add_op_args(p)
-    p.add_argument("--var", required=True,
-                   choices=("q_rft", "delta_c", "q_l0", "l_0"))
+    p.add_argument("--var", required=True, choices=noise.SWEEP_VARIABLES)
     _add_window_args(p, required=True)
     p.add_argument("--out", help="CSV path ('-' for stdout)")
     p.set_defaults(func=cmd_sweep)

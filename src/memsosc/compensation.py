@@ -296,7 +296,8 @@ def _real_cubic_roots(c3: float, c2: float, c1: float, c0: float):
     large or small the input.  The closed form follows on the depressed
     cubic t^3 + p*t + q: the trigonometric solution when it has three real
     roots, otherwise Cardano's one real root, whose deflation leaves a
-    quadratic for the other two.  Each real root then takes Newton steps
+    quadratic for the other two (by Vieta's relations when that root
+    dominates, which keeps two small roots beside a large one).  Each real root then takes Newton steps
     on the scaled coefficients (see `_cubic_newton`).
     """
     lead = math.frexp(c3)[1]
@@ -326,9 +327,15 @@ def _real_cubic_roots(c3: float, c2: float, c1: float, c0: float):
         u = -0.5 * q - math.copysign(math.sqrt(h), q)
         u = math.copysign(abs(u) ** (1.0 / 3.0), u)  # cube root
         y = _cubic_newton(d3, d2, d1, d0, (u - p / (3.0 * u) if u else 0.0) - shift)
-        # y^2 + s*y + t = 0 holds the other two roots
-        s = a + y
-        t = b + y * s
+        # y^2 + s*y + t = 0 holds the other two roots; when y dominates,
+        # a + y would cancel them away, so Vieta's product and sum give
+        # them: c = -y*t and b = t - y*s
+        if abs(y) > abs(a):
+            t = -c / y
+            s = -(b - t) / y
+        else:
+            s = a + y
+            t = b + y * s
         disc = s * s - 4.0 * t
         if disc < 0:
             return [math.ldexp(y, k)], math.ldexp(max(abs(y), math.sqrt(t)), k)

@@ -10,17 +10,20 @@ derived from the inputs, raises ValueError naming it.
 loaded Q from the phase slope at f_0, the noise budget, the Leeson phase
 noise (Leeson, Proc. IEEE 54(2), 1966) and, given the supply, the DC
 power, efficiency and physical FoM, all from one reduction of the tank.
-The design flow and the CLI read its record; the misalignment sweep
-evaluates its first point and reuses that reduction and noise budget,
-which a capacitance shift leaves unchanged, at every later one.
+The design flow and the CLI read its record.  `parameter_sweep` is the
+one sweep route, the CLI's `sweep` and `sensitivity_sweep` both: it
+evaluates every point of a sweep that changes r_res, and a misalignment
+sweep's first point only, whose reduction and noise budget a capacitance
+shift leaves unchanged at every later one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .bvd import Resonator, as_float, check_fields, check_positive
+from .bvd import (TWO_PI, Resonator, as_float, check_fields, check_positive,
+                  series_resonance)
 from .compensation import (
     CompensationNetwork,
     NoResonanceError,
@@ -198,42 +201,90 @@ def evaluate(res: Resonator, comp: CompensationNetwork,
     return Evaluation(op, tank, q_loaded, budget, pn, p_dc, eta, fom)
 
 
-def sensitivity_sweep(res: Resonator, comp: CompensationNetwork,
-                      op: OscillatorOperatingPoint,
-                      delta_c_range) -> list[tuple[float, float]]:
-    """Phase-noise penalty of tank misalignment.
+SWEEP_VARIABLES = ("q_rft", "delta_c", "q_l0", "l_0")
 
-    Each delta-C is added to the capacitive branch and the oscillator is
-    assumed to hold the tuned high-Q motional mode while that mode exists
-    (the bank tuning targets it); once it vanishes only the low-Q LC-branch
-    operating point remains and the prediction collapses accordingly.
-    NoResonanceError when a point has no crossing, or its governing one is
-    not above op.delta_f.  Returns (delta_c, phase_noise_dbchz) pairs in
-    input order, each with the bits of `evaluate(...).pn` at that point.
+
+def parameter_sweep(res: Resonator, comp: CompensationNetwork,
+                    op: OscillatorOperatingPoint, var: str,
+                    values) -> list[tuple[float, float, float, float, float | None]]:
+    """The oscillator's figures as one variable of SWEEP_VARIABLES moves.
+
+    Each value rebuilds one record: `delta_c` adds to the network's c_fix,
+    `q_l0` and `l_0` replace that network field, and `q_rft` rescales the
+    resonator's l_m and c_m to that motional Q at the same f_s and r_m.
+    Every point holds its governing operating point (`find_operating_point`),
+    which the bank tuning targets while the motional mode exists; op.f_0 is
+    ignored.  Returns (value, q_loaded, beta, pn, fom) rows in input order,
+    each with the bits of `evaluate` at that point's crossing; fom is None
+    without op.supply.  NoResonanceError when a point has no crossing, or
+    its governing one is not above op.delta_f; ValueError for an unknown
+    variable, a value its record refuses, or a q_rft sweep whose
+    (2*pi*f_s)^2 overflows.
 
     A shift of c_fix leaves r_res, beta, the noise budget and P_DC as they
-    are, so the first point runs the full `evaluate`, which raises every
-    refusal of theirs there, and later points reuse its reduction and
-    budget: each pays for its operating point, loaded Q and Leeson sum.
+    are, so a `delta_c` sweep runs the full `evaluate` at its first point,
+    which raises every refusal of theirs there, and later points reuse its
+    reduction and budget: each pays for its operating point, loaded Q,
+    Leeson sum and FoM.  The other variables change r_res, so each of their
+    points runs `evaluate`.
     """
+    if var not in SWEEP_VARIABLES:
+        raise ValueError(f"unknown sweep variable {var!r}; "
+                         f"choose from {', '.join(SWEEP_VARIABLES)}")
+    if var == "q_rft":
+        fs = series_resonance(res)
+        ws = TWO_PI * fs
+        try:
+            ws2 = ws ** 2
+        except OverflowError:
+            raise ValueError(f"(2*pi*f_s)^2 overflows the float range "
+                             f"for f_s = {fs!r} Hz") from None
+    reuse = var == "delta_c"
     out = []
-    first = None
-    for dc in map(float, delta_c_range):
-        # field by field, at half the cost of dataclasses.replace; the
-        # network still refuses a negative c_fix at every point
-        shifted = CompensationNetwork(comp.l_0, comp.q_l0, comp.f_ref, comp.c_fix + dc,
-                                      comp.bank_unit, comp.bank_size, comp.bank_code)
-        f_op, _, _ = find_operating_point(res, shifted)
+    ev = None
+    res_v = res
+    for v in map(float, values):
+        if reuse:
+            # field by field, at half the cost of dataclasses.replace; the
+            # network still refuses a negative c_fix at every point
+            comp_v = CompensationNetwork(comp.l_0, comp.q_l0, comp.f_ref, comp.c_fix + v,
+                                         comp.bank_unit, comp.bank_size, comp.bank_code)
+        elif var == "q_l0":
+            comp_v = replace(comp, q_l0=v)
+        elif var == "l_0":
+            comp_v = replace(comp, l_0=v)
+        else:
+            l_m = v * res.r_m / ws
+            res_v, comp_v = replace(res, l_m=l_m, c_m=1.0 / (ws2 * l_m)), comp
+        f_op, _, _ = find_operating_point(res_v, comp_v)
         if not f_op > op.delta_f:
             raise NoResonanceError(f"the governing crossing at {f_op!r} Hz is not "
                                    f"above the {op.delta_f!r} Hz offset")
-        if first is None:
-            first = evaluate(res, shifted, OscillatorOperatingPoint(
+        if ev is None or not reuse:
+            ev = evaluate(res_v, comp_v, OscillatorOperatingPoint(
                 op.v_osc, f_op, op.delta_f, op.temperature, op.gamma, op.g_mbias,
                 op.supply))
-            pn = first.pn
-        else:
-            q_loaded = check_positive("q_loaded", phase_slope_q(res, shifted, f_op))
-            pn = _leeson_db(res, q_loaded, op, f_op, first.budget.f_min)
-        out.append((dc, pn))
+            out.append((v, ev.q_loaded, ev.tank.beta, ev.pn, ev.fom))
+            continue
+        # a later delta_c point: the first point's reduction and budget hold
+        q_loaded = check_positive("q_loaded", phase_slope_q(res_v, comp_v, f_op))
+        beta, f_min = ev.tank.beta, ev.budget.f_min
+        out.append((v, q_loaded, beta, _leeson_db(res, q_loaded, op, f_op, f_min),
+                    None if ev.eta is None
+                    else fom_physical(q_loaded, beta, ev.eta, f_min, op.temperature)))
     return out
+
+
+def sensitivity_sweep(res: Resonator, comp: CompensationNetwork,
+                      op: OscillatorOperatingPoint,
+                      delta_c_range) -> list[tuple[float, float]]:
+    """Phase-noise penalty of tank misalignment: the (delta_c, pn) pairs of
+    `parameter_sweep` over `delta_c`, whose refusals it shares.
+
+    Each delta-C is added to the capacitive branch and the oscillator is
+    assumed to hold the tuned high-Q motional mode while that mode exists;
+    once it vanishes only the low-Q LC-branch operating point remains and
+    the prediction collapses accordingly.
+    """
+    return [(dc, pn) for dc, _, _, pn, _ in parameter_sweep(res, comp, op, "delta_c",
+                                                             delta_c_range)]

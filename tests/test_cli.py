@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from memsosc import bvd, cli, mna
+from memsosc import bvd, mna, noise
 from memsosc.cli import main
 from memsosc.engnotation import parse_eng
 from memsosc.fixtures import BUILTIN_NETWORKS, BUILTIN_RESONATORS
@@ -145,16 +145,11 @@ def test_subnormal_motional_resistance_is_one_error_line(command, tmp_path, caps
     assert out == "" or command == "compensate"
 
 
-def test_q_rft_sweep_beyond_the_float_range_is_one_error_line(tmp_path, capsys):
-    # (2*pi*f_s)^2 overflows before l_m and c_m are rescaled
-    dev = tmp_path / "tiny.dev"
-    dev.write_text("rm = 1\nlm = 1e-160\ncm = 1e-160\nc0 = 1e-150\n")
-    code, out, err = run(capsys, "sweep", str(dev), "--network", "l0_250p_q8",
-                         "--var", "q_rft", "--from=5k", "--to=20k", "--points", "3",
-                         "--out", "-")
-    assert (code, out) == (1, "")
-    assert err == ("error: (2*pi*f_s)^2 overflows the float range for "
-                   "f_s = 1.5915582902074578e+159 Hz\n")
+def test_noise_finds_the_crossing_pair_of_a_very_lossy_inductor(capsys):
+    # two crossings exist near f_s; a deflation by a + y would lose both
+    code, out, err = run(capsys, "noise", "quartz45m", "--q-l0", "0.001")
+    assert (code, err) == (0, "")
+    assert "f_osc          : 44593292.50178936 Hz\n" in out
 
 
 def test_noise_factor_overflow_names_gamma_and_gmbias(capsys):
@@ -198,6 +193,14 @@ class TestResonatorReport:
         lines = dest.read_text().strip().split("\n")
         assert lines[0] == RESPONSE_CSV_HEADER
         assert len(lines) == 6
+
+    def test_out_dash_prints_the_report_then_the_csv(self, tmp_path, capsys):
+        # a path is written before the report prints; '-' keeps the report first
+        window = ("--from=29.9g", "--to=30.1g", "--points", "5")
+        dest = tmp_path / "resp.csv"
+        _, report, _ = run(capsys, "resonator", "rft30g", *window, "--out", str(dest))
+        code, out, err = run(capsys, "resonator", "rft30g", *window, "--out", "-")
+        assert (code, out, err) == (0, report + dest.read_text(), "")
 
     def test_out_without_window_fails(self, capsys):
         code, _, err = run(capsys, "resonator", "rft30g", "--out", "-")
@@ -321,14 +324,15 @@ class TestNoiseAndSweep:
                                              ("q_l0", "2", "20"),
                                              ("l_0", "249p", "251p")])
     def test_sweep_points_are_python_floats(self, var, lo, hi, monkeypatch, capsys):
+        # every point of the one sweep route finds its operating point
         seen = []
-        evaluate = cli._evaluate
+        find = noise.find_operating_point
 
-        def recording(res, comp, args, offset):
+        def recording(res, comp):
             seen.extend(map(type, (res.l_m, res.c_m, comp.l_0, comp.q_l0, comp.c_fix)))
-            return evaluate(res, comp, args, offset)
+            return find(res, comp)
 
-        monkeypatch.setattr(cli, "_evaluate", recording)
+        monkeypatch.setattr(noise, "find_operating_point", recording)
         argv = ["sweep", "rft30g", "--network", "l0_250p_q8", "--var", var,
                 f"--from={lo}", f"--to={hi}", "--points", "3", "--out", "-"]
         code, _, _ = run(capsys, *argv)
@@ -415,16 +419,22 @@ class TestDesignCommand:
     (("ac", "--in", "@top", "--out", "-"),
      "error: netlist errors:\n2:1: E_DIRECTIVE: a grid of 5 points from "
      "1.7976931348623155e+308 to 1.7976931348623157e+308 overflows the float range\n"),
-], ids=["sweep_log", "sweep_linear", "ac_log"])
+    (("sweep", "@tiny", "--network", "l0_250p_q8", "--var", "q_rft", "--from=5k",
+      "--to=20k", "--points", "3", "--out", "-"),
+     "error: (2*pi*f_s)^2 overflows the float range for "
+     "f_s = 1.5915582902074578e+159 Hz\n"),
+], ids=["sweep_log", "sweep_linear", "ac_log", "sweep_q_rft"])
 def test_grid_beyond_the_float_range_is_one_error_line(argv, message, tmp_path, capsys):
-    # the power of the log grid, or the span of the linear one, overflows:
-    # one error line and exit 1, no warning and no traceback
-    netlist = tmp_path / "top.cir"
-    netlist.write_text("R1 1 0 50\n.ac log 5 1.7976931348623155e308 "
-                       "1.7976931348623157e308\n.probe 1 0\n")
+    # the power of the log grid, or the span of the linear one, overflows,
+    # or (2*pi*f_s)^2 does before a q_rft sweep rescales l_m and c_m: one
+    # error line and exit 1, no warning and no traceback
+    inputs = {"@top": tmp_path / "top.cir", "@tiny": tmp_path / "tiny.dev"}
+    inputs["@top"].write_text("R1 1 0 50\n.ac log 5 1.7976931348623155e308 "
+                              "1.7976931348623157e308\n.probe 1 0\n")
+    inputs["@tiny"].write_text("rm = 1\nlm = 1e-160\ncm = 1e-160\nc0 = 1e-150\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(capsys, *(str(netlist) if a == "@top" else a for a in argv))
+        code, out, err = run(capsys, *(str(inputs.get(a, a)) for a in argv))
     assert (code, out, err) == (1, "", message)
 
 
@@ -462,8 +472,8 @@ def test_unwritable_out_is_one_error_line_naming_the_path(argv, dest, reason, tm
     (tmp_path / "taken").mkdir()
     (tmp_path / "taken" / "kept").write_text("")
     out_path = str(tmp_path / dest)
-    code, _, err = run(capsys, *(str(inputs.get(a, a)) for a in argv), "--out", out_path)
-    assert (code, err) == (1, f"error: {reason}: {out_path!r}\n")
+    code, out, err = run(capsys, *(str(inputs.get(a, a)) for a in argv), "--out", out_path)
+    assert (code, out, err) == (1, "", f"error: {reason}: {out_path!r}\n")
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["kept", "spec.txt", "taken",
                                                            "tank.cir"]
 

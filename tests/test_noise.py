@@ -21,16 +21,18 @@ from memsosc import (
     fom_physical,
     leeson_phase_noise,
     motional_mode_capacitance_margin,
+    parameter_sweep,
     phase_slope_q,
+    quality_factor,
     sensitivity_sweep,
     series_resonance,
     shunt_inductor_for,
     tune_bank,
     window_fraction,
 )
-from memsosc.noise import BOLTZMANN, noise_factor_from
+from memsosc.noise import BOLTZMANN, SWEEP_VARIABLES, noise_factor_from
 
-from conftest import bare_c0_network
+from conftest import bare_c0_network, rescale_motional_q
 
 
 def base_op(**overrides):
@@ -297,6 +299,45 @@ class TestEvaluate:
                     modes.append(mode)
                     assert (dc, pn) == (delta, evaluate(res, shifted, replace(op, f_0=f_op)).pn)
                 assert modes == want, res.label
+
+    @pytest.mark.parametrize("var", SWEEP_VARIABLES)
+    def test_parameter_sweep_rows_are_evaluations(self, var, rft, comp_q8, quartz):
+        # each row has the bits of evaluate at its point's crossing, the
+        # later delta_c rows' reused reduction and FoM included; the last
+        # delta_c value leaves only the LC-branch point
+        fs = series_resonance(quartz)
+        tanks = [(rft, comp_q8),
+                 (quartz, CompensationNetwork(l_0=shunt_inductor_for(2.0 * quartz.c_0, fs),
+                                              q_l0=8.0, f_ref=fs, c_fix=quartz.c_0))]
+        for op in (base_op(supply=0.8), base_op(supply=None, gamma=1.5)):
+            for res, comp in tanks:
+                margin = motional_mode_capacitance_margin(res)
+                centre = -window_fraction(res, comp) * margin
+                q = quality_factor(res)
+                values = {"delta_c": [centre, centre + 0.25 * margin, centre + 0.5 * margin,
+                                      centre + 3.0 * margin],
+                          "q_l0": [2.0, 8.0, 20.0],
+                          "l_0": [comp.l_0 * 0.999, comp.l_0, comp.l_0 * 1.001],
+                          "q_rft": [0.5 * q, q, 2.0 * q]}[var]
+                rows = parameter_sweep(res, comp, op, var, values)
+                assert [row[0] for row in rows] == values
+                for v, *figures in rows:
+                    res_v, comp_v = res, comp
+                    if var == "q_rft":
+                        res_v = rescale_motional_q(res, v)
+                    elif var == "delta_c":
+                        comp_v = replace(comp, c_fix=comp.c_fix + v)
+                    else:
+                        comp_v = replace(comp, **{var: v})
+                    f_op, _, _ = find_operating_point(res_v, comp_v)
+                    ev = evaluate(res_v, comp_v, replace(op, f_0=f_op))
+                    assert figures == [ev.q_loaded, ev.tank.beta, ev.pn, ev.fom], (res.label, v)
+                    assert (ev.fom is None) == (op.supply is None)
+
+    def test_parameter_sweep_refuses_an_unknown_variable(self, rft, comp_q8):
+        with pytest.raises(ValueError, match="^unknown sweep variable 'c_0'; choose from "
+                                             "q_rft, delta_c, q_l0, l_0$"):
+            parameter_sweep(rft, comp_q8, base_op(), "c_0", [1e-15])
 
     def test_sweep_refuses_a_first_point_without_crossing_before_the_supply(self, quartz):
         # the tank of test_no_crossing_at_any_frequency, with a supply that

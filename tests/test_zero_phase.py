@@ -530,6 +530,37 @@ def test_cubic_with_a_repeated_root(coeffs, simple, double):
     assert size == pytest.approx(max(abs(simple), abs(double)), abs=1e-5)
 
 
+def test_cubic_keeps_two_small_roots_beside_a_large_one():
+    # quartz45m's bare-c_0 network at q_l0 = 1e-3: a root at -1e6 beside
+    # two tiny positive ones, which deflating by a + y would cancel away
+    res = get_resonator("quartz45m")
+    coeffs = susceptance_cubic(res, bare_c0_network(res, q_l0=1e-3))
+    roots, size = _real_cubic_roots(*coeffs)
+    assert len(roots) == 3 and roots[0] < -1e5 < 0 < roots[1] < roots[2] < 1e-2
+    assert size == -roots[0]
+    c3, c2, c1, c0 = coeffs
+    for x in roots:
+        terms = (c3 * x ** 3, c2 * x * x, c1 * x, c0)
+        assert abs(math.fsum(terms)) <= 1e-15 * max(map(abs, terms))
+
+
+@pytest.mark.parametrize("name", ["quartz45m", "saw400m", "fbar2g4"])
+def test_very_lossy_inductor_keeps_its_crossing_pair(name):
+    # q_l0 from 1e-4 to 1e-2 on the CLI's default network: the cubic's two
+    # small roots give two crossings, each a sign change of Im Z sampled
+    # beside and between them; the tank is not refused
+    res = get_resonator(name)
+    for k in range(200):
+        comp = bare_c0_network(res, q_l0=10.0 ** (-4.0 + 2.0 * k / 199))
+        crossings = every_crossing(res, comp)
+        assert len(crossings) == 2, (name, comp.q_l0)
+        f1, f2 = crossings
+        signs = [tank_impedance(res, comp, f).imag > 0
+                 for f in (2.0 * f1 - f2, 0.5 * (f1 + f2), 2.0 * f2 - f1)]
+        assert signs[0] != signs[1] != signs[2], (name, comp.q_l0)
+        assert find_operating_point(res, comp)[0] in crossings
+
+
 @pytest.mark.parametrize("coeffs", [
     (1.0, -1.191370664987243, 0.013527238565631337, -3.858321509428623e-05),
     (1.0, -0.6316117196968745, -0.8456732903728568, 0.5693506336015273),
