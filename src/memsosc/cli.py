@@ -12,11 +12,13 @@ a time in Python floats; `sweep` spaces its values with `bvd.grid`, as
 Python floats, so each row has the bits `noise` and `compensate` print
 for the same parameters, and it runs without numpy.  `--points` is
 bounded by `bvd.MAX_AC_POINTS`, and a count outside the bounds is
-refused before anything is printed.  `sweep` only parses and formats:
-`noise.parameter_sweep` rebuilds the records for each `--var` value and
-evaluates the point, and a crossing at or below the offset ends the
-sweep with exit 1.  `resonator --out PATH` writes the file before it
-prints the report, so a failed write prints none.
+refused before anything is printed.  `noise` and `sweep` build their
+operating point without a carrier: `noise.evaluate` runs it at the
+governing crossing, and a crossing at or below the (first) offset ends
+either with exit 1 and one rule's error line.  `sweep` only parses and
+formats: `noise.parameter_sweep` rebuilds the records for each `--var`
+value and evaluates the point.  `resonator --out PATH` writes the file
+before it prints the report, so a failed write prints none.
 
 The argparse tree is built once per process and reused: parsing reads
 it and does not change it.
@@ -79,10 +81,10 @@ def _load_network(args, res: bvd.Resonator) -> compensation.CompensationNetwork:
     return compensation.CompensationNetwork(l_0=l_0, q_l0=args.q_l0, f_ref=fs)
 
 
-def _operating_point(args, f_0: float, offset: float) -> noise.OscillatorOperatingPoint:
-    """The oscillator biased as the options say, at carrier f_0."""
+def _operating_point(args, offset: float) -> noise.OscillatorOperatingPoint:
+    """The oscillator biased as the options say, at the governing crossing."""
     return noise.OscillatorOperatingPoint(
-        v_osc=args.vosc, f_0=f_0, delta_f=offset, temperature=args.temp,
+        v_osc=args.vosc, f_0=None, delta_f=offset, temperature=args.temp,
         gamma=args.gamma, g_mbias=args.gmbias, supply=args.supply)
 
 
@@ -146,11 +148,10 @@ def cmd_noise(args) -> int:
     res = iodoc.resolve_resonator(args.resonator)
     comp = _load_network(args, res)
     offsets = args.offsets or list(DEFAULT_OFFSETS)
-    f_op, _, _ = compensation.find_operating_point(res, comp)
-    ev = noise.evaluate(res, comp, _operating_point(args, f_op, offsets[0]))
-    op, budget = ev.op, ev.budget
+    ev = noise.evaluate(res, comp, _operating_point(args, offsets[0]))
+    op, budget = replace(ev.op, f_0=ev.f_osc), ev.budget
     print(_defaults_header(op))
-    print(f"f_osc          : {op.f_0!r} Hz")
+    print(f"f_osc          : {ev.f_osc!r} Hz")
     print(f"Q_L            : {ev.q_loaded!r}")
     print(f"beta           : {ev.tank.beta!r}")
     print(f"F_RL0          : {budget.f_rl0!r}")
@@ -215,9 +216,7 @@ def cmd_sweep(args) -> int:
     res = iodoc.resolve_resonator(args.resonator)
     comp = _load_network(args, res)
     values = bvd.grid(args.f_from, args.f_to, args.points, log=args.log)
-    # the sweep finds each point's carrier; the largest float keeps every
-    # finite offset below this placeholder, so the sweep alone refuses one
-    op = _operating_point(args, sys.float_info.max, args.offsets[0] if args.offsets else 1e6)
+    op = _operating_point(args, args.offsets[0] if args.offsets else 1e6)
     lines = [f"{args.var},q_l,beta,pn_dbchz,fom_dbchz"]
     for row in noise.parameter_sweep(res, comp, op, args.var, values):
         lines.append(",".join(repr(float(x)) for x in row))

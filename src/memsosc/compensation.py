@@ -15,10 +15,10 @@ at w_s stays within the +-1/(2*r_m) the motional branch spans there;
 `window_fraction`, in units of that half-width, is the one measure of
 alignment.  `find_operating_point` is the one route to an
 operating point: one root solve finds every crossing at any frequency,
-and one rule picks among them.  The motional point is the crossing
-nearest f_s within +-2 motional bandwidths of it (capped to the octave
-around f_s); without one, the LC point, the crossing with the largest
-|Z|, governs.  NoResonanceError means no crossing exists at all.
+and one rule picks among them by type.  The motional point is the
+series-type crossing, where d(Im Y)/dw < 0 (at most one exists); without
+one, the LC point, the crossing with the largest |Z|, governs.
+NoResonanceError means no crossing exists at all.
 `phase_slope_q` gives the loaded Q at the chosen frequency and
 `effective_resistance` r_res and beta, and `noise.evaluate` carries all
 three on to the noise budget, phase noise and FoM.
@@ -349,8 +349,9 @@ def _real_cubic_roots(c3: float, c2: float, c1: float, c0: float):
 def _zero_phase_roots(res: Resonator, comp: CompensationNetwork):
     """Every zero-phase crossing of the tank impedance, as (estimates, polish).
 
-    The estimates, ascending, are the roots of the susceptance cubic (see
-    the module docstring).  polish(i) polishes crossing i on Im Y within the
+    The estimates, ascending, are the susceptance cubic's real roots
+    (three, or one) that lie above zero frequency, 1 + x > 0 (see the
+    module docstring).  polish(i) polishes crossing i on Im Y within the
     bracket its neighbours leave it, or gives None for a tangential root;
     only the roots a rule asks about get polished.
     """
@@ -433,24 +434,24 @@ def _opposite(a: float, b: float) -> bool:
 def find_operating_point(res: Resonator, comp: CompensationNetwork):
     """Governing operating point: (frequency, impedance, mode).
 
-    One root solve gives every crossing, and one rule picks among them.
-    The tuned high-Q motional crossing governs whenever it exists (it is
-    what the bank tuning targets): the crossing nearest f_s among those
-    within +-2 motional bandwidths of it, capped to the octave around f_s.
-    Otherwise the LC crossing governs: the one with the largest |Z| at any
-    frequency, the broad LC-branch structure's (the motional crossing is a
-    low notch).  NoResonanceError only when the tank has no crossing at all.
+    One root solve gives every crossing, and one rule picks among them by
+    type (Kurokawa, Bell Syst. Tech. J. 48(6), 1969).  The motional
+    crossing is the series-type one, where d(Im Y)/dw < 0: the tuned
+    high-Q notch the bank tuning targets, which governs whenever it exists.
+    At a root of the susceptance cubic, d(Im Y)/dw has the sign of the
+    cubic's slope, and the cubic's leading coefficient is positive, so the
+    series-type crossing is the middle one of three real roots, when that
+    root lies above zero frequency and changes the sign of Im Y; there is
+    never more than one.  Otherwise the LC crossing governs: the one with
+    the largest |Z| at any frequency, the broad LC-branch structure's.
+    NoResonanceError only when the tank has no crossing at all.
     """
     f_est, polish = _zero_phase_roots(res, comp)
-    fs = res._f_s
-    bw = fs / (TWO_PI * fs * res.l_m / res.r_m)  # motional_bandwidth, f_s/Q
-    # cap: for very low motional Q the bandwidth exceeds the octave around f_s
-    lo = max(fs - 2.0 * bw, 0.5 * fs)
-    hi = min(fs + 2.0 * bw, 1.5 * fs)
-    motional = [f for i, est in enumerate(f_est) if lo <= est <= hi
-                and (f := polish(i)) is not None and lo <= f <= hi]
-    if motional:
-        f = min(motional, key=lambda x: abs(x - fs))
+    # the estimates drop only roots at or below zero frequency, the lowest
+    # first, so the middle of three is the second highest estimate; one
+    # real root leaves at most one estimate
+    middle = len(f_est) - 2
+    if middle >= 0 and (f := polish(middle)) is not None:
         return f, _impedance(res, comp, f), "motional"
     points = [(f, _impedance(res, comp, f)) for f in map(polish, range(len(f_est)))
               if f is not None]

@@ -7,14 +7,18 @@ the way.  A factor that is not positive and finite, an input's or one
 derived from the inputs, raises ValueError naming it.
 
 `evaluate` is the one place where an operating point becomes numbers:
-loaded Q from the phase slope at f_0, the noise budget, the Leeson phase
-noise (Leeson, Proc. IEEE 54(2), 1966) and, given the supply, the DC
-power, efficiency and physical FoM, all from one reduction of the tank.
-The design flow and the CLI read its record.  `parameter_sweep` is the
-one sweep route, the CLI's `sweep` and `sensitivity_sweep` both: it
-evaluates every point of a sweep that changes r_res, and a misalignment
-sweep's first point only, whose reduction and noise budget a capacitance
-shift leaves unchanged at every later one.
+loaded Q from the phase slope at the carrier, the noise budget, the
+Leeson phase noise (Leeson, Proc. IEEE 54(2), 1966) and, given the
+supply, the DC power, efficiency and physical FoM, all from one
+reduction of the tank.  An operating point without a carrier (f_0 =
+None) runs at the tank's governing crossing, which `evaluate` finds
+itself and refuses, as NoResonanceError, unless it lies above the
+offset; its record carries the carrier as f_osc.  The design flow and
+the CLI read that record.  `parameter_sweep` is the one sweep route, the
+CLI's `sweep` and `sensitivity_sweep` both: it evaluates every point of
+a sweep that changes r_res, and a misalignment sweep's first point only,
+whose reduction and noise budget a capacitance shift leaves unchanged at
+every later one.
 """
 
 from __future__ import annotations
@@ -52,10 +56,14 @@ _LOG10_2 = math.log10(2.0)
 
 @dataclass(frozen=True)
 class OscillatorOperatingPoint:
-    """Bias and signal conditions of the oscillator core."""
+    """Bias and signal conditions of the oscillator core.
+
+    f_0 is the carrier; None runs at the tank's governing crossing (see
+    `evaluate`), so the offset is checked against it there.
+    """
 
     v_osc: float
-    f_0: float
+    f_0: float | None
     delta_f: float
     temperature: float = DEFAULT_TEMPERATURE
     gamma: float = DEFAULT_GAMMA
@@ -63,13 +71,14 @@ class OscillatorOperatingPoint:
     supply: float | None = None  # volts; None: no DC power, efficiency or FoM
 
     def __post_init__(self):
-        check_fields(self, ("v_osc", "f_0", "delta_f", "temperature")
+        check_fields(self, ("v_osc",) + (() if self.f_0 is None else ("f_0",))
+                     + ("delta_f", "temperature")
                      + (() if self.supply is None else ("supply",)), nonnegative=("gamma",))
         if self.g_mbias is not None:
             object.__setattr__(self, "g_mbias", as_float("g_mbias", self.g_mbias))
             if not math.isfinite(self.g_mbias):
                 raise ValueError(f"g_mbias must be finite, got {self.g_mbias}")
-        if not self.delta_f < self.f_0:
+        if self.f_0 is not None and not self.delta_f < self.f_0:
             raise ValueError(f"offset {self.delta_f!r} Hz must be below the "
                              f"carrier {self.f_0!r} Hz")
 
@@ -91,8 +100,10 @@ def leeson_phase_noise(res: Resonator, q_loaded: float,
     """White-noise region Leeson prediction in dBc/Hz.
 
     10*log10[F * 4kT*r_m/v_osc^2 * (f_0/(2*Q_L*delta_f))^2]; there is no
-    flicker term in this model.
+    flicker term in this model.  ValueError when op gives no carrier f_0.
     """
+    if op.f_0 is None:
+        raise ValueError("the Leeson prediction needs a carrier: op.f_0 is None")
     check_positive("q_loaded", q_loaded)
     check_positive("noise_factor", noise_factor)
     return _leeson_db(res, q_loaded, op, op.f_0, noise_factor)
@@ -162,6 +173,7 @@ class Evaluation:
     """The oscillator's figures at one operating point."""
 
     op: OscillatorOperatingPoint
+    f_osc: float  # Hz: op.f_0, or the governing crossing when op.f_0 is None
     tank: TankAnalysis
     q_loaded: float
     budget: NoiseBudget
@@ -171,23 +183,39 @@ class Evaluation:
     fom: float | None = None
 
 
+def _governing_carrier(res: Resonator, comp: CompensationNetwork, delta_f: float) -> float:
+    """Frequency of the tank's governing crossing (`find_operating_point`);
+    NoResonanceError unless it lies above the offset delta_f."""
+    f_op, _, _ = find_operating_point(res, comp)
+    if not f_op > delta_f:
+        raise NoResonanceError(f"the governing crossing at {f_op!r} Hz is not "
+                               f"above the {delta_f!r} Hz offset")
+    return f_op
+
+
 def evaluate(res: Resonator, comp: CompensationNetwork,
              op: OscillatorOperatingPoint) -> Evaluation:
-    """Loaded Q, noise budget, phase noise and (given op.supply) P_DC and FoM at op.f_0.
+    """Loaded Q, noise budget, phase noise and (given op.supply) P_DC and FoM
+    at one carrier, which the record keeps as f_osc.
 
-    op.f_0 is the operating frequency: the caller picks the zero-phase point
-    once, with find_operating_point.  One reduction of the tank gives r_res,
-    for the minimum-g_m rule 2/r_res (without op.g_mbias) and for P_DC =
-    SUPPLY_BRANCH_FACTOR*supply*v_osc/r_res.  ValueError naming v_osc or the
-    supply when the signal power, or P_DC or the efficiency, is out of range.
+    The carrier is op.f_0 when given.  With op.f_0 = None it is the
+    governing crossing, found first (`find_operating_point`, whose refusals
+    it shares), and NoResonanceError when that crossing is not above
+    op.delta_f.  One reduction of the tank gives r_res, for the
+    minimum-g_m rule 2/r_res (without op.g_mbias) and for P_DC =
+    SUPPLY_BRANCH_FACTOR*supply*v_osc/r_res.  ValueError naming v_osc or
+    the supply when the signal power, or P_DC or the efficiency, is out of
+    range.
     """
+    f_0 = _governing_carrier(res, comp, op.delta_f) if op.f_0 is None else op.f_0
     tank = effective_resistance(res, comp)
-    q_loaded = phase_slope_q(res, comp, op.f_0)
+    q_loaded = phase_slope_q(res, comp, f_0)
     g_mbias = 2.0 / tank.r_res if op.g_mbias is None else op.g_mbias
     budget = noise_factor_from(tank.beta, comp.r_l0, res.r_m, op.gamma, g_mbias)
-    pn = leeson_phase_noise(res, q_loaded, op, budget.f_min)
+    pn = _leeson_db(res, check_positive("q_loaded", q_loaded), op, f_0,
+                    check_positive("noise_factor", budget.f_min))
     if op.supply is None:
-        return Evaluation(op, tank, q_loaded, budget, pn)
+        return Evaluation(op, f_0, tank, q_loaded, budget, pn)
     p_out = op.v_osc * op.v_osc / (2.0 * tank.r_res)
     if not 0 < p_out < math.inf:
         raise ValueError(f"v_osc = {op.v_osc!r} V puts the signal power "
@@ -198,7 +226,7 @@ def evaluate(res: Resonator, comp: CompensationNetwork,
         raise ValueError(f"supply = {op.supply!r} V puts the DC power or the efficiency "
                          f"out of floating-point range")
     fom = fom_physical(q_loaded, tank.beta, eta, budget.f_min, op.temperature)
-    return Evaluation(op, tank, q_loaded, budget, pn, p_dc, eta, fom)
+    return Evaluation(op, f_0, tank, q_loaded, budget, pn, p_dc, eta, fom)
 
 
 SWEEP_VARIABLES = ("q_rft", "delta_c", "q_l0", "l_0")
@@ -212,12 +240,13 @@ def parameter_sweep(res: Resonator, comp: CompensationNetwork,
     Each value rebuilds one record: `delta_c` adds to the network's c_fix,
     `q_l0` and `l_0` replace that network field, and `q_rft` rescales the
     resonator's l_m and c_m to that motional Q at the same f_s and r_m.
-    Every point holds its governing operating point (`find_operating_point`),
-    which the bank tuning targets while the motional mode exists; op.f_0 is
-    ignored.  Returns (value, q_loaded, beta, pn, fom) rows in input order,
-    each with the bits of `evaluate` at that point's crossing; fom is None
-    without op.supply.  NoResonanceError when a point has no crossing, or
-    its governing one is not above op.delta_f; ValueError for an unknown
+    Every point runs at its own governing crossing, as `evaluate` finds it
+    for an operating point without a carrier (which the bank tuning
+    targets while the motional mode exists); op.f_0 is ignored.  Returns
+    (value, q_loaded, beta, pn, fom) rows in input order, each with the
+    bits of `evaluate` at that point's crossing; fom is None without
+    op.supply.  NoResonanceError when a point has no crossing, or its
+    governing one is not above op.delta_f; ValueError for an unknown
     variable, a value its record refuses, or a q_rft sweep whose
     (2*pi*f_s)^2 overflows.
 
@@ -226,7 +255,8 @@ def parameter_sweep(res: Resonator, comp: CompensationNetwork,
     which raises every refusal of theirs there, and later points reuse its
     reduction and budget: each pays for its operating point, loaded Q,
     Leeson sum and FoM.  The other variables change r_res, so each of their
-    points runs `evaluate`.
+    points runs `evaluate`.  The sweep builds no operating point per value:
+    one without a carrier serves every point.
     """
     if var not in SWEEP_VARIABLES:
         raise ValueError(f"unknown sweep variable {var!r}; "
@@ -239,6 +269,8 @@ def parameter_sweep(res: Resonator, comp: CompensationNetwork,
         except OverflowError:
             raise ValueError(f"(2*pi*f_s)^2 overflows the float range "
                              f"for f_s = {fs!r} Hz") from None
+    if op.f_0 is not None:
+        op = replace(op, f_0=None)
     reuse = var == "delta_c"
     out = []
     ev = None
@@ -256,17 +288,12 @@ def parameter_sweep(res: Resonator, comp: CompensationNetwork,
         else:
             l_m = v * res.r_m / ws
             res_v, comp_v = replace(res, l_m=l_m, c_m=1.0 / (ws2 * l_m)), comp
-        f_op, _, _ = find_operating_point(res_v, comp_v)
-        if not f_op > op.delta_f:
-            raise NoResonanceError(f"the governing crossing at {f_op!r} Hz is not "
-                                   f"above the {op.delta_f!r} Hz offset")
         if ev is None or not reuse:
-            ev = evaluate(res_v, comp_v, OscillatorOperatingPoint(
-                op.v_osc, f_op, op.delta_f, op.temperature, op.gamma, op.g_mbias,
-                op.supply))
+            ev = evaluate(res_v, comp_v, op)
             out.append((v, ev.q_loaded, ev.tank.beta, ev.pn, ev.fom))
             continue
         # a later delta_c point: the first point's reduction and budget hold
+        f_op = _governing_carrier(res_v, comp_v, op.delta_f)
         q_loaded = check_positive("q_loaded", phase_slope_q(res_v, comp_v, f_op))
         beta, f_min = ev.tank.beta, ev.budget.f_min
         out.append((v, q_loaded, beta, _leeson_db(res, q_loaded, op, f_op, f_min),

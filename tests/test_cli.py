@@ -169,6 +169,32 @@ def test_tiny_offset_gives_finite_figures(capsys):
     assert len(figures) == 4 and all(map(math.isfinite, figures))
 
 
+# An offset at or above the carrier: where the carrier is the governing
+# crossing, found for `noise` and for every sweep point alike, one rule
+# names that crossing; the design flow's record, built at its carrier,
+# keeps its own check.
+OFFSET_REFUSALS = {
+    ("sweep", "rft30g", "--network", "l0_250p_q8", "--var", "delta_c", "--from", "0",
+     "--to", "1e-15", "--points", "2", "--offset", "1.7976931348623157e308"):
+        "error: the governing crossing at 30000014473.19505 Hz is not above the "
+        "1.7976931348623157e+308 Hz offset\n",
+    ("noise", "rft30g", "--network", "l0_250p_q8", "--offset", "1e300"):
+        "error: the governing crossing at 30000014473.19505 Hz is not above the "
+        "1e+300 Hz offset\n",
+    ("design", "--in", "@spec"):
+        "error: offset 1000000000000.0 Hz must be below the carrier "
+        "30000014473.19505 Hz\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(OFFSET_REFUSALS), ids=["sweep", "noise", "design"])
+def test_offset_above_the_carrier_is_one_error_line(argv, tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(DESIGN_DOC + "pn_offset = 1e12\n")
+    code, out, err = run(capsys, *(str(spec) if a == "@spec" else a for a in argv))
+    assert (code, out, err) == (1, "", OFFSET_REFUSALS[argv])
+
+
 class TestResonatorReport:
     def test_rft_ratio_near_unity(self, capsys):
         code, out, _ = run(capsys, "resonator", "rft30g")

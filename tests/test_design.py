@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from dataclasses import replace
 
@@ -21,7 +22,7 @@ from memsosc import (
     size_active,
     window_fraction,
 )
-from memsosc import design
+from memsosc import compensation, design
 from memsosc.cli import main
 from memsosc.noise import SUPPLY_BRANCH_FACTOR
 
@@ -357,6 +358,49 @@ class TestRunDesign:
         with pytest.raises(DesignError) as info:
             run_design(rft_spec(rft))
         assert str(info.value) == REFUSAL
+
+    def test_offset_above_the_carrier_is_a_value_error(self, rft):
+        # the design flow builds its record at the motional carrier, whose
+        # own check names the offset and the carrier
+        with pytest.raises(ValueError) as info:
+            run_design(rft_spec(rft, pn_offset=1e12))
+        assert type(info.value) is ValueError
+        assert str(info.value) == ("offset 1000000000000.0 Hz must be below the "
+                                   "carrier 30000014473.19505 Hz")
+
+    def test_low_motional_q_designs_sit_at_a_series_type_crossing(self, rft):
+        # rft30g rescaled to Q_m 3-316 with seeded specs.  Every returned
+        # design runs at a crossing where d(Im Y)/dw < 0; a window of +-2
+        # motional bandwidths around f_s once let 35 of these 400 designs
+        # through at a parallel-type crossing, and the type rule refuses them.
+        rng = random.Random(0)
+        fs = series_resonance(rft)
+        ws = 2.0 * math.pi * fs
+        returned = 0
+        for _ in range(400):
+            res = rescale_motional_q(rft, 3.0 * (316.0 / 3.0) ** rng.random())
+            parasitic = res.c_0 * 0.5 * 16.0 ** rng.random()
+            c_base = res.c_0 + parasitic + 10e-15
+            grid_frac = 10.0 ** (-1.0 - 2.0 * rng.random())
+            bank_size = rng.choice([0, 4, 8, 16, 64])
+            spec = DesignSpec(
+                resonator=res, target_f0=fs * rng.uniform(0.99, 1.01), v_osc_target=0.3,
+                parasitic_c=parasitic, q_l0_available=2.0 * 10.0 ** rng.random(),
+                bank_unit=c_base * grid_frac * 0.3 * (4.0 / 0.3) ** rng.random()
+                / max(bank_size, 1),
+                bank_size=bank_size, l0_grid_step=grid_frac / (ws * ws * c_base))
+            try:
+                rep = run_design(spec)
+            except DesignError as exc:
+                assert str(exc) == REFUSAL
+                continue
+            returned += 1
+            comp = CompensationNetwork(l_0=rep.l_0, q_l0=rep.q_l0, f_ref=spec.target_f0,
+                                       c_fix=rep.c_fix, bank_unit=spec.bank_unit,
+                                       bank_size=rep.bank_size, bank_code=rep.bank_code)
+            slope = compensation._admittance_and_slope(res, comp, rep.f_osc)[1].imag
+            assert slope < 0, (spec, rep.f_osc)
+        assert returned == 365
 
     def test_report_is_frozen(self, rft):
         report = run_design(rft_spec(rft))

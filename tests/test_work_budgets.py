@@ -24,17 +24,18 @@ KERNEL = ("_tank_admittance", "_admittance_and_slope")
 @pytest.fixture
 def calls(monkeypatch):
     """Counter of calls to COUNTED and KERNEL, wherever a memsosc module
-    binds them, and of CompensationNetwork builds ("networks")."""
+    binds them, and of CompensationNetwork ("networks") and
+    OscillatorOperatingPoint ("operating_points") builds."""
     counts = Counter()
     modules = [m for n, m in sys.modules.items()
                if m is not None and (n == "memsosc" or n.startswith("memsosc."))]
-    build = compensation.CompensationNetwork.__post_init__
+    for record, key in ((compensation.CompensationNetwork, "networks"),
+                        (OscillatorOperatingPoint, "operating_points")):
+        def counted_build(self, _build=record.__post_init__, _key=key):
+            counts[_key] += 1
+            _build(self)
 
-    def counted_build(self):
-        counts["networks"] += 1
-        build(self)
-
-    monkeypatch.setattr(compensation.CompensationNetwork, "__post_init__", counted_build)
+        monkeypatch.setattr(record, "__post_init__", counted_build)
     for name in COUNTED + KERNEL:
         original = getattr(compensation, name)
 
@@ -73,7 +74,7 @@ def test_each_sweep_point_is_one_operating_point_and_one_reduction(rft, comp_q8,
     op = OscillatorOperatingPoint(v_osc=0.3, f_0=30e9, delta_f=1e6)
     assert len(sensitivity_sweep(rft, comp_q8, op, deltas)) == 4
     assert [calls[name] for name in COUNTED] == [4, 1, 0, 0]
-    assert [calls[name] for name in KERNEL] == [16, 10]
+    assert [calls[name] for name in KERNEL] == [12, 8]
 
 
 @pytest.mark.parametrize("var, window", [("delta_c", ["--from=-3f", "--to=3f"]),
@@ -86,3 +87,13 @@ def test_each_cli_sweep_row_is_one_operating_point_and_one_reduction(var, window
     # a shift of c_fix leaves r_res alone: one reduction serves a delta_c sweep
     reductions = 1 if var == "delta_c" else 5
     assert [calls[name] for name in COUNTED] == [5, reductions, 0, 0]
+
+
+@pytest.mark.parametrize("var, window", [("delta_c", ["--from=-3f", "--to=3f"]),
+                                         ("q_l0", ["--from=4", "--to=16", "--log"])])
+def test_cli_sweep_builds_one_operating_point(var, window, calls, capsys):
+    # the options give one operating point without a carrier; each row's
+    # carrier is its governing crossing, which evaluate finds
+    assert main(["sweep", "rft30g", "--network", "l0_250p_q8", "--var", var, *window,
+                 "--points", "5", "--out", "-"]) == 0
+    assert calls["operating_points"] == 1

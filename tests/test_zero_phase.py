@@ -24,6 +24,7 @@ from memsosc import (
     shunt_inductor_for,
     tank_impedance,
     tank_resonance,
+    window_fraction,
 )
 from memsosc import compensation, design
 from memsosc.bvd import TWO_PI, motional_admittance
@@ -390,15 +391,12 @@ def test_lc_crossing_beyond_the_old_window(c_fix, ratio, refused_before):
 
 
 def test_lc_rule_picks_the_largest_impedance():
-    # Two crossings and no motional one.  Beyond half a motional bandwidth
-    # from f_s, Im Y / w rises with frequency on both sides, so crossings
-    # on both sides of a +-2 bandwidth window would bracket one inside it:
-    # no fixture tank reaches this case.  A motional Q of 0.3 caps the
-    # window to the octave around f_s, whose top lies below the motional
-    # branch's broad susceptance extremum at 2.1 f_s.  An inductor of Q
-    # 0.01 with l_0/r_l0^2 = C - 0.05 c_m keeps the rest of Im Y / w
-    # nearly flat, and the motional branch pulls it below zero between
-    # 1.6 and 2.8 f_s.
+    # The crossing's type, not a window around f_s, names the motional one.
+    # A motional Q of 0.3 and an inductor of Q 0.01 with l_0/r_l0^2 = C -
+    # 0.05 c_m keep the rest of Im Y / w nearly flat, and the motional
+    # branch pulls it below zero between 1.6 and 2.8 f_s.  The lower
+    # crossing, outside the old window's octave cap, is series-type
+    # (d(Im Y)/dw < 0), so it governs as the motional one.
     fs = 1e9
     ws = TWO_PI * fs
     c_m = 1e-12
@@ -408,11 +406,29 @@ def test_lc_rule_picks_the_largest_impedance():
                                q_l0=0.01, f_ref=fs)
     roots = every_crossing(res, comp)
     assert [f / fs for f in roots] == pytest.approx([1.5992, 2.7635], rel=1e-4)
-    mags = [abs(tank_impedance(res, comp, f)) for f in roots]
-    assert mags == pytest.approx([0.8152, 0.8160], rel=1e-4)
+    slopes = [compensation._admittance_and_slope(res, comp, f)[1].imag for f in roots]
+    assert slopes[0] < 0 < slopes[1]
     f, z, mode = find_operating_point(res, comp)
-    assert (f, mode) == (roots[1], "lc_tank")
-    assert abs(z) == pytest.approx(mags[1], rel=1e-12)
+    assert (f, mode) == (roots[0], "motional")
+    assert abs(z) == pytest.approx(0.8152, rel=1e-4)
+    # A tank whose one crossing, 2.4% below f_s, is parallel-type: the old
+    # window (+-2 bandwidths at Q_m 61) held it and called it motional,
+    # though its window fraction is +0.78.  The LC rule governs it, the
+    # largest |Z| among the crossings; a scan of Im Y over six decades
+    # finds no other.
+    res = Resonator(r_m=332.0, l_m=1.0705e-7, c_m=2.629e-16, c_0=16e-15)
+    fs = series_resonance(res)
+    comp = CompensationNetwork(l_0=125.83e-12, q_l0=106.7, f_ref=fs, c_fix=213.9e-15)
+    assert window_fraction(res, comp) == pytest.approx(0.7832, rel=1e-4)
+    (root,) = every_crossing(res, comp)
+    assert compensation._admittance_and_slope(res, comp, root)[1].imag > 0
+    freqs = np.geomspace(1e-3 * fs, 1e3 * fs, 100_001)
+    susceptance = [compensation._tank_admittance(res, comp, float(f)).imag for f in freqs]
+    assert np.count_nonzero(np.diff(np.sign(susceptance))) == 1
+    f, z, mode = find_operating_point(res, comp)
+    assert (f, mode) == (root, "lc_tank")
+    assert f / fs == pytest.approx(1.0 - 0.02415, abs=1e-5)
+    assert abs(z) == max(abs(tank_impedance(res, comp, r)) for r in every_crossing(res, comp))
 
 
 def test_no_crossing_at_any_frequency():
