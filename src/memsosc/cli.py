@@ -4,21 +4,23 @@ Subcommands: resonator, compensate, noise, design, ac, sweep.  Every
 report prints the defaults it used so any quoted number is reproducible.
 Exit codes: 0 success, 1 input error (an OS error reading an input or
 writing `--out` included), 2 design failure or argparse usage error.
-`main` is the one place where an error becomes an exit code and a line.
+`main` is the one place where an error becomes an exit code and a line,
+and the one place that writes stdout: each subcommand returns its text
+(empty when it wrote `--out PATH`), so a report reaches stdout only after
+its command succeeds, and a refused command prints nothing there.
 
 numpy is imported only by the subcommands that return arrays: `ac` and
 `resonator --out`.  Every subcommand but `ac` evaluates one frequency at
 a time in Python floats; `sweep` spaces its values with `bvd.grid`, as
 Python floats, so each row has the bits `noise` and `compensate` print
 for the same parameters, and it runs without numpy.  `--points` is
-bounded by `bvd.MAX_AC_POINTS`, and a count outside the bounds is
-refused before anything is printed.  `noise` and `sweep` build their
+bounded by `bvd.MAX_AC_POINTS`.  `noise` and `sweep` build their
 operating point without a carrier: `noise.evaluate` runs it at the
-governing crossing, and a crossing at or below the (first) offset ends
-either with exit 1 and one rule's error line.  `sweep` only parses and
-formats: `noise.parameter_sweep` rebuilds the records for each `--var`
-value and evaluates the point.  `resonator --out PATH` writes the file
-before it prints the report, so a failed write prints none.
+governing crossing, and a crossing at or below the offset ends either
+with exit 1 and one rule's error line.  `noise` checks every `--offset`
+before the search and the crossing against the largest; `sweep` checks
+its first.  `sweep` only parses and formats: `noise.parameter_sweep`
+rebuilds the records for each `--var` value and evaluates the point.
 
 The argparse tree is built once per process and reused: parsing reads
 it and does not change it.
@@ -49,11 +51,12 @@ def _eng(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _emit(path: str | None, text: str) -> None:
+def _emit(path: str | None, text: str) -> str:
+    """Write text to path and return ""; None or "-" returns text for stdout."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        iodoc.atomic_write_text(path, text)
+        return text
+    iodoc.atomic_write_text(path, text)
+    return ""
 
 
 def _check_points(args, least: int) -> None:
@@ -90,92 +93,82 @@ def _operating_point(args, offset: float) -> noise.OscillatorOperatingPoint:
 
 # --- subcommands ---------------------------------------------------------
 
-def cmd_resonator(args) -> int:
+def cmd_resonator(args) -> str:
     res = iodoc.resolve_resonator(args.resonator)
+    csv = ""
     if args.out is not None:
-        # the whole sweep is checked and computed, and a path written,
-        # before the report prints: a failed write prints no report
         if args.f_from is None or args.f_to is None:
             raise UserError("--out needs a frequency range (--from/--to)")
         _check_points(args, bvd.MIN_SWEEP_POINTS)
-        csv = iodoc.response_csv(bvd.sweep(res, args.f_from, args.f_to, args.points,
-                                           log=args.log))
-        if args.out != "-":
-            _emit(args.out, csv)
+        csv = _emit(args.out, iodoc.response_csv(bvd.sweep(res, args.f_from, args.f_to,
+                                                           args.points, log=args.log)))
     fs = bvd.series_resonance(res)
-    fp = bvd.parallel_resonance(res)
-    q = bvd.quality_factor(res)
-    kt2 = bvd.coupling_coefficient(res)
     xc0 = bvd.static_reactance(res, fs)
-    print(_defaults_header())
-    print(f"resonator      : {res.label or args.resonator}")
-    print(f"f_s            : {fs!r} Hz")
-    print(f"f_p            : {fp!r} Hz")
-    print(f"Q              : {q!r}")
-    print(f"kt^2 (cm/c0)   : {kt2!r}")
-    print(f"|X_C0| at f_s  : {xc0!r} ohm")
-    print(f"|X_C0| / R_m   : {xc0 / res.r_m!r}")
-    if args.out == "-":
-        _emit(args.out, csv)
-    return 0
+    lines = [_defaults_header(),
+             f"resonator      : {res.label or args.resonator}",
+             f"f_s            : {fs!r} Hz",
+             f"f_p            : {bvd.parallel_resonance(res)!r} Hz",
+             f"Q              : {bvd.quality_factor(res)!r}",
+             f"kt^2 (cm/c0)   : {bvd.coupling_coefficient(res)!r}",
+             f"|X_C0| at f_s  : {xc0!r} ohm",
+             f"|X_C0| / R_m   : {xc0 / res.r_m!r}"]
+    return "\n".join(lines) + "\n" + csv
 
 
-def cmd_compensate(args) -> int:
+def cmd_compensate(args) -> str:
     res = iodoc.resolve_resonator(args.resonator)
     f_0 = args.f0 if args.f0 is not None else bvd.series_resonance(res)
-    print(_defaults_header())
     try:
-        c0_zero = compensation.zero_phase_c0(res, f_0)
-        print(f"zero-phase C0 at {format_eng(f_0)}Hz : {c0_zero!r} F")
+        c0_zero = f"{compensation.zero_phase_c0(res, f_0)!r} F"
     except compensation.NoSolutionError as exc:
-        print(f"zero-phase C0 at {format_eng(f_0)}Hz : {exc}")
-    print(f"suggested L0 for bare c_0     : "
-          f"{compensation.shunt_inductor_for(res.c_0, f_0)!r} H")
+        c0_zero = str(exc)
+    lines = [_defaults_header(),
+             f"zero-phase C0 at {format_eng(f_0)}Hz : {c0_zero}",
+             f"suggested L0 for bare c_0     : "
+             f"{compensation.shunt_inductor_for(res.c_0, f_0)!r} H"]
     comp = _load_network(args, res)
     f_op, _, mode = compensation.find_operating_point(res, comp)
     tank = compensation.effective_resistance(res, comp)
     q_loaded = compensation.phase_slope_q(res, comp, f_op)
-    print(f"r_res          : {tank.r_res!r} ohm")
-    print(f"beta           : {tank.beta!r}")
-    print(f"Q_L (phase slope): {q_loaded!r}")
-    print(f"f_tank         : {compensation.tank_resonance(res, comp)!r} Hz")
-    print(f"window         : {compensation.window_fraction(res, comp)!r}")
-    print(f"dominant mode  : {mode}")
-    return 0
+    lines += [f"r_res          : {tank.r_res!r} ohm",
+              f"beta           : {tank.beta!r}",
+              f"Q_L (phase slope): {q_loaded!r}",
+              f"f_tank         : {compensation.tank_resonance(res, comp)!r} Hz",
+              f"window         : {compensation.window_fraction(res, comp)!r}",
+              f"dominant mode  : {mode}"]
+    return "\n".join(lines) + "\n"
 
 
-def cmd_noise(args) -> int:
+def cmd_noise(args) -> str:
     res = iodoc.resolve_resonator(args.resonator)
     comp = _load_network(args, res)
-    offsets = args.offsets or list(DEFAULT_OFFSETS)
-    ev = noise.evaluate(res, comp, _operating_point(args, offsets[0]))
-    op, budget = replace(ev.op, f_0=ev.f_osc), ev.budget
-    print(_defaults_header(op))
-    print(f"f_osc          : {ev.f_osc!r} Hz")
-    print(f"Q_L            : {ev.q_loaded!r}")
-    print(f"beta           : {ev.tank.beta!r}")
-    print(f"F_RL0          : {budget.f_rl0!r}")
-    print(f"F_active       : {budget.f_active!r}")
-    print(f"F_min          : {budget.f_min!r}")
-    for off in offsets:
-        pn = noise.leeson_phase_noise(res, ev.q_loaded, replace(op, delta_f=off),
-                                      budget.f_min)
-        print(f"PN @ {format_eng(off)}Hz : {pn!r} dBc/Hz")
-    print(f"FoM (physical) : {ev.fom!r} dBc/Hz  "
-          f"[p_dc = {ev.p_dc!r} W, eta = {ev.eta!r}]")
-    print(f"FoM (from PN)  : "
-          f"{noise.fom_from_measurement(ev.pn, op.f_0, op.delta_f, ev.p_dc)!r}"
-          f" dBc/Hz")
-    print(f"FoM (maximum)  : {noise.fom_max(ev.q_loaded, ev.tank.beta)!r} dBc/Hz")
-    return 0
+    # each offset is checked before the search, the largest against the crossing
+    ops = [_operating_point(args, off) for off in args.offsets or DEFAULT_OFFSETS]
+    ev = noise.evaluate(res, comp, max(ops, key=lambda op: op.delta_f))
+    ops = [replace(op, f_0=ev.f_osc) for op in ops]
+    budget = ev.budget
+    pns = [noise.leeson_phase_noise(res, ev.q_loaded, op, budget.f_min) for op in ops]
+    lines = [_defaults_header(ops[0]),
+             f"f_osc          : {ev.f_osc!r} Hz",
+             f"Q_L            : {ev.q_loaded!r}",
+             f"beta           : {ev.tank.beta!r}",
+             f"F_RL0          : {budget.f_rl0!r}",
+             f"F_active       : {budget.f_active!r}",
+             f"F_min          : {budget.f_min!r}"]
+    lines += [f"PN @ {format_eng(op.delta_f)}Hz : {pn!r} dBc/Hz" for op, pn in zip(ops, pns)]
+    lines += [f"FoM (physical) : {ev.fom!r} dBc/Hz  [p_dc = {ev.p_dc!r} W, eta = {ev.eta!r}]",
+              f"FoM (from PN)  : "
+              f"{noise.fom_from_measurement(pns[0], ev.f_osc, ops[0].delta_f, ev.p_dc)!r}"
+              f" dBc/Hz",
+              f"FoM (maximum)  : {noise.fom_max(ev.q_loaded, ev.tank.beta)!r} dBc/Hz"]
+    return "\n".join(lines) + "\n"
 
 
-def cmd_design(args) -> int:
+def cmd_design(args) -> str:
     spec = iodoc.designspec_from_document(iodoc.load_document(args.infile))
     report = design.run_design(spec)
     if args.format == "doc":
-        _emit(args.out, iodoc.report_document(report))
-        return 0
+        return _emit(args.out, iodoc.report_document(report))
     lines = [_defaults_header()]
     lines.append(f"L0             : {format_eng(report.l_0)}H "
                  f"(Q_L0 = {report.q_l0:g}, R_L0 = {report.r_l0:.4g} ohm)")
@@ -195,11 +188,10 @@ def cmd_design(args) -> int:
     lines.append(f"predicted FoM  : {report.predicted_fom:.6g} dBc/Hz")
     for w in report.warnings:
         lines.append(f"warning        : {w}")
-    _emit(args.out, "\n".join(lines) + "\n")
-    return 0
+    return _emit(args.out, "\n".join(lines) + "\n")
 
 
-def cmd_ac(args) -> int:
+def cmd_ac(args) -> str:
     from . import mna
 
     text = Path(args.infile).read_text()
@@ -207,11 +199,10 @@ def cmd_ac(args) -> int:
         netlist = mna.parse_netlist(text)
     except mna.NetlistError as exc:
         raise UserError("netlist errors:\n" + "\n".join(str(d) for d in exc.diagnostics))
-    _emit(args.out, iodoc.response_csv(mna.ac_sweep(netlist)))
-    return 0
+    return _emit(args.out, iodoc.response_csv(mna.ac_sweep(netlist)))
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> str:
     _check_points(args, 1)
     res = iodoc.resolve_resonator(args.resonator)
     comp = _load_network(args, res)
@@ -220,8 +211,7 @@ def cmd_sweep(args) -> int:
     lines = [f"{args.var},q_l,beta,pn_dbchz,fom_dbchz"]
     for row in noise.parameter_sweep(res, comp, op, args.var, values):
         lines.append(",".join(repr(float(x)) for x in row))
-    _emit(args.out, "\n".join(lines) + "\n")
-    return 0
+    return _emit(args.out, "\n".join(lines) + "\n")
 
 
 # --- wiring --------------------------------------------------------------
@@ -311,7 +301,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        sys.stdout.write(args.func(args))
+        return 0
     except design.DesignError as exc:
         print(f"design failed: {exc}", file=sys.stderr)
         return 2

@@ -181,18 +181,40 @@ OFFSET_REFUSALS = {
     ("noise", "rft30g", "--network", "l0_250p_q8", "--offset", "1e300"):
         "error: the governing crossing at 30000014473.19505 Hz is not above the "
         "1e+300 Hz offset\n",
+    ("noise", "rft30g", "--network", "l0_250p_q8", "--offset", "1e6", "--offset", "1e300"):
+        "error: the governing crossing at 30000014473.19505 Hz is not above the "
+        "1e+300 Hz offset\n",
     ("design", "--in", "@spec"):
         "error: offset 1000000000000.0 Hz must be below the carrier "
         "30000014473.19505 Hz\n",
 }
 
 
-@pytest.mark.parametrize("argv", list(OFFSET_REFUSALS), ids=["sweep", "noise", "design"])
+@pytest.mark.parametrize("argv", list(OFFSET_REFUSALS),
+                         ids=["sweep", "noise", "noise_two_offsets", "design"])
 def test_offset_above_the_carrier_is_one_error_line(argv, tmp_path, capsys):
     spec = tmp_path / "spec.txt"
     spec.write_text(DESIGN_DOC + "pn_offset = 1e12\n")
     code, out, err = run(capsys, *(str(spec) if a == "@spec" else a for a in argv))
     assert (code, out, err) == (1, "", OFFSET_REFUSALS[argv])
+
+
+# A command refused after part of its report was computed prints none of
+# it; every offset of `noise` is checked before the tank search.
+@pytest.mark.parametrize("argv, expected", [
+    (("compensate", "rft30g", "--q-l0", "1e-3"),
+     "no zero-phase crossing at any frequency (f_tank = 29999849618.31458 Hz)"),
+    (("compensate", "saw400m", "--network", "missing.net"),
+     "unknown network 'missing.net': not a built-in fixture (l0_250p_q10, l0_250p_q8) "
+     "and no such file"),
+    (("noise", "rft30g", "--q-l0", "1e-3", "--offset", "1e6", "--offset", "-1"),
+     "delta_f must be positive and finite, got -1.0"),
+], ids=["no_crossing", "missing_network", "bad_second_offset"])
+def test_a_refused_command_prints_nothing(argv, expected, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MEMSOSC_FIXTURE_DIR", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {expected}\n")
 
 
 class TestResonatorReport:
@@ -526,8 +548,9 @@ def test_dc_power_underflow_is_one_error_line(capsys):
 
 
 # Seeded fuzz through `main`: every input drawn log-uniformly from 1e-310
-# to 1e300 must end in exit code 0, 1 or 2, with an error line on failure,
-# no escaped exception or RuntimeWarning, and no inf or nan in any figure.
+# to 1e300 must end in exit code 0, 1 or 2, with an error line and nothing
+# on stdout on failure, no escaped exception or RuntimeWarning, and no inf
+# or nan in any figure.
 FUZZ_SEED = 1
 FUZZ_CASES = 3000
 FUZZ_OP_OPTIONS = ("--q-l0", "--vosc", "--offset", "--gamma", "--temp", "--gmbias",
@@ -583,6 +606,7 @@ def test_seeded_fuzz_ends_in_an_exit_code_and_finite_figures(tmp_path, capsys):
             except Exception as exc:
                 code = exc
         out, err = capsys.readouterr()
+        printed = len(out.splitlines())
         if written.exists():
             out += written.read_text()
             written.unlink()
@@ -590,6 +614,8 @@ def test_seeded_fuzz_ends_in_an_exit_code_and_finite_figures(tmp_path, capsys):
             problem = f"ended in {code!r}"
         elif code and not ERROR_LINE.search(err):
             problem = f"exit {code} without an error line"
+        elif code and printed:
+            problem = f"exit {code} after printing {printed} lines"
         elif "math domain" in err or re.search(r"\bnan\b", err, re.IGNORECASE):
             problem = "the message shows a math error"
         elif NON_FINITE.search(out):

@@ -6,7 +6,7 @@ without --out, compensate, noise, design, and sweep, linear or --log)
 print the same report with numpy unimportable; the library calls behind
 them give the same values.
 Inside the package, no module takes another module's `_`-prefixed
-name."""
+name, and in `cli` only `main` writes stdout."""
 
 import ast
 import contextlib
@@ -242,3 +242,33 @@ def test_private_name_check_sees_each_form():
     assert private_names_crossing_modules(
         "from __future__ import annotations\nfrom .bvd import check\n"
         "import numpy as np\nnp._core\n") == []
+
+
+def stdout_writers(source: str) -> list[str]:
+    """Functions other than `main` that name `print` or `sys.stdout`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name == "main":
+            continue
+        if any(isinstance(n, ast.Name) and n.id == "print"
+               or isinstance(n, ast.Attribute) and n.attr == "stdout"
+               and isinstance(n.value, ast.Name) and n.value.id == "sys"
+               for n in ast.walk(node)):
+            found.append(node.name)
+    return found
+
+
+def test_only_main_writes_stdout():
+    # each subcommand returns its text, so a refused one prints none of it
+    cli = Path(memsosc.__file__).resolve().parent / "cli.py"
+    assert stdout_writers(cli.read_text()) == []
+
+
+def test_stdout_writer_check_sees_each_form():
+    assert stdout_writers(
+        "def a():\n    print(1)\n"
+        "def b(t):\n    sys.stdout.write(t)\n"
+        "def c():\n    def d():\n        return print\n"
+        "def main(t):\n    print(t, file=sys.stderr)\n    sys.stdout.write(t)\n") == [
+        "a", "b", "c", "d"]
+    assert stdout_writers("def e(t):\n    sys.stderr.write(t)\n    return t\n") == []
