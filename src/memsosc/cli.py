@@ -18,9 +18,11 @@ bounded by `bvd.MAX_AC_POINTS`.  `noise` and `sweep` build their
 operating point without a carrier: `noise.evaluate` runs it at the
 governing crossing, and a crossing at or below the offset ends either
 with exit 1 and one rule's error line.  `noise` checks every `--offset`
-before the search and the crossing against the largest; `sweep` checks
-its first.  `sweep` only parses and formats: `noise.parameter_sweep`
-rebuilds the records for each `--var` value and evaluates the point.
+before the search and the crossing against the largest; `sweep` prints
+one phase-noise column, so it takes one `--offset` and refuses a second
+before it evaluates anything.  `sweep` only parses and formats:
+`noise.parameter_sweep` rebuilds the records for each `--var` value and
+evaluates the point.
 
 The argparse tree is built once per process and reused: parsing reads
 it and does not change it.
@@ -206,6 +208,9 @@ def cmd_sweep(args) -> str:
     _check_points(args, 1)
     res = iodoc.resolve_resonator(args.resonator)
     comp = _load_network(args, res)
+    if args.offsets and len(args.offsets) > 1:
+        raise UserError(f"sweep prints one phase-noise column: give at most one --offset, "
+                        f"got {len(args.offsets)}")
     values = bvd.grid(args.f_from, args.f_to, args.points, log=args.log)
     op = _operating_point(args, args.offsets[0] if args.offsets else 1e6)
     lines = [f"{args.var},q_l,beta,pn_dbchz,fom_dbchz"]

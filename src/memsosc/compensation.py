@@ -106,7 +106,7 @@ class CompensationNetwork:
         if not self.bank_code <= self.bank_size:
             raise ValueError("bank_code must lie in [0, bank_size]")
         # r_l0, computed once here: every admittance evaluation reads it
-        r_l0 = TWO_PI * self.f_ref * self.l_0 / self.q_l0
+        r_l0 = loss_resistance(self.l_0, self.q_l0, self.f_ref)
         if not r_l0 < math.inf:
             raise ValueError(f"l_0 = {self.l_0!r} H puts r_l0 = 2*pi*f_ref*l_0/q_l0 out of "
                              f"floating-point range for f_ref = {self.f_ref!r} Hz")
@@ -121,6 +121,12 @@ class CompensationNetwork:
         """Total capacitance across l_0: c_0 + c_fix + selected bank units."""
         code = self.bank_code if bank_code is None else bank_code
         return res.c_0 + self.c_fix + code * self.bank_unit
+
+
+def loss_resistance(l_0: float, q_l0: float, f_ref: float) -> float:
+    """Series loss resistance 2*pi*f_ref*l_0/q_l0 of an inductor l_0 whose
+    quality factor is q_l0 at f_ref, in Python floats and unchecked."""
+    return TWO_PI * f_ref * l_0 / q_l0
 
 
 @dataclass(frozen=True)
@@ -227,22 +233,53 @@ def motional_mode_capacitance_margin(res: Resonator) -> float:
     return 1.0 / (2.0 * res.r_m * TWO_PI * series_resonance(res))
 
 
+def bank_alignment(res: Resonator, l_0: float, r_l0: float, c_base: float,
+                   bank_unit: float, bank_size: int,
+                   code: int | None = None) -> tuple[int, float]:
+    """(code, window fraction) of a tank given as Python floats: inductor
+    l_0 with series loss r_l0, branch capacitance c_base (c_0 + c_fix) plus
+    code bank units.  The fraction is 2*r_m*B, with B = w_s*c_branch +
+    Im(1/(r_l0 + j*w_s*l_0)) the tank's non-motional susceptance at w_s: 0
+    at the window centre, and the motional crossing exists while it lies in
+    [-1, 1].  The bank term comes last, so neighbouring codes stay apart
+    however small the unit.
+
+    code=None takes the code nearest the window centre.  The fraction rises
+    by bank_unit/margin per code, so that is the code nearest u =
+    -fraction(0)*margin/bank_unit, clamped to the bank; a u half-way
+    between two codes, a zero unit or an empty bank takes the lower code.
+    This is the arithmetic of `window_fraction` and `tune_bank`, and of the
+    inductor search that weighs grid points without building networks.
+    """
+    ws = TWO_PI * res._f_s
+    b = ws * c_base + (1.0 / (r_l0 + 1j * ws * l_0)).imag
+    if code is None:
+        if bank_size < 1:
+            code = 0
+        else:
+            u = (-(2.0 * res.r_m * b) * motional_mode_capacitance_margin(res) / bank_unit
+                 if bank_unit > 0 else 0.0)
+            code = bank_size if u >= bank_size else math.ceil(max(u, 0.0) - 0.5)
+    return code, 2.0 * res.r_m * (b + ws * code * bank_unit)
+
+
 def window_fraction(res: Resonator, comp: CompensationNetwork,
                     bank_code: int | None = None) -> float:
-    """2*r_m*B, with B = w_s*c_branch + Im(1/(r_l0 + j*w_s*l_0)) the tank's
-    non-motional susceptance at w_s: 0 at the window centre, and the motional
-    crossing exists while it lies in [-1, 1].  The bank term comes last, so
-    neighbouring codes stay apart however small the unit."""
+    """The window fraction of `bank_alignment` at bank_code, by default the
+    network's own code: 0 at the window centre, and the motional crossing
+    exists while it lies in [-1, 1]."""
     code = comp.bank_code if bank_code is None else bank_code
-    ws = TWO_PI * series_resonance(res)
-    b = ws * comp.branch_capacitance(res, 0) + (1.0 / (comp.r_l0 + 1j * ws * comp.l_0)).imag
-    return 2.0 * res.r_m * (b + ws * code * comp.bank_unit)
+    return bank_alignment(res, comp.l_0, comp._r_l0, res.c_0 + comp.c_fix, comp.bank_unit,
+                          comp.bank_size, code)[1]
 
 
 # --- operating points ----------------------------------------------------
 
 # Relative step below which a polished root counts as converged.
 _XTOL_REL = 1e-15
+
+# The most iterations one polish may take (see `_rtsafe`).
+_RTSAFE_CAP = 4200
 
 
 def _rtsafe(fn, a: float, b: float, fa: float, x: float) -> float:
@@ -253,9 +290,16 @@ def _rtsafe(fn, a: float, b: float, fa: float, x: float) -> float:
     would not halve the step before last, bisects instead (rtsafe,
     Numerical Recipes 3rd ed., section 9.4).  Returns on an exact zero or
     once a step is below _XTOL_REL * |root|.
+
+    The loop stops at _RTSAFE_CAP = 2 * 2,100 iterations.  An accepted
+    Newton step is under half the step before last, so the steps at least
+    halve every two iterations, and about 2,100 halvings span the positive
+    doubles, 2^1024 down to 2^-1074.  A polish past the cap has stopped
+    converging: it raises ValueError naming the bracket, and never returns
+    an unconverged value.
     """
     step = last = b - a
-    while True:
+    for _ in range(_RTSAFE_CAP):
         g, slope = fn(x)
         if g == 0:
             return x
@@ -267,6 +311,8 @@ def _rtsafe(fn, a: float, b: float, fa: float, x: float) -> float:
         if abs(step) <= _XTOL_REL * abs(x) or newton == x:
             return newton
         x = newton
+    raise ValueError(f"root polish did not converge in {_RTSAFE_CAP} iterations; "
+                     f"bracket [{a!r}, {b!r}]")
 
 
 def _cubic_newton(d3: float, d2: float, d1: float, d0: float, y: float) -> float:
@@ -386,23 +432,6 @@ def _zero_phase_roots(res: Resonator, comp: CompensationNetwork):
     # around each is tried first, and the polish from the estimate inside it
     # mostly stops after one evaluation of Y and Y'.
     margin = 1e-3 * size
-    last = len(x)
-
-    def f_wide(j):
-        """Frequency of wide bracket edge j: below root 0 for j = 0, above
-        the last root for j = len(x), between roots j - 1 and j otherwise."""
-        if j == 0:
-            # half of 1 + x[0] keeps w > 0 where 1 + 0.5*(x[0] - 1) rounds to 0
-            return fs * math.sqrt(max(1.0 + max(x[0] - margin, 0.5 * (x[0] - 1.0)),
-                                      0.5 * (1.0 + x[0])))
-        if j == last:
-            v = x[-1] + margin
-        else:
-            v = 0.5 * (x[j] + x[j - 1])
-        return fs * math.sqrt(1.0 + v)
-
-    def susceptance(f):
-        return _tank_admittance(res, comp, f).imag
 
     def susceptance_and_slope(f):
         try:
@@ -412,18 +441,33 @@ def _zero_phase_roots(res: Resonator, comp: CompensationNetwork):
         return y.imag, TWO_PI * dy.imag  # d(Im Y)/df
 
     def polish(i):
-        lo, hi = f_wide(i), f_wide(i + 1)
+        lo, hi = _wide_edge(fs, x, margin, i), _wide_edge(fs, x, margin, i + 1)
         a = max(lo, f_est[i] * (1.0 - 1e-9))
         b = min(hi, f_est[i] * (1.0 + 1e-9))
-        fa = susceptance(a)
-        if not _opposite(fa, susceptance(b)):
+        fa = _tank_admittance(res, comp, a).imag
+        if not _opposite(fa, _tank_admittance(res, comp, b).imag):
             a, b = lo, hi
-            fa = susceptance(a)
-            if not _opposite(fa, susceptance(b)):
+            fa = _tank_admittance(res, comp, a).imag
+            if not _opposite(fa, _tank_admittance(res, comp, b).imag):
                 return None  # tangential root: the phase touches zero without crossing
         return _rtsafe(susceptance_and_slope, a, b, fa, f_est[i])
 
     return f_est, polish
+
+
+def _wide_edge(fs: float, x, margin: float, j: int) -> float:
+    """Frequency of wide bracket edge j among the roots x of the
+    susceptance cubic: below root 0 for j = 0, above the last root for
+    j = len(x), between roots j - 1 and j otherwise."""
+    if j == 0:
+        # half of 1 + x[0] keeps w > 0 where 1 + 0.5*(x[0] - 1) rounds to 0
+        return fs * math.sqrt(max(1.0 + max(x[0] - margin, 0.5 * (x[0] - 1.0)),
+                                  0.5 * (1.0 + x[0])))
+    if j == len(x):
+        v = x[-1] + margin
+    else:
+        v = 0.5 * (x[j] + x[j - 1])
+    return fs * math.sqrt(1.0 + v)
 
 
 def _opposite(a: float, b: float) -> bool:
@@ -496,22 +540,17 @@ def effective_resistance(res: Resonator, comp: CompensationNetwork) -> TankAnaly
 
 
 def tune_bank(res: Resonator, comp: CompensationNetwork) -> int:
-    """Bank code nearest the centre of the high-Q operating window.
-
-    The window fraction rises by bank_unit/margin per code, so the best code
-    is the one nearest u = (c_centre - c_branch(0))/bank_unit, which is
-    -window_fraction(0)*margin/bank_unit, clamped to the bank; c_centre =
-    -Im(1/(r_l0 + j*w_s*l_0))/w_s cancels the lossy inductor at w_s.  A u
-    half-way between two codes, or a zero unit, takes the lower code.
-    Warns (AlignmentWarning) when even that code leaves the tank outside
-    the window, or when the bank has no tunable units.
+    """Bank code nearest the centre of the high-Q operating window, as
+    `bank_alignment` picks it: c_centre = -Im(1/(r_l0 + j*w_s*l_0))/w_s
+    cancels the lossy inductor at w_s.  Warns (AlignmentWarning) when even
+    that code leaves the tank outside the window, or when the bank has no
+    tunable units.
     """
     if comp.bank_size < 1:
         warnings.warn("bank has no tunable units", AlignmentWarning)
         return 0
-    u = (-window_fraction(res, comp, 0) * motional_mode_capacitance_margin(res)
-         / comp.bank_unit if comp.bank_unit > 0 else 0.0)
-    code = comp.bank_size if u >= comp.bank_size else math.ceil(max(u, 0.0) - 0.5)
+    code = bank_alignment(res, comp.l_0, comp._r_l0, res.c_0 + comp.c_fix, comp.bank_unit,
+                          comp.bank_size)[0]
     fraction = window_fraction(res, comp, code)
     if abs(fraction) > 1.0:
         warnings.warn(f"best bank code {code} still leaves the tank at window fraction "

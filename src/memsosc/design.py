@@ -13,8 +13,7 @@ the report's sizing reads r_res from that evaluation.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bvd import (
     TWO_PI,
@@ -25,13 +24,13 @@ from .bvd import (
     series_resonance,
 )
 from .compensation import (
-    AlignmentWarning,
     CompensationNetwork,
     NoResonanceError,
+    bank_alignment,
     find_operating_point,
+    loss_resistance,
     motional_mode_capacitance_margin,
     tank_resonance,
-    tune_bank,
     window_fraction,
 )
 from .noise import DEFAULT_GAMMA, DEFAULT_TEMPERATURE, OscillatorOperatingPoint, evaluate
@@ -110,9 +109,12 @@ def size_active(r_res: float, v_osc: float, mu_cox: float):
     ValueError naming the first argument that is not positive and finite,
     or naming mu_cox when w_over_l leaves the float range.
     """
-    r_res = check_positive("r_res", r_res)
-    v_osc = check_positive("v_osc", v_osc)
-    mu_cox = check_positive("mu_cox", mu_cox)
+    return _sizing(check_positive("r_res", r_res), check_positive("v_osc", v_osc),
+                   check_positive("mu_cox", mu_cox))
+
+
+def _sizing(r_res: float, v_osc: float, mu_cox: float):
+    """`size_active` for checked positive, finite Python floats."""
     g_m = 2.0 / r_res
     i_bias = v_osc / r_res
     drive = 2.0 * i_bias * mu_cox
@@ -135,8 +137,11 @@ def _choose_inductor(spec: DesignSpec) -> CompensationNetwork:
     reach comes in closed form, ceil(1/(kappa*reach*step)), corrected by
     one step for rounding.  When even code 0 at k leaves the tank above
     the centre, the grid point below, tuned, is taken if it lies strictly
-    nearer.  Whether the choice lies inside the window is `run_design`'s
-    one refusal.
+    nearer.  Each candidate is weighed in Python floats, r_l0 by
+    `loss_resistance` and its code and window fraction by
+    `bank_alignment`, so only the chosen network is built, and it refuses
+    what a network refuses.  Whether the choice lies inside the window is
+    `run_design`'s one refusal.
     """
     res = spec.resonator
     ws = TWO_PI * series_resonance(res)
@@ -150,29 +155,32 @@ def _choose_inductor(spec: DesignSpec) -> CompensationNetwork:
     if not guess < math.inf:
         raise DesignError(f"l0_grid_step {step!r} H is too fine to index the "
                           f"inductor grid")
-
-    def tuned(k):
-        comp = CompensationNetwork(
-            l_0=k * step, q_l0=spec.q_l0_available, f_ref=spec.target_f0,
-            c_fix=spec.parasitic_c + spec.c_fix, bank_unit=spec.bank_unit,
-            bank_size=spec.bank_size)
-        return replace(comp, bank_code=tune_bank(res, comp))
-
-    def within_reach(k):
-        return 1.0 / (kappa * (k * step)) <= reach
-
     k = max(math.ceil(guess), 1)
-    if k > 1 and within_reach(k - 1):
+    # grid point k is the first whose window centre, 1/(kappa*L0), is in reach
+    if k > 1 and 1.0 / (kappa * ((k - 1) * step)) <= reach:
         k -= 1
-    elif not within_reach(k):
+    elif not 1.0 / (kappa * (k * step)) <= reach:
         k += 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AlignmentWarning)
-        comp = tuned(k)
-        if k > 1 and comp.bank_code == 0 and window_fraction(res, comp) > 0:
-            # min keeps the first of equals: the neighbour must be strictly nearer
-            comp = min(comp, tuned(k - 1), key=lambda c: abs(window_fraction(res, c)))
-    return comp
+
+    q_l0, f_ref, unit, size = (spec.q_l0_available, spec.target_f0, spec.bank_unit,
+                               spec.bank_size)
+    c_fix = spec.parasitic_c + spec.c_fix
+    c_base = res.c_0 + c_fix
+    l_0 = k * step
+    r_l0 = loss_resistance(l_0, q_l0, f_ref)
+    code = 0
+    # a grid point whose l_0, c_fix or r_l0 is not finite goes straight to
+    # the network build, which refuses it
+    if r_l0 < math.inf and c_fix < math.inf:
+        code, fraction = bank_alignment(res, l_0, r_l0, c_base, unit, size)
+        if k > 1 and code == 0 and fraction > 0:
+            l_below = (k - 1) * step
+            code_below, below = bank_alignment(
+                res, l_below, loss_resistance(l_below, q_l0, f_ref), c_base, unit, size)
+            if abs(below) < abs(fraction):  # strictly nearer
+                l_0, code = l_below, code_below
+    return CompensationNetwork(l_0=l_0, q_l0=q_l0, f_ref=f_ref, c_fix=c_fix, bank_unit=unit,
+                               bank_size=size, bank_code=code)
 
 
 def run_design(spec: DesignSpec) -> DesignReport:
@@ -206,7 +214,8 @@ def run_design(spec: DesignSpec) -> DesignReport:
     ev = evaluate(res, comp, OscillatorOperatingPoint(
         v_osc=spec.v_osc_target, f_0=f_osc, delta_f=spec.pn_offset,
         temperature=spec.temperature, gamma=spec.gamma, supply=spec.supply))
-    g_m, i_bias, w_over_l = size_active(ev.tank.r_res, spec.v_osc_target, spec.mu_cox)
+    # the tank reduction checked r_res, and the spec its v_osc and mu_cox
+    g_m, i_bias, w_over_l = _sizing(ev.tank.r_res, spec.v_osc_target, spec.mu_cox)
     if ev.q_loaded / q_rft < 0.8:
         report_warnings.append(
             f"loaded Q is {ev.q_loaded / q_rft:.2f} of the resonator Q; "

@@ -173,7 +173,8 @@ def response_csv(response: ComplexResponse) -> str:
         z = complex(z)
         lines.append(f"{float(f)!r},{z.real!r},{z.imag!r},{abs(z)!r},"
                      f"{math.degrees(cmath.phase(z))!r}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def report_document(report: DesignReport) -> str:

@@ -54,6 +54,14 @@ _LOG10_4K = math.log10(4.0 * BOLTZMANN)
 _LOG10_2 = math.log10(2.0)
 
 
+# the positive fields of an operating point, in the order they are checked,
+# indexed by [f_0 is None][supply is None]
+_OP_POSITIVE = ((("v_osc", "f_0", "delta_f", "temperature", "supply"),
+                 ("v_osc", "f_0", "delta_f", "temperature")),
+                (("v_osc", "delta_f", "temperature", "supply"),
+                 ("v_osc", "delta_f", "temperature")))
+
+
 @dataclass(frozen=True)
 class OscillatorOperatingPoint:
     """Bias and signal conditions of the oscillator core.
@@ -71,9 +79,8 @@ class OscillatorOperatingPoint:
     supply: float | None = None  # volts; None: no DC power, efficiency or FoM
 
     def __post_init__(self):
-        check_fields(self, ("v_osc",) + (() if self.f_0 is None else ("f_0",))
-                     + ("delta_f", "temperature")
-                     + (() if self.supply is None else ("supply",)), nonnegative=("gamma",))
+        check_fields(self, _OP_POSITIVE[self.f_0 is None][self.supply is None],
+                     nonnegative=("gamma",))
         if self.g_mbias is not None:
             object.__setattr__(self, "g_mbias", as_float("g_mbias", self.g_mbias))
             if not math.isfinite(self.g_mbias):
@@ -154,6 +161,13 @@ def fom_physical(q_loaded: float, beta: float, eta: float,
     for name, value in (("q_loaded", q_loaded), ("beta", beta), ("eta", eta),
                         ("noise_factor", noise_factor), ("temperature", temperature)):
         check_positive(name, value)
+    return _fom_db(q_loaded, beta, eta, noise_factor, temperature)
+
+
+def _fom_db(q_loaded: float, beta: float, eta: float, noise_factor: float,
+            temperature: float) -> float:
+    """The dB sum of `fom_physical` for checked positive, finite factors;
+    ValueError when eta exceeds 1."""
     if eta > 1:
         raise ValueError("eta cannot exceed 1")
     return 10.0 * (math.log10(2e-3 / BOLTZMANN) + math.log10(beta) + math.log10(eta)
@@ -225,7 +239,10 @@ def evaluate(res: Resonator, comp: CompensationNetwork,
     if not (0 < p_dc < math.inf and 0 < eta < math.inf):
         raise ValueError(f"supply = {op.supply!r} V puts the DC power or the efficiency "
                          f"out of floating-point range")
-    fom = fom_physical(q_loaded, tank.beta, eta, budget.f_min, op.temperature)
+    # q_loaded, eta, the noise factor and the temperature are checked by now;
+    # beta = r_res/r_m can still underflow to zero
+    fom = _fom_db(q_loaded, check_positive("beta", tank.beta), eta, budget.f_min,
+                  op.temperature)
     return Evaluation(op, f_0, tank, q_loaded, budget, pn, p_dc, eta, fom)
 
 
@@ -298,7 +315,7 @@ def parameter_sweep(res: Resonator, comp: CompensationNetwork,
         beta, f_min = ev.tank.beta, ev.budget.f_min
         out.append((v, q_loaded, beta, _leeson_db(res, q_loaded, op, f_op, f_min),
                     None if ev.eta is None
-                    else fom_physical(q_loaded, beta, ev.eta, f_min, op.temperature)))
+                    else _fom_db(q_loaded, beta, ev.eta, f_min, op.temperature)))
     return out
 
 

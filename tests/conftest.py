@@ -1,4 +1,5 @@
 import math
+import signal
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,34 @@ from memsosc import CompensationNetwork, Resonator
 from memsosc.fixtures import get_network, get_resonator
 
 NETLIST_DIR = Path(__file__).parent / "netlists"
+
+# Wall-clock limit of one test: about 17 times the slowest test (3.6 s on a
+# 2-CPU machine), so a loop that no longer ends fails by name instead of
+# running until the job is killed.
+TEST_TIME_LIMIT_S = 60.0
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Fail the running test by name once it has run TEST_TIME_LIMIT_S
+    seconds, by SIGALRM from the real-time interval timer; the previous
+    handler and timer are restored afterwards."""
+    if not hasattr(signal, "setitimer"):  # no interval timers on this platform
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"{request.node.nodeid} ran longer than {TEST_TIME_LIMIT_S:g} s",
+                    pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    previous_timer = signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+        signal.setitimer(signal.ITIMER_REAL, *previous_timer)
 
 
 @pytest.fixture

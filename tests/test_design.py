@@ -406,3 +406,40 @@ class TestRunDesign:
         report = run_design(rft_spec(rft))
         with pytest.raises(AttributeError):
             report.l_0 = 1.0
+
+
+# Specs found once by bisecting parasitic_c (window fraction) and
+# q_l0_available (Q_L/Q_m), then pinned: each puts a report at one side of a
+# warning threshold, the threshold itself included.  A 64-ohm rft30g on a
+# 100 pH grid without a bank reaches a window fraction of exactly 0.5.
+WINDOW_PINS = [  # (parasitic_c, window fraction, warns)
+    (8.709690467383444e-14, 0.49999999999999956, False),
+    (8.709690467383445e-14, 0.5, False),
+    (8.710519403533943e-14, 0.5002, True),
+]
+LOADED_Q_PINS = [  # (q_l0_available, Q_L/Q_m, warns), at parasitic_c = 86.5887 fF
+    (28.272738664517828, 0.7999999999999999, True),
+    (28.27273866451783, 0.8, False),
+    (28.379338719219174, 0.8005999999999999, False),
+]
+
+
+class TestWarningThresholds:
+    @pytest.mark.parametrize("parasitic_c, fraction, warns", WINDOW_PINS)
+    def test_window_warning_starts_above_one_half(self, rft, parasitic_c, fraction, warns):
+        res = replace(rft, r_m=64.0)
+        spec = rft_spec(res, parasitic_c=parasitic_c, bank_unit=0.0, bank_size=0,
+                        l0_grid_step=1e-10)
+        rep = run_design(spec)
+        comp = CompensationNetwork(l_0=rep.l_0, q_l0=rep.q_l0, f_ref=spec.target_f0,
+                                   c_fix=rep.c_fix, bank_code=rep.bank_code)
+        assert window_fraction(res, comp) == fraction
+        assert any(w.startswith("bank code 0 sits at window fraction +0.50; ")
+                   for w in rep.warnings) == warns
+
+    @pytest.mark.parametrize("q_l0, ratio, warns", LOADED_Q_PINS)
+    def test_loaded_q_warning_starts_below_four_fifths(self, rft, q_l0, ratio, warns):
+        rep = run_design(rft_spec(rft, parasitic_c=8.658865799999999e-14, q_l0_available=q_l0))
+        assert rep.q_loaded / rep.q_resonator == ratio
+        assert any(w.startswith("loaded Q is 0.80 of the resonator Q")
+                   for w in rep.warnings) == warns

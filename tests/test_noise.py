@@ -98,6 +98,16 @@ class TestLeeson:
         with pytest.raises(ValueError):
             leeson_phase_noise(rft, 0.0, base_op())
 
+    def test_default_noise_factor_is_one(self, rft):
+        pn = leeson_phase_noise(rft, 1e4, base_op())
+        assert pn == leeson_phase_noise(rft, 1e4, base_op(), noise_factor=1.0)
+        assert pn == pytest.approx(-158.62, abs=0.05)
+
+    def test_refuses_an_operating_point_without_a_carrier(self, rft):
+        with pytest.raises(ValueError, match=r"^the Leeson prediction needs a carrier: "
+                                             r"op\.f_0 is None$"):
+            leeson_phase_noise(rft, 1e4, base_op(f_0=None))
+
     @pytest.mark.parametrize("v_osc", [1e-310, 1e200])
     def test_signal_amplitude_in_db_algebra(self, rft, v_osc):
         # v_osc^2 under- or overflows, its log does not

@@ -58,7 +58,7 @@ def test_run_design_reduces_the_tank_once(rft, calls):
     assert calls["window_fraction"] <= 8
     # one operating point (two sign tests and one Newton step) and one loaded Q
     assert [calls[name] for name in KERNEL] == [3, 2]
-    assert calls["networks"] == 4
+    assert calls["networks"] == 1
 
 
 @pytest.mark.parametrize("network", [[], ["--network", "l0_250p_q8"]])

@@ -125,6 +125,26 @@ def test_rtsafe_polishes_to_float_resolution():
     assert bisected(cube_root, 3.1) <= 64
 
 
+def test_rtsafe_refuses_past_its_iteration_cap(monkeypatch):
+    # sqrt(2) from 1.9 takes six iterations, each from above the root: a cap
+    # of six polishes it, and a cap of two raises, naming the bracket it had
+    # narrowed to, instead of returning an unconverged value
+    def square(x):
+        return x * x - 2.0, 2.0 * x
+
+    root = _rtsafe(square, 1.0, 2.0, -1.0, 1.9)
+    monkeypatch.setattr(compensation, "_RTSAFE_CAP", 6)
+    assert _rtsafe(square, 1.0, 2.0, -1.0, 1.9) == root
+    monkeypatch.setattr(compensation, "_RTSAFE_CAP", 5)
+    with pytest.raises(ValueError, match="^root polish did not converge in 5 iterations"):
+        _rtsafe(square, 1.0, 2.0, -1.0, 1.9)
+    monkeypatch.setattr(compensation, "_RTSAFE_CAP", 2)
+    with pytest.raises(ValueError) as refusal:
+        _rtsafe(square, 1.0, 2.0, -1.0, 1.9)
+    assert str(refusal.value) == ("root polish did not converge in 2 iterations; "
+                                  "bracket [1.0, 1.4763157894736842]")
+
+
 def design_space_network(res, rng):
     """A tank drawn as the design_space benchmark draws its sweeps: c_fix
     0.5-8 c_0 and q_l0 2-20 (both log-uniform), then shifted by up to +-3
