@@ -292,11 +292,12 @@ def _rtsafe(fn, a: float, b: float, fa: float, x: float) -> float:
     once a step is below _XTOL_REL * |root|.
 
     The loop stops at _RTSAFE_CAP = 2 * 2,100 iterations.  An accepted
-    Newton step is under half the step before last, so the steps at least
-    halve every two iterations, and about 2,100 halvings span the positive
-    doubles, 2^1024 down to 2^-1074.  A polish past the cap has stopped
-    converging: it raises ValueError naming the bracket, and never returns
-    an unconverged value.
+    Newton step is under half the step before last, so Newton steps at
+    least halve every two iterations (and each bisection halves the
+    bracket), and about 2,100 halvings span the positive doubles, 2^1024
+    down to 2^-1074.  A polish past the cap has stopped converging: it
+    raises ValueError naming the bracket, and never returns an
+    unconverged value.
     """
     step = last = b - a
     for _ in range(_RTSAFE_CAP):

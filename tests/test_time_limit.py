@@ -1,11 +1,13 @@
-"""The per-test time limit of conftest.py: a test that runs too long fails
-by name, and the timer is off again once a test ends."""
+"""The per-test time limit of conftest.py: it is armed while a test runs,
+and a test that runs too long fails by name."""
 
 import re
 import signal
 import time
 
 import pytest
+
+from conftest import TEST_TIME_LIMIT_S
 
 pytestmark = pytest.mark.skipif(not hasattr(signal, "setitimer"),
                                 reason="no interval timers on this platform")
@@ -20,4 +22,4 @@ def test_an_overrunning_test_fails_by_name(request):
 
 def test_the_limit_is_armed_while_a_test_runs():
     remaining, interval = signal.getitimer(signal.ITIMER_REAL)
-    assert 0.0 < remaining <= 60.0 and interval == 0.0
+    assert 0.0 < remaining <= TEST_TIME_LIMIT_S and interval == 0.0
