@@ -11,7 +11,8 @@ sweep grid in the package, the CLI's `sweep` values and a netlist's `.ac`
 frequencies too, as a list of Python floats.
 
 `check_fields` is the one rule that converts and checks the numbers of
-every record in the package, and `check_positive` its positive rule.
+every record in the package, and `check_positive` and `check_nonnegative`
+its positive and non-negative rules.
 """
 
 from __future__ import annotations
@@ -51,6 +52,13 @@ def check_positive(name: str, value) -> float:
     return value
 
 
+def check_nonnegative(name: str, value: float) -> float:
+    """value, a Python float; ValueError naming it unless 0 <= value < inf."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+    return value
+
+
 def check_fields(record, positive=(), nonnegative=(), counts=()) -> None:
     """Store each named field of the frozen `record` as a Python number
     and check it: `positive` fields lie in (0, inf), `nonnegative` ones in
@@ -68,8 +76,7 @@ def check_fields(record, positive=(), nonnegative=(), counts=()) -> None:
             continue
         if type(value) is not float:
             object.__setattr__(record, name, value := as_float(name, value))
-        if not 0 <= value < math.inf:
-            raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+        check_nonnegative(name, value)
     for name in counts:
         if type(value := getattr(record, name)) is not int:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):

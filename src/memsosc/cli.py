@@ -21,8 +21,8 @@ with exit 1 and one rule's error line.  `noise` checks every `--offset`
 before the search and the crossing against the largest; `sweep` prints
 one phase-noise column, so it takes one `--offset` and refuses a second
 before it evaluates anything.  `sweep` only parses and formats:
-`noise.parameter_sweep` rebuilds the records for each `--var` value and
-evaluates the point.
+`noise.parameter_sweep` evaluates each `--var` value (a `delta_c` sweep
+after its first point on floats, with the same bits and refusals).
 
 The argparse tree is built once per process and reused: parsing reads
 it and does not change it.

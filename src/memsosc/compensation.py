@@ -45,11 +45,19 @@ below 1e-15 of the frequency.
 One frequency at a time is a Python float, and `Resonator` and
 `CompensationNetwork` store Python numbers, so the admittance is Python
 complex arithmetic; an array of frequencies is a loop over it (see
-`bvd.finite_impedance`).  The public entry points check the frequency
-once; from there the bracket edges, sign tests and Newton polish run in
-Python floats, and the loaded Q is a closed form in them (see
-`phase_slope_q`).  One cubic solve serves each operating point, only the
-roots a rule asks about get polished, and none of it needs numpy.
+`bvd.finite_impedance`).  Beneath the network sits a tank in floats, the
+tuple (res, c_branch, l_0, r_l0): the admittance, the root solve, the
+polish and the loaded Q all take it, and they are module-level
+functions, so an operating point builds no closure.  `operating_point`
+is the public kernel on those floats: the governing crossing, its mode
+and its loaded Q, for a caller such as a misalignment sweep whose points
+differ only in c_branch and so need no network each.
+`find_operating_point` and `phase_slope_q` are thin wrappers over the
+same functions, for a network.  The public entry points check the
+frequency once; from there the bracket edges, sign tests and Newton
+polish run in Python floats, and the loaded Q is a closed form in them.
+One cubic solve serves each operating point, only the roots a rule asks
+about get polished, and none of it needs numpy.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 from .bvd import (
     TWO_PI,
@@ -170,20 +179,26 @@ def shunt_inductor_for(c_total: float, f_0: float) -> float:
     return 1.0 / wwc
 
 
-def _tank_admittance(res: Resonator, comp: CompensationNetwork, f):
+def _tank(res: Resonator, comp: CompensationNetwork):
+    """The tank of res and comp in floats, (res, c_branch, l_0, r_l0), with
+    the branch capacitance summed as `branch_capacitance` sums it."""
+    return res, res.c_0 + comp.c_fix + comp.bank_code * comp.bank_unit, comp.l_0, comp._r_l0
+
+
+def _tank_admittance(tank, f):
     """Admittance of motional branch || C branch || lossy inductor.
 
-    f is a checked Python float.  The fields are read directly, in the
-    arithmetic of `motional_admittance` and `branch_capacitance`.
+    tank is (res, c_branch, l_0, r_l0) and f a checked Python float; the
+    arithmetic is that of `motional_admittance`.
     """
+    res, c, l_0, r_l0 = tank
     fs = res._f_s
     w = TWO_PI * f
     return (1.0 / (res.r_m + 1j * ((f - fs) * (f + fs) / (fs * fs) / (w * res.c_m)))
-            + 1j * w * (res.c_0 + comp.c_fix + comp.bank_code * comp.bank_unit)
-            + 1.0 / (comp._r_l0 + 1j * w * comp.l_0))
+            + 1j * w * c + 1.0 / (r_l0 + 1j * w * l_0))
 
 
-def _admittance_and_slope(res: Resonator, comp: CompensationNetwork, f: float):
+def _admittance_and_slope(tank, f: float):
     """Tank admittance Y at a checked Python float f, with the bits of
     `_tank_admittance`, and its derivative
 
@@ -193,18 +208,14 @@ def _admittance_and_slope(res: Resonator, comp: CompensationNetwork, f: float):
     detuning, as in the admittance, and l_m + 1/(w^2*c_m) is taken as
     2*l_m - X_m/w.  ZeroDivisionError where w*c_m, Z_m^2 or Z_L^2 underflows.
     """
+    res, c, l_0, r_l0 = tank
     fs = res._f_s
     w = TWO_PI * f
     x_m = (f - fs) * (f + fs) / (fs * fs) / (w * res.c_m)
     z_m = res.r_m + 1j * x_m
-    z_l = comp._r_l0 + 1j * w * comp.l_0
-    c = res.c_0 + comp.c_fix + comp.bank_code * comp.bank_unit
+    z_l = r_l0 + 1j * w * l_0
     return (1.0 / z_m + 1j * w * c + 1.0 / z_l,
-            1j * (c - (2.0 * res.l_m - x_m / w) / (z_m * z_m) - comp.l_0 / (z_l * z_l)))
-
-
-def _impedance(res: Resonator, comp: CompensationNetwork, f):
-    return 1.0 / _tank_admittance(res, comp, f)
+            1j * (c - (2.0 * res.l_m - x_m / w) / (z_m * z_m) - l_0 / (z_l * z_l)))
 
 
 def tank_impedance(res: Resonator, comp: CompensationNetwork, f):
@@ -212,7 +223,7 @@ def tank_impedance(res: Resonator, comp: CompensationNetwork, f):
 
     ValueError unless f is positive and finite and, for one frequency, the
     impedance is finite there."""
-    return finite_impedance(lambda f: _tank_admittance(res, comp, f), check_frequency(f))
+    return finite_impedance(partial(_tank_admittance, _tank(res, comp)), check_frequency(f))
 
 
 def tank_resonance(res: Resonator, comp: CompensationNetwork,
@@ -221,7 +232,12 @@ def tank_resonance(res: Resonator, comp: CompensationNetwork,
     c = comp.branch_capacitance(res, bank_code)
     if c <= 0:
         raise ValueError("branch capacitance must be positive")
-    return 1.0 / (TWO_PI * math.sqrt(comp.l_0 * c))
+    return _lc_resonance(comp.l_0, c)
+
+
+def _lc_resonance(l_0: float, c: float) -> float:
+    """1/(2*pi*sqrt(l_0*c)) for a positive c."""
+    return 1.0 / (TWO_PI * math.sqrt(l_0 * c))
 
 
 def motional_mode_capacitance_margin(res: Resonator) -> float:
@@ -332,6 +348,11 @@ def _cubic_newton(d3: float, d2: float, d1: float, d0: float, y: float) -> float
     return y
 
 
+# the trigonometric solution's angles j*2*pi/3, j = 1 and 2
+_THIRD_TURN = TWO_PI / 3.0
+_TWO_THIRDS_TURN = 2 * TWO_PI / 3.0
+
+
 def _real_cubic_roots(c3: float, c2: float, c1: float, c0: float):
     """Real roots, ascending, of c3*x^3 + c2*x^2 + c1*x + c0 with c3 > 0,
     and the largest modulus among all three roots.
@@ -367,9 +388,10 @@ def _real_cubic_roots(c3: float, c2: float, c1: float, c0: float):
     if h < 0:  # three real roots, p < 0
         r = math.sqrt(-p / 3.0)
         angle = math.acos(max(-1.0, min(1.0, -0.5 * q / (r * r * r)))) / 3.0
-        ys = [_cubic_newton(d3, d2, d1, d0, 2.0 * r * math.cos(angle - j * TWO_PI / 3.0)
-                            - shift)
-              for j in range(3)]
+        r2 = 2.0 * r
+        ys = [_cubic_newton(d3, d2, d1, d0, r2 * math.cos(angle) - shift),
+              _cubic_newton(d3, d2, d1, d0, r2 * math.cos(angle - _THIRD_TURN) - shift),
+              _cubic_newton(d3, d2, d1, d0, r2 * math.cos(angle - _TWO_THIRDS_TURN) - shift)]
     else:
         u = -0.5 * q - math.copysign(math.sqrt(h), q)
         u = math.copysign(abs(u) ** (1.0 / 3.0), u)  # cube root
@@ -393,24 +415,23 @@ def _real_cubic_roots(c3: float, c2: float, c1: float, c0: float):
     return [math.ldexp(y, k) for y in ys], math.ldexp(max(-ys[0], ys[-1]), k)
 
 
-def _zero_phase_roots(res: Resonator, comp: CompensationNetwork):
-    """Every zero-phase crossing of the tank impedance, as (estimates, polish).
-
-    The estimates, ascending, are the susceptance cubic's real roots
-    (three, or one) that lie above zero frequency, 1 + x > 0 (see the
-    module docstring).  polish(i) polishes crossing i on Im Y within the
-    bracket its neighbours leave it, or gives None for a tangential root;
-    only the roots a rule asks about get polished.
+def _zero_phase_roots(tank):
+    """The zero-phase crossing estimates of tank = (res, c_branch, l_0,
+    r_l0), as (f_est, x, margin): the susceptance cubic's real roots x
+    (three, or one) that lie above zero frequency, 1 + x > 0, ascending
+    (see the module docstring), their frequencies f_est, and the margin of
+    the outer wide brackets.  `_crossing` polishes the ones a rule asks
+    about.
     """
+    res, c, l_0, r_l0 = tank
     fs = res._f_s
     ws = TWO_PI * fs
-    c, l_0 = res.c_0 + comp.c_fix + comp.bank_code * comp.bank_unit, comp.l_0
     # squares as x * x: an overflow gives inf, which the check below
     # refuses, where float ** 2 raises OverflowError
     wrc, wl = ws * res.r_m * res.c_m, ws * l_0
     a = wrc * wrc
     b = wl * wl
-    e = comp._r_l0 * comp._r_l0 + b
+    e = r_l0 * r_l0 + b
     # Im Y / w times both denominators, expanded in x
     c3 = c * b
     c2 = c * (e + a * b) - res.c_m * b - l_0
@@ -425,35 +446,45 @@ def _zero_phase_roots(res: Resonator, comp: CompensationNetwork):
         raise ValueError(f"a zero-phase root leaves the float range for l_0 = {l_0!r} H "
                          f"and C = {c!r} F") from None
     x = [v for v in roots if v > -1.0]
-    f_est = [fs * math.sqrt(1.0 + v) for v in x]
     # Wide brackets run between neighbouring roots.  No other real root lies
     # beyond the outermost ones, so any margin over the estimates' error
-    # closes them (the lower one keeps w > 0).  The Newton-refined estimates
-    # are good to a few units in the last place of x, so a 1e-9 bracket
-    # around each is tried first, and the polish from the estimate inside it
-    # mostly stops after one evaluation of Y and Y'.
-    margin = 1e-3 * size
+    # closes them (the lower one keeps w > 0).
+    return [fs * math.sqrt(1.0 + v) for v in x], x, 1e-3 * size
 
-    def susceptance_and_slope(f):
-        try:
-            y, dy = _admittance_and_slope(res, comp, f)
-        except ZeroDivisionError:  # e.g. a subnormal r_m squares to zero
-            raise ValueError(f"phase slope is not finite at f = {f!r} Hz") from None
-        return y.imag, TWO_PI * dy.imag  # d(Im Y)/df
 
-    def polish(i):
-        lo, hi = _wide_edge(fs, x, margin, i), _wide_edge(fs, x, margin, i + 1)
-        a = max(lo, f_est[i] * (1.0 - 1e-9))
-        b = min(hi, f_est[i] * (1.0 + 1e-9))
-        fa = _tank_admittance(res, comp, a).imag
-        if not _opposite(fa, _tank_admittance(res, comp, b).imag):
-            a, b = lo, hi
-            fa = _tank_admittance(res, comp, a).imag
-            if not _opposite(fa, _tank_admittance(res, comp, b).imag):
-                return None  # tangential root: the phase touches zero without crossing
-        return _rtsafe(susceptance_and_slope, a, b, fa, f_est[i])
+def _crossing(tank, roots, i: int):
+    """Crossing i of `_zero_phase_roots`' roots, polished on Im Y, or None
+    for a tangential root.
 
-    return f_est, polish
+    The Newton-refined estimates are good to a few units in the last place
+    of x, so a 1e-9 bracket around the estimate is tried first, and the
+    polish from the estimate inside it mostly stops after one evaluation of
+    Y and Y'; otherwise the wide bracket its neighbours leave it.  Either
+    is skipped when Im Y keeps its sign across it, and `_rtsafe` polishes
+    within the bracket passed in.
+    """
+    f_est, x, margin = roots
+    fs = tank[0]._f_s
+    f = f_est[i]
+    lo, hi = _wide_edge(fs, x, margin, i), _wide_edge(fs, x, margin, i + 1)
+    a = max(lo, f * (1.0 - 1e-9))
+    b = min(hi, f * (1.0 + 1e-9))
+    fa = _tank_admittance(tank, a).imag
+    if not _opposite(fa, _tank_admittance(tank, b).imag):
+        a, b = lo, hi
+        fa = _tank_admittance(tank, a).imag
+        if not _opposite(fa, _tank_admittance(tank, b).imag):
+            return None  # tangential root: the phase touches zero without crossing
+    return _rtsafe(partial(_susceptance_and_slope, tank), a, b, fa, f)
+
+
+def _susceptance_and_slope(tank, f: float):
+    """Im Y and d(Im Y)/df of the tank at f, for `_rtsafe`."""
+    try:
+        y, dy = _admittance_and_slope(tank, f)
+    except ZeroDivisionError:  # e.g. a subnormal r_m squares to zero
+        raise ValueError(f"phase slope is not finite at f = {f!r} Hz") from None
+    return y.imag, TWO_PI * dy.imag
 
 
 def _wide_edge(fs: float, x, margin: float, j: int) -> float:
@@ -476,6 +507,34 @@ def _opposite(a: float, b: float) -> bool:
     return a < 0 < b or b < 0 < a
 
 
+def _governing_crossing(tank):
+    """(frequency, mode, impedance) of the governing crossing of tank =
+    (res, c_branch, l_0, r_l0), by the rule of `find_operating_point`.  The
+    impedance is None unless the LC rule compared several crossings by it.
+
+    The estimates drop only roots at or below zero frequency, the lowest
+    first, so the middle of three is the second highest estimate; one real
+    root leaves at most one estimate.  When the middle crossing is
+    tangential, only the others are polished again.
+    """
+    roots = _zero_phase_roots(tank)
+    n = len(roots[0])
+    middle = n - 2
+    if middle >= 0 and (f := _crossing(tank, roots, middle)) is not None:
+        return f, "motional", None
+    found = [f for i in range(n)
+             if i != middle and (f := _crossing(tank, roots, i)) is not None]
+    if not found:
+        _, c, l_0, _ = tank
+        raise NoResonanceError(f"no zero-phase crossing at any frequency "
+                               f"(f_tank = {_lc_resonance(l_0, c)!r} Hz)")
+    if len(found) == 1:
+        return found[0], "lc_tank", None
+    f, z = max(((f, 1.0 / _tank_admittance(tank, f)) for f in found),
+               key=lambda point: abs(point[1]))
+    return f, "lc_tank", z
+
+
 def find_operating_point(res: Resonator, comp: CompensationNetwork):
     """Governing operating point: (frequency, impedance, mode).
 
@@ -491,23 +550,38 @@ def find_operating_point(res: Resonator, comp: CompensationNetwork):
     the largest |Z| at any frequency, the broad LC-branch structure's.
     NoResonanceError only when the tank has no crossing at all.
     """
-    f_est, polish = _zero_phase_roots(res, comp)
-    # the estimates drop only roots at or below zero frequency, the lowest
-    # first, so the middle of three is the second highest estimate; one
-    # real root leaves at most one estimate
-    middle = len(f_est) - 2
-    if middle >= 0 and (f := polish(middle)) is not None:
-        return f, _impedance(res, comp, f), "motional"
-    points = [(f, _impedance(res, comp, f)) for f in map(polish, range(len(f_est)))
-              if f is not None]
-    if not points:
-        raise NoResonanceError(f"no zero-phase crossing at any frequency "
-                               f"(f_tank = {tank_resonance(res, comp)!r} Hz)")
-    f, z = max(points, key=lambda point: abs(point[1]))
-    return f, z, "lc_tank"
+    tank = _tank(res, comp)
+    f, mode, z = _governing_crossing(tank)
+    return f, 1.0 / _tank_admittance(tank, f) if z is None else z, mode
+
+
+def operating_point(res: Resonator, c_branch: float, l_0: float,
+                    r_l0: float) -> tuple[float, str, float]:
+    """(frequency, mode, loaded Q) of the governing crossing of a tank given
+    as Python floats: branch capacitance c_branch across inductor l_0 with
+    series loss r_l0, as `bank_alignment` takes it.
+
+    The crossing, mode and refusals are those of `find_operating_point` for
+    a network with that branch capacitance, and the loaded Q has the bits
+    of `phase_slope_q` there, or is NaN where the phase slope is not
+    finite, for the caller to refuse.
+    """
+    tank = (res, c_branch, l_0, r_l0)
+    f, mode, _ = _governing_crossing(tank)
+    return f, mode, _slope_q(tank, f)
 
 
 # --- loaded quality factor ----------------------------------------------
+
+def _slope_q(tank, f: float) -> float:
+    """(w/2)*|Im(Y'/Y)| at a checked Python float f; NaN where it divides
+    by zero."""
+    try:
+        y, dy = _admittance_and_slope(tank, f)
+        return 0.5 * TWO_PI * f * abs((dy / y).imag)
+    except ZeroDivisionError:  # w*c_m underflows at the lowest frequencies
+        return math.nan
+
 
 def phase_slope_q(res: Resonator, comp: CompensationNetwork, f_0: float) -> float:
     """Q of the tank impedance at f_0 from its phase slope: (w/2)*|dphi/dw|.
@@ -517,11 +591,7 @@ def phase_slope_q(res: Resonator, comp: CompensationNetwork, f_0: float) -> floa
     f_0 is positive and finite and the slope is finite there.
     """
     f_0 = check_frequency(f_0)
-    try:
-        y, dy = _admittance_and_slope(res, comp, f_0)
-        q = 0.5 * TWO_PI * f_0 * abs((dy / y).imag)
-    except ZeroDivisionError:  # w*c_m underflows at the lowest frequencies
-        q = math.nan
+    q = _slope_q(_tank(res, comp), f_0)
     if not math.isfinite(q):
         raise ValueError(f"phase slope is not finite at f_0 = {f_0!r} Hz")
     return q
@@ -550,9 +620,8 @@ def tune_bank(res: Resonator, comp: CompensationNetwork) -> int:
     if comp.bank_size < 1:
         warnings.warn("bank has no tunable units", AlignmentWarning)
         return 0
-    code = bank_alignment(res, comp.l_0, comp._r_l0, res.c_0 + comp.c_fix, comp.bank_unit,
-                          comp.bank_size)[0]
-    fraction = window_fraction(res, comp, code)
+    code, fraction = bank_alignment(res, comp.l_0, comp._r_l0, res.c_0 + comp.c_fix,
+                                    comp.bank_unit, comp.bank_size)
     if abs(fraction) > 1.0:
         warnings.warn(f"best bank code {code} still leaves the tank at window fraction "
                       f"{fraction:+.4g}", AlignmentWarning)

@@ -18,7 +18,8 @@ the CLI read that record.  `parameter_sweep` is the one sweep route, the
 CLI's `sweep` and `sensitivity_sweep` both: it evaluates every point of
 a sweep that changes r_res, and a misalignment sweep's first point only,
 whose reduction and noise budget a capacitance shift leaves unchanged at
-every later one.
+every later one; those later points run on floats, through
+`compensation.operating_point`.
 """
 
 from __future__ import annotations
@@ -26,14 +27,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .bvd import (TWO_PI, Resonator, as_float, check_fields, check_positive,
-                  series_resonance)
+from .bvd import (TWO_PI, Resonator, as_float, check_fields, check_nonnegative,
+                  check_positive, series_resonance)
 from .compensation import (
     CompensationNetwork,
     NoResonanceError,
     TankAnalysis,
     effective_resistance,
     find_operating_point,
+    operating_point,
     phase_slope_q,
 )
 
@@ -120,10 +122,20 @@ def _leeson_db(res: Resonator, q_loaded: float, op: OscillatorOperatingPoint,
                f_0: float, noise_factor: float) -> float:
     """The Leeson dB sum of `leeson_phase_noise` at carrier f_0, for a
     checked q_loaded and noise_factor; op gives the rest."""
-    return (10.0 * (math.log10(noise_factor) + _LOG10_4K
-                    + math.log10(op.temperature) + math.log10(res.r_m))
-            + 20.0 * (math.log10(f_0) - _LOG10_2 - math.log10(q_loaded)
-                      - math.log10(op.delta_f) - math.log10(op.v_osc)))
+    return _leeson_floor_db(res, op, noise_factor) + _leeson_gain_db(q_loaded, op, f_0)
+
+
+def _leeson_floor_db(res: Resonator, op: OscillatorOperatingPoint,
+                     noise_factor: float) -> float:
+    """The carrier-free half of `_leeson_db`: 10*log10(F*4kT*r_m)."""
+    return 10.0 * (math.log10(noise_factor) + _LOG10_4K
+                   + math.log10(op.temperature) + math.log10(res.r_m))
+
+
+def _leeson_gain_db(q_loaded: float, op: OscillatorOperatingPoint, f_0: float) -> float:
+    """The carrier half of `_leeson_db`: 20*log10(f_0/(2*Q_L*delta_f*v_osc))."""
+    return 20.0 * (math.log10(f_0) - _LOG10_2 - math.log10(q_loaded)
+                   - math.log10(op.delta_f) - math.log10(op.v_osc))
 
 
 def noise_factor_from(beta: float, r_l0: float, r_m: float,
@@ -197,10 +209,9 @@ class Evaluation:
     fom: float | None = None
 
 
-def _governing_carrier(res: Resonator, comp: CompensationNetwork, delta_f: float) -> float:
-    """Frequency of the tank's governing crossing (`find_operating_point`);
+def _carrier_above(f_op: float, delta_f: float) -> float:
+    """f_op, the frequency of the tank's governing crossing;
     NoResonanceError unless it lies above the offset delta_f."""
-    f_op, _, _ = find_operating_point(res, comp)
     if not f_op > delta_f:
         raise NoResonanceError(f"the governing crossing at {f_op!r} Hz is not "
                                f"above the {delta_f!r} Hz offset")
@@ -221,7 +232,8 @@ def evaluate(res: Resonator, comp: CompensationNetwork,
     the supply when the signal power, or P_DC or the efficiency, is out of
     range.
     """
-    f_0 = _governing_carrier(res, comp, op.delta_f) if op.f_0 is None else op.f_0
+    f_0 = (_carrier_above(find_operating_point(res, comp)[0], op.delta_f)
+           if op.f_0 is None else op.f_0)
     tank = effective_resistance(res, comp)
     q_loaded = phase_slope_q(res, comp, f_0)
     g_mbias = 2.0 / tank.r_res if op.g_mbias is None else op.g_mbias
@@ -254,26 +266,22 @@ def parameter_sweep(res: Resonator, comp: CompensationNetwork,
                     values) -> list[tuple[float, float, float, float, float | None]]:
     """The oscillator's figures as one variable of SWEEP_VARIABLES moves.
 
-    Each value rebuilds one record: `delta_c` adds to the network's c_fix,
-    `q_l0` and `l_0` replace that network field, and `q_rft` rescales the
-    resonator's l_m and c_m to that motional Q at the same f_s and r_m.
-    Every point runs at its own governing crossing, as `evaluate` finds it
-    for an operating point without a carrier (which the bank tuning
-    targets while the motional mode exists); op.f_0 is ignored.  Returns
-    (value, q_loaded, beta, pn, fom) rows in input order, each with the
-    bits of `evaluate` at that point's crossing; fom is None without
-    op.supply.  NoResonanceError when a point has no crossing, or its
-    governing one is not above op.delta_f; ValueError for an unknown
-    variable, a value its record refuses, or a q_rft sweep whose
-    (2*pi*f_s)^2 overflows.
+    `delta_c` adds to the network's c_fix, `q_l0` and `l_0` replace that
+    network field, and `q_rft` rescales the resonator's l_m and c_m to that
+    motional Q at the same f_s and r_m.  Every point runs at its own
+    governing crossing, as `evaluate` finds it for an operating point
+    without a carrier (which the bank tuning targets while the motional
+    mode exists); op.f_0 is ignored.  Returns (value, q_loaded, beta, pn,
+    fom) rows in input order, each with the bits of `evaluate` at that
+    point's crossing; fom is None without op.supply.  NoResonanceError when
+    a point has no crossing, or its governing one is not above op.delta_f;
+    ValueError for an unknown variable, a value its record refuses, or a
+    q_rft sweep whose (2*pi*f_s)^2 overflows.
 
-    A shift of c_fix leaves r_res, beta, the noise budget and P_DC as they
-    are, so a `delta_c` sweep runs the full `evaluate` at its first point,
-    which raises every refusal of theirs there, and later points reuse its
-    reduction and budget: each pays for its operating point, loaded Q,
-    Leeson sum and FoM.  The other variables change r_res, so each of their
-    points runs `evaluate`.  The sweep builds no operating point per value:
-    one without a carrier serves every point.
+    The other variables change r_res, so each of their points rebuilds its
+    record and runs `evaluate`.  A `delta_c` sweep runs on floats after its
+    first point (see `_delta_c_rows`).  The sweep builds no operating point
+    per value: one without a carrier serves every point.
     """
     if var not in SWEEP_VARIABLES:
         raise ValueError(f"unknown sweep variable {var!r}; "
@@ -288,34 +296,57 @@ def parameter_sweep(res: Resonator, comp: CompensationNetwork,
                              f"for f_s = {fs!r} Hz") from None
     if op.f_0 is not None:
         op = replace(op, f_0=None)
-    reuse = var == "delta_c"
+    if var == "delta_c":
+        return _delta_c_rows(res, comp, op, values)
     out = []
-    ev = None
-    res_v = res
+    res_v, comp_v = res, comp
     for v in map(float, values):
-        if reuse:
-            # field by field, at half the cost of dataclasses.replace; the
-            # network still refuses a negative c_fix at every point
-            comp_v = CompensationNetwork(comp.l_0, comp.q_l0, comp.f_ref, comp.c_fix + v,
-                                         comp.bank_unit, comp.bank_size, comp.bank_code)
-        elif var == "q_l0":
+        if var == "q_l0":
             comp_v = replace(comp, q_l0=v)
         elif var == "l_0":
             comp_v = replace(comp, l_0=v)
         else:
             l_m = v * res.r_m / ws
-            res_v, comp_v = replace(res, l_m=l_m, c_m=1.0 / (ws2 * l_m)), comp
-        if ev is None or not reuse:
-            ev = evaluate(res_v, comp_v, op)
+            res_v = replace(res, l_m=l_m, c_m=1.0 / (ws2 * l_m))
+        ev = evaluate(res_v, comp_v, op)
+        out.append((v, ev.q_loaded, ev.tank.beta, ev.pn, ev.fom))
+    return out
+
+
+def _delta_c_rows(res: Resonator, comp: CompensationNetwork,
+                  op: OscillatorOperatingPoint, values) -> list:
+    """`parameter_sweep` over delta_c, for op without a carrier.
+
+    A shift of c_fix leaves r_res, beta, the noise budget and P_DC as they
+    are.  So the first point builds the one network of the sweep and runs
+    the full `evaluate`, which raises every refusal of theirs there.  Each
+    later point runs on floats: c_fix + delta is checked by the network's
+    own rule, then `operating_point` gives the governing crossing and its
+    loaded Q from the branch capacitance the network would sum, and the
+    first point's budget and the Leeson terms that do not move serve for
+    the rest.  Every refusal keeps its message and its order.
+    """
+    out = []
+    for v in map(float, values):
+        if not out:
+            # field by field, at half the cost of dataclasses.replace
+            ev = evaluate(res, CompensationNetwork(
+                comp.l_0, comp.q_l0, comp.f_ref, comp.c_fix + v, comp.bank_unit,
+                comp.bank_size, comp.bank_code), op)
             out.append((v, ev.q_loaded, ev.tank.beta, ev.pn, ev.fom))
+            beta, f_min, eta = ev.tank.beta, ev.budget.f_min, ev.eta
+            floor_db = _leeson_floor_db(res, op, f_min)
+            bank, l_0, r_l0 = comp.bank_code * comp.bank_unit, comp.l_0, comp.r_l0
             continue
-        # a later delta_c point: the first point's reduction and budget hold
-        f_op = _governing_carrier(res_v, comp_v, op.delta_f)
-        q_loaded = check_positive("q_loaded", phase_slope_q(res_v, comp_v, f_op))
-        beta, f_min = ev.tank.beta, ev.budget.f_min
-        out.append((v, q_loaded, beta, _leeson_db(res, q_loaded, op, f_op, f_min),
-                    None if ev.eta is None
-                    else _fom_db(q_loaded, beta, ev.eta, f_min, op.temperature)))
+        c_fix = check_nonnegative("c_fix", comp.c_fix + v)
+        f_op, _, q_loaded = operating_point(res, res.c_0 + c_fix + bank, l_0, r_l0)
+        _carrier_above(f_op, op.delta_f)
+        if not math.isfinite(q_loaded):  # the refusal of phase_slope_q
+            raise ValueError(f"phase slope is not finite at f_0 = {f_op!r} Hz")
+        q_loaded = check_positive("q_loaded", q_loaded)
+        out.append((v, q_loaded, beta, floor_db + _leeson_gain_db(q_loaded, op, f_op),
+                    None if eta is None
+                    else _fom_db(q_loaded, beta, eta, f_min, op.temperature)))
     return out
 
 

@@ -68,6 +68,12 @@ def comp_q10():
     return get_network("l0_250p_q10")
 
 
+def tank_of(res: Resonator, comp: CompensationNetwork):
+    """The tank of res and comp in floats, (res, c_branch, l_0, r_l0): the
+    form `compensation.operating_point` and the admittance helpers take."""
+    return res, comp.branch_capacitance(res), comp.l_0, comp.r_l0
+
+
 def bare_c0_network(res: Resonator, q_l0: float, f_ref: float | None = None
                     ) -> CompensationNetwork:
     """Inductor resonating the bare static capacitance at f_s, no bank."""

@@ -14,9 +14,15 @@ import numpy as np
 
 from memsosc import NoResonanceError, find_operating_point, phase_slope_q
 from memsosc.bvd import check_frequency
-from memsosc.compensation import _impedance
+from memsosc.compensation import _tank_admittance
 
 from brent_reference import _brent
+from conftest import tank_of
+
+
+def _impedance(res, comp, f):
+    """1/Y of the tank at a Python float f, unchecked."""
+    return 1.0 / _tank_admittance(tank_of(res, comp), f)
 
 
 def step_halving_q(res, comp, f_0):

@@ -215,7 +215,15 @@ def test_offset_above_the_carrier_is_one_error_line(argv, tmp_path, capsys):
     (("sweep", "rft30g", "--var", "q_l0", "--from=2", "--to=20", "--points", "2",
       "--offset", "1e6", "--offset", "-1", "--out", "-"),
      "sweep prints one phase-noise column: give at most one --offset, got 2"),
-], ids=["no_crossing", "missing_network", "bad_second_offset", "sweep_two_offsets"])
+    # refusals at a later point of a delta_c sweep, which runs on floats
+    (("sweep", "rft30g", "--network", "l0_250p_q8", "--var", "delta_c", "--from=0",
+      "--to=-2e-13", "--points", "3", "--out", "-"),
+     "c_fix must be non-negative and finite, got -7.420000000000008e-15"),
+    (("sweep", "rft30g", "--network", "l0_250p_q8", "--var", "delta_c", "--from=0",
+      "--to=8p", "--points", "2", "--out", "-"),
+     "no zero-phase crossing at any frequency (f_tank = 3534033248.3493347 Hz)"),
+], ids=["no_crossing", "missing_network", "bad_second_offset", "sweep_two_offsets",
+        "sweep_later_c_fix", "sweep_later_no_crossing"])
 def test_a_refused_command_prints_nothing(argv, expected, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("MEMSOSC_FIXTURE_DIR", raising=False)

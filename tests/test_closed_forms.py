@@ -171,19 +171,21 @@ def test_billion_code_bank_is_bounded(rft):
 
 
 def test_closed_form_code_needs_few_evaluations(rft, monkeypatch):
-    # one window fraction (one inductor admittance) at code 0 for the
-    # nearest code and one at that code; a scan from either end would need
-    # about 27 bisections
+    # one call of the fraction rule gives the fraction at code 0 (one
+    # inductor admittance), the nearest code and the fraction there, which
+    # the warning reads; a scan from either end would need about 27
+    # bisections.  Fraction evaluations are counted at every layer that
+    # computes one.
     calls = []
 
     def counted(name):
         wrapped = getattr(compensation, name)
         return lambda *args: calls.append(name) or wrapped(*args)
 
-    for name in ("window_fraction", "tank_resonance"):
+    for name in ("bank_alignment", "window_fraction", "tank_resonance"):
         monkeypatch.setattr(compensation, name, counted(name))
     tune_bank(rft, billion_code_bank(rft))
-    assert len(calls) <= 2 and set(calls) == {"window_fraction"}
+    assert calls == ["bank_alignment"]
 
 
 def test_billion_code_bank_of_equal_codes_is_bounded(rft):

@@ -478,6 +478,11 @@ class TestClassifyAlignment:
         assert f0 - f1 == pytest.approx(expected, rel=0.01)
         assert f0 - f1 == pytest.approx(133e6, rel=0.05)
 
+    def test_refuses_a_branch_capacitance_below_zero(self, rft, comp_q8):
+        with pytest.raises(ValueError) as err:
+            tank_resonance(rft, comp_q8, bank_code=-1000)
+        assert str(err.value) == "branch capacitance must be positive"
+
 
 class TestTuneBank:
     def test_constructed_code_12(self, rft):

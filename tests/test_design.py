@@ -26,7 +26,7 @@ from memsosc import compensation, design
 from memsosc.cli import main
 from memsosc.noise import SUPPLY_BRANCH_FACTOR
 
-from conftest import rescale_motional_q
+from conftest import rescale_motional_q, tank_of
 
 REFUSAL = "high-Q motional operating point not found after tuning"
 WINDOW_REFUSAL = ("no bank code keeps the tank within the high-Q operating window: "
@@ -398,7 +398,8 @@ class TestRunDesign:
             comp = CompensationNetwork(l_0=rep.l_0, q_l0=rep.q_l0, f_ref=spec.target_f0,
                                        c_fix=rep.c_fix, bank_unit=spec.bank_unit,
                                        bank_size=rep.bank_size, bank_code=rep.bank_code)
-            slope = compensation._admittance_and_slope(res, comp, rep.f_osc)[1].imag
+            slope = compensation._admittance_and_slope(tank_of(res, comp),
+                                                       rep.f_osc)[1].imag
             assert slope < 0, (spec, rep.f_osc)
         assert returned == 365
 

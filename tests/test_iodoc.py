@@ -48,6 +48,11 @@ class TestDocuments:
         with pytest.raises(DocumentError):
             parse_document("just words\n")
 
+    def test_rejects_empty_key(self):
+        with pytest.raises(DocumentError) as err:
+            parse_document(" = 3")
+        assert str(err.value) == "line 1: empty key"
+
     def test_resonator_from_document(self):
         res = resonator_from_document(parse_document(RFT_DOC))
         assert res.r_m == 332.0

@@ -5,6 +5,7 @@ import time
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from memsosc import (
     Netlist,
     NetlistError,
+    Resonator,
     ac_sweep,
     driving_point_impedance,
     format_netlist,
@@ -22,6 +24,7 @@ from memsosc import (
     parse_netlist,
 )
 from memsosc import mna
+from memsosc.bvd import TWO_PI
 from memsosc.fixtures import get_resonator
 from memsosc.mna import (
     E_ARITY,
@@ -132,6 +135,81 @@ class TestParsing:
     def test_comments_and_blanks_ignored(self):
         nl = parse_netlist("* header\n\nR1 1 0 5\n.probe 1 0\n")
         assert len(nl.elements) == 1
+
+
+class TestRefusals:
+    """Each refusal of the parser and the solvers, by its exact message."""
+
+    @pytest.mark.parametrize("ac", [".ac lin 3 0 1g", ".ac lin 3 2g 1g"])
+    def test_ac_needs_ordered_positive_endpoints(self, ac):
+        text = f"R1 1 0 50\n{ac}\n.probe 1 0\n"
+        assert [(d.code, d.line, d.column, d.message) for d in lint_netlist(text)] == [
+            (E_DIRECTIVE, 2, 1, "need 0 < fstart <= fstop")]
+
+    def test_probe_needs_two_nodes(self):
+        diags = lint_netlist("R1 1 0 50\nR2 1 0 60\n.probe 1\n")
+        assert [(d.code, d.line, d.column, d.message) for d in diags] == [
+            (E_DIRECTIVE, 3, 1, ".probe wants: .probe <nodeA> <nodeB>")]
+
+    def test_no_ground(self):
+        diags = lint_netlist("R1 1 2 50\nR2 1 2 60\n.probe 1 2\n")
+        assert [(d.code, d.line, d.column, d.message) for d in diags] == [
+            (E_NO_GROUND, 0, 0, 'no element touches ground node "0"')]
+
+    @pytest.mark.parametrize("probe, message", [
+        ("", "netlist has no .probe directive"),
+        (".probe x 0\n", "probe node 'x' not in circuit")])
+    def test_point_needs_a_probe_in_the_circuit(self, probe, message):
+        nl = parse_netlist(f"R1 1 0 50\nR2 1 0 60\n{probe}")
+        with pytest.raises(ValueError) as err:
+            driving_point_impedance(nl, 1e3)
+        assert str(err.value) == message
+
+    def test_sweep_needs_an_ac_directive(self):
+        nl = parse_netlist("R1 1 0 50\nR2 1 0 60\n.probe 1 0\n")
+        with pytest.raises(ValueError) as err:
+            ac_sweep(nl)
+        assert str(err.value) == "netlist has no .ac directive"
+
+
+# A bare high-Q BVD one-port (Q_m about 61,000) at 0.37% below f_p, where
+# |Z| is 9.5e8 ohm: a single-point check of the mna_oracle benchmark
+# (seed 25) that the MNA misses.
+HIGH_Q_ONE_PORT = (18.70757772006896, 2.5257510320577075e-4, 1.9357047338625584e-16,
+                   1.0291222881465563e-15)
+HIGH_Q_FREQUENCY = 784579287.84516
+
+
+def exact_one_port_error(z: complex) -> float:
+    """|z - Z|/|Z|, with Z the exact impedance of HIGH_Q_ONE_PORT at w =
+    2*pi*f as a float (the w both routes use), in Fractions."""
+    r_m, l_m, c_m, c_0 = map(Fraction, HIGH_Q_ONE_PORT)
+    w = Fraction(TWO_PI * HIGH_Q_FREQUENCY)
+
+    def inverse(re, im):
+        d = re * re + im * im
+        return re / d, -im / d
+
+    y_re, y_im = inverse(r_m, w * l_m - 1 / (w * c_m))
+    z_re, z_im = inverse(y_re, y_im + w * c_0)
+    e_re, e_im = Fraction(z.real) - z_re, Fraction(z.imag) - z_im
+    return math.sqrt((e_re * e_re + e_im * e_im) / (z_re * z_re + z_im * z_im))
+
+
+class TestHighQOnePort:
+    def test_analytic_impedance_keeps_its_digits(self):
+        # measured: 1.99e-12
+        res = Resonator(*HIGH_Q_ONE_PORT)
+        assert exact_one_port_error(impedance(res, HIGH_Q_FREQUENCY)) <= 2.0e-12
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the MNA solve loses digits near f_p: 3.19e-9 from "
+                       "the exact impedance")
+    def test_mna_impedance_meets_the_oracle_tolerance(self):
+        r_m, l_m, c_m, c_0 = HIGH_Q_ONE_PORT
+        nl = parse_netlist(f"Rm a m1 {r_m!r}\nLm m1 m2 {l_m!r}\nCm m2 0 {c_m!r}\n"
+                           f"C0 a 0 {c_0!r}\n.probe a 0\n")
+        assert exact_one_port_error(driving_point_impedance(nl, HIGH_Q_FREQUENCY)) <= 1e-9
 
 
 class TestRoundTrip:
@@ -584,6 +662,24 @@ class TestBanded:
         monkeypatch.setattr(mna, "MAX_SOLVE_WORK", 600)
         message = ("1 points on 2 nodes of bandwidth 1 need 608 band operations, "
                    "over the limit of 600")
+        assert [(d.code, d.line, d.column, d.message) for d in lint_netlist(text)] == [
+            (E_DIRECTIVE, 4, 3, message)]
+        with pytest.raises(ValueError) as err:
+            driving_point_impedance(nl, 1e3)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("limit, accepted", [(608, True), (607, False)])
+    def test_work_limit_includes_its_bound(self, monkeypatch, limit, accepted):
+        # the 2-node netlist above needs exactly 608 band operations
+        text = "R1 1 0 50\nR2 1 2 50\nR3 2 0 50\n  .probe 1 0\n"
+        nl = parse_netlist(text)
+        monkeypatch.setattr(mna, "MAX_SOLVE_WORK", limit)
+        if accepted:
+            assert lint_netlist(text) == []
+            assert driving_point_impedance(nl, 1e3) == pytest.approx(100.0 / 3.0)
+            return
+        message = ("1 points on 2 nodes of bandwidth 1 need 608 band operations, "
+                   "over the limit of 607")
         assert [(d.code, d.line, d.column, d.message) for d in lint_netlist(text)] == [
             (E_DIRECTIVE, 4, 3, message)]
         with pytest.raises(ValueError) as err:

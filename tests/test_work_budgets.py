@@ -15,9 +15,11 @@ from memsosc import DesignSpec, compensation, run_design, sensitivity_sweep
 from memsosc.cli import main
 from memsosc.noise import OscillatorOperatingPoint
 
-COUNTED = ("find_operating_point", "effective_resistance", "tank_resonance",
+# the operating-point solve beneath find_operating_point and the float
+# kernel operating_point, then the tank's reductions
+COUNTED = ("_governing_crossing", "effective_resistance", "tank_resonance",
            "window_fraction")
-# the admittance kernel beneath every operating point and loaded Q
+# the admittance evaluations beneath every operating point and loaded Q
 KERNEL = ("_tank_admittance", "_admittance_and_slope")
 
 
@@ -69,12 +71,16 @@ def test_cli_noise_reduces_the_tank_once(network, calls, capsys):
 
 def test_each_sweep_point_is_one_operating_point_and_one_reduction(rft, comp_q8, calls):
     # the last delta leaves only the LC-branch point; a shift of c_fix
-    # leaves r_res alone, so the first point's reduction serves them all
+    # leaves r_res alone, so the first point's reduction serves them all.
+    # Each point takes two sign tests and one Newton step, and its loaded Q
+    # one more Y and Y'; only the first point, which runs evaluate on the
+    # sweep's one network, also takes the impedance at its crossing.
     deltas = [-6e-15, 0.0, 6e-15, 3.0 * compensation.motional_mode_capacitance_margin(rft)]
     op = OscillatorOperatingPoint(v_osc=0.3, f_0=30e9, delta_f=1e6)
     assert len(sensitivity_sweep(rft, comp_q8, op, deltas)) == 4
     assert [calls[name] for name in COUNTED] == [4, 1, 0, 0]
-    assert [calls[name] for name in KERNEL] == [12, 8]
+    assert [calls[name] for name in KERNEL] == [9, 8]
+    assert calls["networks"] == 1
 
 
 @pytest.mark.parametrize("var, window", [("delta_c", ["--from=-3f", "--to=3f"]),

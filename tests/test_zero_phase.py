@@ -28,10 +28,11 @@ from memsosc import (
 )
 from memsosc import compensation, design
 from memsosc.bvd import TWO_PI, motional_admittance
-from memsosc.compensation import _real_cubic_roots, _rtsafe, _zero_phase_roots
+from memsosc.compensation import (_admittance_and_slope, _crossing, _real_cubic_roots,
+                                  _rtsafe, _tank_admittance, _zero_phase_roots)
 from memsosc.fixtures import BUILTIN_RESONATORS, get_resonator
 
-from conftest import bare_c0_network
+from conftest import bare_c0_network, tank_of
 from brent_reference import _brent, brent_polish
 from roots_reference import reference_roots
 from grid_oracle import (
@@ -42,10 +43,17 @@ from grid_oracle import (
 )
 
 
+def polish_each(res, comp):
+    """Every root estimate of the tank polished, ascending (None when
+    tangential)."""
+    tank = tank_of(res, comp)
+    roots = _zero_phase_roots(tank)
+    return [_crossing(tank, roots, i) for i in range(len(roots[0]))]
+
+
 def every_crossing(res, comp):
     """Every zero-phase crossing the root solve finds, polished, ascending."""
-    f_est, polish = _zero_phase_roots(res, comp)
-    return [f for f in map(polish, range(len(f_est))) if f is not None]
+    return [f for f in polish_each(res, comp) if f is not None]
 
 
 def swept_networks(res, q_l0):
@@ -160,19 +168,18 @@ def design_space_network(res, rng):
 def polished(res, comp):
     """Every root estimate polished (None when tangential), and the
     governing mode or the refusal's message."""
-    f_est, polish = _zero_phase_roots(res, comp)
     try:
         mode = find_operating_point(res, comp)[2]
     except NoResonanceError as exc:
         mode = str(exc)
-    return [polish(i) for i in range(len(f_est))], mode
+    return polish_each(res, comp), mode
 
 
 def on_a_sign_change(res, comp, f, ulps=4):
     """Im Y is zero at f, or is <= 0 and >= 0 within ulps units in the last
     place of f."""
     def susceptance(x):
-        return compensation._tank_admittance(res, comp, x).imag
+        return _tank_admittance(tank_of(res, comp), x).imag
 
     values = [susceptance(f)]
     lo = hi = f
@@ -201,6 +208,33 @@ def test_newton_polish_against_brent(name):
             roots += 1
             assert on_a_sign_change(res, comp, f), (comp, f)
     assert roots > 1000
+
+
+def test_float_kernel_has_the_bits_of_the_network_wrappers():
+    # operating_point on (c_branch, l_0, r_l0) gives find_operating_point's
+    # crossing and mode and phase_slope_q's loaded Q there, or the same
+    # refusal, with bank codes in the branch capacitance
+    outcomes = set()
+    for name in sorted(BUILTIN_RESONATORS):
+        rng = random.Random(name)
+        res = get_resonator(name)
+        for _ in range(300):
+            comp = design_space_network(res, rng)
+            comp = replace(comp, bank_unit=1e-3 * comp.c_fix, bank_size=8,
+                           bank_code=rng.randrange(9))
+            try:
+                f, _, mode = find_operating_point(res, comp)
+                want = (f, mode, phase_slope_q(res, comp, f))
+            except NoResonanceError as exc:
+                want = str(exc)
+            try:
+                got = compensation.operating_point(res, comp.branch_capacitance(res),
+                                                   comp.l_0, comp.r_l0)
+            except NoResonanceError as exc:
+                got = str(exc)
+            assert repr(got) == repr(want), comp
+            outcomes.add(want[1] if isinstance(want, tuple) else "refused")
+    assert outcomes == {"motional", "lc_tank", "refused"}
 
 
 def design_space_spec(res, rng):
@@ -293,10 +327,11 @@ def test_polish_work_is_bounded(monkeypatch):
             with contextlib.suppress(NoResonanceError):
                 find_operating_point(res, comp)
             per_point.append(len(calls))
-            f_est, polish = _zero_phase_roots(res, comp)
-            for i in range(len(f_est)):
+            tank = tank_of(res, comp)
+            roots = _zero_phase_roots(tank)
+            for i in range(len(roots[0])):
                 calls.clear()
-                polish(i)
+                _crossing(tank, roots, i)
                 per_crossing.append(len(calls))
     assert statistics.mean(per_point) <= 6.0
     assert max(per_crossing) <= MAX_EVALUATIONS_PER_CROSSING
@@ -314,13 +349,14 @@ def test_admittance_kernel_has_the_bits_of_the_helpers():
             comp = design_space_network(res, rng)
             comp = replace(comp, bank_unit=1e-3 * comp.c_fix, bank_size=8,
                            bank_code=rng.randrange(9))
-            f_est, _ = _zero_phase_roots(res, comp)
+            tank = tank_of(res, comp)
+            f_est = _zero_phase_roots(tank)[0]
             for f in [*f_est, *every_crossing(res, comp), fs, fs * rng.uniform(0.5, 1.5)]:
                 w = TWO_PI * f
                 want = (motional_admittance(res, f) + 1j * w * comp.branch_capacitance(res)
                         + 1.0 / (comp.r_l0 + 1j * w * comp.l_0))
-                assert compensation._tank_admittance(res, comp, f) == want
-                assert compensation._admittance_and_slope(res, comp, f)[0] == want
+                assert _tank_admittance(tank, f) == want
+                assert _admittance_and_slope(tank, f)[0] == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -346,11 +382,12 @@ def windowed_operating_point(res, comp):
     motional_window, else the largest-|Z| crossing inside lc_window, else
     None (a refusal).  A crossing counted when its estimate and its
     polished value both lay inside the window."""
-    f_est, polish = _zero_phase_roots(res, comp)
+    tank = tank_of(res, comp)
+    roots = _zero_phase_roots(tank)
 
     def inside(lo, hi):
-        return [f for i, est in enumerate(f_est) if lo <= est <= hi
-                and (f := polish(i)) is not None and lo <= f <= hi]
+        return [f for i, est in enumerate(roots[0]) if lo <= est <= hi
+                and (f := _crossing(tank, roots, i)) is not None and lo <= f <= hi]
 
     fs = series_resonance(res)
     motional = inside(*motional_window(res))
@@ -426,7 +463,7 @@ def test_lc_rule_picks_the_largest_impedance():
                                q_l0=0.01, f_ref=fs)
     roots = every_crossing(res, comp)
     assert [f / fs for f in roots] == pytest.approx([1.5992, 2.7635], rel=1e-4)
-    slopes = [compensation._admittance_and_slope(res, comp, f)[1].imag for f in roots]
+    slopes = [_admittance_and_slope(tank_of(res, comp), f)[1].imag for f in roots]
     assert slopes[0] < 0 < slopes[1]
     f, z, mode = find_operating_point(res, comp)
     assert (f, mode) == (roots[0], "motional")
@@ -441,9 +478,10 @@ def test_lc_rule_picks_the_largest_impedance():
     comp = CompensationNetwork(l_0=125.83e-12, q_l0=106.7, f_ref=fs, c_fix=213.9e-15)
     assert window_fraction(res, comp) == pytest.approx(0.7832, rel=1e-4)
     (root,) = every_crossing(res, comp)
-    assert compensation._admittance_and_slope(res, comp, root)[1].imag > 0
+    tank = tank_of(res, comp)
+    assert _admittance_and_slope(tank, root)[1].imag > 0
     freqs = np.geomspace(1e-3 * fs, 1e3 * fs, 100_001)
-    susceptance = [compensation._tank_admittance(res, comp, float(f)).imag for f in freqs]
+    susceptance = [_tank_admittance(tank, float(f)).imag for f in freqs]
     assert np.count_nonzero(np.diff(np.sign(susceptance))) == 1
     f, z, mode = find_operating_point(res, comp)
     assert (f, mode) == (root, "lc_tank")
@@ -471,7 +509,7 @@ def susceptance_cubic(res, comp):
     solve = compensation._real_cubic_roots
     with mock.patch.object(compensation, "_real_cubic_roots",
                            lambda *c: seen.append(c) or solve(*c)):
-        _zero_phase_roots(res, comp)
+        _zero_phase_roots(tank_of(res, comp))
     (coeffs,) = seen
     return coeffs
 
@@ -510,7 +548,7 @@ def test_cubic_solve_matches_np_roots(name):
         assert_same_roots(coeffs)
         # the crossing estimates, as frequencies
         want = [fs * math.sqrt(1.0 + v) for v in reference_roots(coeffs)[0]]
-        assert _zero_phase_roots(res, comp)[0] == pytest.approx(want, rel=1e-12)
+        assert _zero_phase_roots(tank_of(res, comp))[0] == pytest.approx(want, rel=1e-12)
         counts.add(len(_real_cubic_roots(*coeffs)[0]))
     assert counts == {1, 3}  # the draws reach both branches of the closed form
 
